@@ -38,7 +38,8 @@ idx, report = winding_demo(1, 3, kappa=1.0, s=0.0)
 print(f"index = Sig/4 = {idx}   (generalized signature {report.signature})")
 
 with open("circle_m1_N3.svg", "w", encoding="utf-8") as fh:
-    fh.write(eigenvalue_scatter(report.eigenvalues, "circle m=1, N=3, kappa=1"))
+    fh.write(eigenvalue_scatter(report.eigenvalues, report.signature,
+                                "circle m=1, N=3, kappa=1"))
 print("wrote circle_m1_N3.svg (red diamonds mark the positive surplus)")
 
 # --- a winding sweep with the default evaluation point ------------------

@@ -18,6 +18,7 @@ from specloc import (
     contract_invertible,
     distinct_by_index,
     identity_element,
+    index,
     make_witness,
     min_singular_value,
     operator_element,
@@ -61,7 +62,7 @@ w1 = make_witness(circle_unitary_truncation(1, 3), delta=1.0)
 w2 = make_witness(circle_unitary_truncation(2, 3), delta=1.0)
 print("\ncircle witnesses m=1 vs m=2 distinct:",
       distinct_by_index(w1, w2, triple, kappa=0.1, s=0.0))
-print("cached indices:", w1.invariant_indices, w2.invariant_indices)
+print("indices:", *(index(triple, w.plus, w.delta, kappa=0.1, s=0.0)[0] for w in (w1, w2)))
 
 # stabilization does not change a class
 up = stabilize(circle_unitary_truncation(1, 3), 2)

@@ -7,10 +7,13 @@ __version__ = "0.1.0"
 from .linalg import (
     DEFAULT_POLICY,
     Inertia,
+    Spectrum,
     TolerancePolicy,
     direct_sum,
     eig_hermitian,
+    hermitian_spectrum,
     inertia_signature,
+    is_self_adjoint,
     kron,
     min_singular_value,
     operator_norm,

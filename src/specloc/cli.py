@@ -5,7 +5,8 @@ One verb per module capability: ``gap-check``, ``localizer``, ``index``,
 Reports are JSON (stdout or --out); --plot additionally writes an SVG
 eigenvalue scatter plus a CSV eigenvalue dump next to it.
 
-Exit codes: 0 success, 2 verdict-false, 1 errors, 64 usage errors.
+Exit codes: 0 success, 2 verdict-false or singular localizer, 1 errors,
+64 usage errors.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from . import clifford as _clifford
 from .errors import SpeclocError
 from .gap import delta_singular_check, operator_element
 from .homotopy import contract_invertible, verify_path
-from .linalg import TolerancePolicy, eig_hermitian, operator_norm
+from .linalg import TolerancePolicy, hermitian_spectrum, min_singular_value, operator_norm
 from .localizer import (
     build_generalized,
     build_reduced,
@@ -67,9 +68,9 @@ def _emit(args, payload: dict, exit_code: int) -> int:
     return exit_code
 
 
-def _emit_plot(plot_path: str, eigenvalues, title: str):
+def _emit_plot(plot_path: str, eigenvalues, signature: int, title: str):
     with open(plot_path, "w", encoding="utf-8") as fh:
-        fh.write(eigenvalue_scatter(eigenvalues, title))
+        fh.write(eigenvalue_scatter(eigenvalues, signature, title))
     csv_path = os.path.splitext(plot_path)[0] + ".csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(eigenvalues_to_csv(eigenvalues))
@@ -109,21 +110,21 @@ def _cmd_localizer(args) -> int:
     else:
         loc = build_generalized(triple, x, args.kappa, args.s, policy)
         title = f"localizer (kappa={args.kappa}, s={args.s})"
-    eigs = eig_hermitian(loc, policy)
-    tau = policy.tau(loc)
+    spectrum = hermitian_spectrum(loc, policy)
     report = {
         "kappa": args.kappa,
         "s": None if args.reduced else args.s,
         "reduced": bool(args.reduced),
-        "eigenvalues": [float(v) for v in eigs],
-        "signature": int((eigs > tau).sum() - (eigs < -tau).sum()),
-        "min_abs_eig": float(np.min(np.abs(eigs))),
+        "eigenvalues": [float(v) for v in spectrum.eigenvalues],
+        "inertia": spectrum.inertia._asdict(),
+        "signature": spectrum.signature,
+        "min_abs_eig": float(np.min(np.abs(spectrum.eigenvalues))),
     }
     payload = report_envelope("localizer", report, policy)
     payload["seed"] = args.seed
     if args.plot:
-        _emit_plot(args.plot, eigs, title)
-    return _emit(args, payload, 0)
+        _emit_plot(args.plot, spectrum.eigenvalues, spectrum.signature, title)
+    return _emit(args, payload, 2 if spectrum.inertia.n_zero > 0 else 0)
 
 
 def _cmd_index(args) -> int:
@@ -136,7 +137,7 @@ def _cmd_index(args) -> int:
     payload = report_envelope("index", localizer_report_to_json(report), policy)
     payload["seed"] = args.seed
     if args.plot:
-        _emit_plot(args.plot, report.eigenvalues, f"localizer index = {idx}")
+        _emit_plot(args.plot, report.eigenvalues, report.signature, f"localizer index = {idx}")
     return _emit(args, payload, 0)
 
 
@@ -163,6 +164,7 @@ def _cmd_circle(args) -> int:
         _emit_plot(
             args.plot,
             report.eigenvalues,
+            report.signature,
             f"circle m={m}, N={N}, kappa={report.kappa}",
         )
     return _emit(args, payload, 0)
@@ -216,9 +218,7 @@ def _cmd_contract(args) -> int:
     policy = _policy(args)
     x = _load_element(args, policy)
     path = contract_invertible(x, steps=args.steps, policy=policy)
-    min_sv = min(
-        float(np.linalg.svd(s.matrix, compute_uv=False)[-1]) for s in path.samples
-    )
+    min_sv = min(min_singular_value(s.matrix) for s in path.samples)
     report = path_to_json(path, 0.0)
     report["steps"] = args.steps
     report["min_singular_value"] = min_sv

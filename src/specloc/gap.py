@@ -22,7 +22,8 @@ from .linalg import (
     TolerancePolicy,
     as_matrix,
     eig_hermitian,
-    operator_norm,
+    hermitian_spectrum,
+    is_self_adjoint,
 )
 
 MODES = ("spectrum", "grid", "self_adjoint")
@@ -71,7 +72,7 @@ def operator_element(
     if m.shape[0] % block_size:
         raise ValueError(f"size {m.shape[0]} not divisible by block_size {block_size}")
     if self_adjoint is None:
-        self_adjoint = operator_norm(m - m.conj().T) <= policy.tau(m)
+        self_adjoint = is_self_adjoint(m, policy)
     return OperatorElement(m, block_size, m.shape[0] // block_size, bool(self_adjoint))
 
 
@@ -112,7 +113,7 @@ def sigma_spectrum(x: OperatorElement, policy: TolerancePolicy = DEFAULT_POLICY)
 
 def max_delta(x: OperatorElement, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
     """Largest certifiable gap: smallest |lambda| over nonzero lambda in Sigma_x."""
-    return _max_delta_from(sigma_spectrum(x, policy), bordered(x, 0.0), policy)
+    return delta_singular_check(x, 0.0, policy=policy).delta_max
 
 
 def s_gap(x: OperatorElement, s: float, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
@@ -148,18 +149,18 @@ def delta_singular_check(
     if mode == "self_adjoint" and not x.self_adjoint:
         raise ModeMismatchError("self_adjoint mode requires a self-adjoint element")
 
-    doubled = bordered(x, 0.0)
-    tau = policy.tau(doubled)
-
     if mode == "self_adjoint":
-        eigs = eig_hermitian(x.matrix, policy)
-        sigma = np.sort(np.concatenate([np.abs(eigs), -np.abs(eigs)]))
-        tau = policy.tau(x.matrix)
+        spectrum = hermitian_spectrum(x.matrix, policy)
+        eigs = np.abs(spectrum.eigenvalues)
+        sigma = np.sort(np.concatenate([eigs, -eigs]))
     else:
-        sigma = eig_hermitian(doubled, policy)
+        spectrum = hermitian_spectrum(bordered(x, 0.0), policy)
+        sigma = spectrum.eigenvalues
+    tau = spectrum.tau
 
     magnitudes = np.abs(sigma)
-    dmax = _max_delta_from(sigma, doubled, policy, tau=tau)
+    nonzero = magnitudes[magnitudes > tau]
+    dmax = float(nonzero.min()) if nonzero.size else math.inf
 
     if mode == "grid":
         if grid_points < 2:
@@ -199,10 +200,3 @@ def delta_singular_check(
             for s in (delta * i / 10.0 for i in range(1, 10))
         )
     return GapCertificate(sigma, dmax, float(delta), verdict, marginal, s_gaps, mode)
-
-
-def _max_delta_from(sigma, reference, policy, tau=None) -> float:
-    if tau is None:
-        tau = policy.tau(reference)
-    nonzero = np.abs(sigma)[np.abs(sigma) > tau]
-    return float(nonzero.min()) if nonzero.size else math.inf

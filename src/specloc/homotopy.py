@@ -8,7 +8,7 @@ between samples, so the discrete certificate is meaningful for the
 underlying continuous path.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .gap import (
     OperatorElement,
     delta_singular_check,
     identity_element,
-    s_gap,
 )
 from .linalg import (
     DEFAULT_POLICY,
@@ -87,17 +86,17 @@ def verify_path(
     check_mode = "self_adjoint" if mode == "sa" else "spectrum"
     violations = []
     trace = []
+    guard = np.inf
     for k, x in enumerate(path.samples):
         cert = delta_singular_check(x, delta, mode=check_mode, policy=policy)
         trace.append((path.parameters[k], cert.verdict, cert.delta_max))
+        # mid-gap guard: half the worst s-gap at s = delta/2, from eig(bordered) = s + Sigma_x
+        guard = min(guard, 0.5 * float(np.min(np.abs(delta / 2.0 + cert.sigma_x))))
         if not cert.verdict:
             violations.append(("gap", k))
             if strict:
                 raise GapViolationError(k)
 
-    # mid-gap guard: half the worst s-gap at s = delta/2 (at s -> 0 for delta = 0)
-    guard_shift = delta / 2.0
-    guard = 0.5 * min(s_gap(x, guard_shift, policy) for x in path.samples)
     max_step = 0.0
     for k in range(len(path.samples) - 1):
         step = operator_norm(path.samples[k + 1].matrix - path.samples[k].matrix)
@@ -188,7 +187,6 @@ class KClassWitness:
     minus: OperatorElement
     level: int
     delta: float
-    invariant_indices: dict = field(default_factory=dict)
 
 
 def make_witness(
@@ -233,10 +231,8 @@ def distinct_by_index(
 ) -> bool:
     """Sound refutation of equality: True when the localizer indices differ.
 
-    A False return never proves equality.  Indices are cached on the
-    witnesses under the triple's label.
+    A False return never proves equality.
     """
-    key = triple.label or f"triple-{triple.D0.shape[0]}-{triple.parity}"
 
     def _pair_index(witness):
         plus, _ = _localizer.index(
@@ -247,7 +243,4 @@ def distinct_by_index(
         )
         return plus - minus
 
-    for witness in (w, w2):
-        if key not in witness.invariant_indices:
-            witness.invariant_indices[key] = _pair_index(witness)
-    return w.invariant_indices[key] != w2.invariant_indices[key]
+    return _pair_index(w) != _pair_index(w2)

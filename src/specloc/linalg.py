@@ -1,9 +1,11 @@
 """Dense complex linear algebra substrate.
 
-All spectra in the package flow through :func:`eig_hermitian`, all
-signatures through :func:`inertia_signature`, and every "is this zero"
-verdict is taken relative to the tolerance ``tau(M) = factor * dim *
-eps * ||M||_2`` of a :class:`TolerancePolicy`.
+All spectra flow through :func:`hermitian_spectrum` (with
+:func:`eig_hermitian` and :func:`inertia_signature` as views of it).
+Eigenvalue zero tests use ``tau = factor * n * eps * max|eig|`` read
+from that spectrum, since ``||M||_2 = max|eig|`` for Hermitian M.
+Residuals of matrix identities use ``scaled_tol(dim, max(norm, 1))``:
+they compare two matrices and need the absolute floor at small norms.
 """
 
 from dataclasses import dataclass
@@ -61,8 +63,29 @@ def as_matrix(matrix, require_finite: bool = True) -> np.ndarray:
     return m
 
 
-def eig_hermitian(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Ascending real eigenvalues of a (numerically) self-adjoint matrix.
+class Spectrum(NamedTuple):
+    """Ascending eigenvalues, the zero threshold tau read from them, and the inertia."""
+
+    eigenvalues: np.ndarray
+    tau: float
+    inertia: Inertia
+
+    @property
+    def signature(self) -> int:
+        return self.inertia.n_plus - self.inertia.n_minus
+
+
+def is_self_adjoint(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
+    """``M == M*`` exactly, or ``||M - M*||_2 <= tau(M)``."""
+    m = as_matrix(matrix)
+    if m.shape[0] != m.shape[1]:
+        return False
+    adjoint = m.conj().T
+    return bool(np.array_equal(m, adjoint)) or operator_norm(m - adjoint) <= policy.tau(m)
+
+
+def hermitian_spectrum(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> Spectrum:
+    """One eigensolve of a (numerically) self-adjoint matrix, with its inertia.
 
     Asymmetry up to tau(M) is symmetrized away silently; beyond that it
     raises ``NotSelfAdjointError``.
@@ -70,12 +93,18 @@ def eig_hermitian(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarra
     m = as_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
-    asym = operator_norm(m - m.conj().T)
-    if asym > policy.tau(m):
-        raise NotSelfAdjointError(
-            f"asymmetry {asym:.3e} exceeds tolerance {policy.tau(m):.3e}"
-        )
-    return np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    if not is_self_adjoint(m, policy):
+        raise NotSelfAdjointError(f"asymmetry exceeds tolerance {policy.tau(m):.3e}")
+    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    tau = policy.scaled_tol(len(eigs), float(np.abs(eigs).max(initial=0.0)))
+    n_plus = int(np.count_nonzero(eigs > tau))
+    n_minus = int(np.count_nonzero(eigs < -tau))
+    return Spectrum(eigs, tau, Inertia(n_plus, len(eigs) - n_plus - n_minus, n_minus))
+
+
+def eig_hermitian(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Ascending real eigenvalues of a (numerically) self-adjoint matrix."""
+    return hermitian_spectrum(matrix, policy).eigenvalues
 
 
 def inertia_signature(
@@ -84,16 +113,13 @@ def inertia_signature(
     require_invertible: bool = False,
 ) -> tuple[Inertia, int]:
     """Counts of eigenvalues above/at/below the zero threshold, and their signature."""
-    eigs = eig_hermitian(matrix, policy)
-    tau = policy.tau(matrix)
-    n_plus = int(np.count_nonzero(eigs > tau))
-    n_minus = int(np.count_nonzero(eigs < -tau))
-    n_zero = len(eigs) - n_plus - n_minus
+    spectrum = hermitian_spectrum(matrix, policy)
+    n_zero = spectrum.inertia.n_zero
     if require_invertible and n_zero > 0:
         raise SingularAtToleranceError(
-            f"{n_zero} eigenvalue(s) within tolerance {tau:.3e} of zero"
+            f"{n_zero} eigenvalue(s) within tolerance {spectrum.tau:.3e} of zero"
         )
-    return Inertia(n_plus, n_zero, n_minus), n_plus - n_minus
+    return spectrum.inertia, spectrum.signature
 
 
 def operator_norm(matrix) -> float:

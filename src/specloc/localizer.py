@@ -49,6 +49,9 @@ from .linalg import (
     TolerancePolicy,
     as_matrix,
     eig_hermitian,
+    hermitian_spectrum,
+    is_self_adjoint,
+    min_singular_value,
     operator_norm,
 )
 
@@ -98,7 +101,7 @@ def odd_triple(
     D, label: str = "", policy: TolerancePolicy = DEFAULT_POLICY
 ) -> SpectralTriple:
     d = as_matrix(D)
-    if operator_norm(d - d.conj().T) > policy.tau(d):
+    if not is_self_adjoint(d, policy):
         raise NotSelfAdjointError("odd Dirac operator must be self-adjoint")
     return SpectralTriple("odd", d, None, label)
 
@@ -235,10 +238,7 @@ def localizer_gap(x: OperatorElement, s: float) -> float:
     self-adjoint) and is never larger than it.
     """
     eye = np.eye(x.dim)
-    return min(
-        float(np.linalg.svd(x.matrix - s * eye, compute_uv=False)[-1]),
-        float(np.linalg.svd(x.matrix + s * eye, compute_uv=False)[-1]),
-    )
+    return min(min_singular_value(x.matrix - s * eye), min_singular_value(x.matrix + s * eye))
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,7 @@ def gap_bound_check(
     min_eig_sq = float(np.min(eigs**2))
     g = localizer_gap(x, s)
     bound = g * g - kappa * commutator_norm(T, x, policy)
-    tol = policy.scaled_tol(loc.shape[0], max(operator_norm(loc) ** 2, 1.0))
+    tol = policy.scaled_tol(loc.shape[0], max(float(np.max(eigs**2)), 1.0))
     return GapBoundReport(min_eig_sq >= bound - tol, min_eig_sq, bound)
 
 
@@ -283,21 +283,6 @@ class LocalizerReport:
     reduced_signature: int | None = None
 
 
-def _signature_at(T, x, kappa, s, policy):
-    loc = build_generalized(T, x, kappa, s, policy)
-    eigs = eig_hermitian(loc, policy)
-    tau = policy.tau(loc)
-    min_abs = float(np.min(np.abs(eigs)))
-    if min_abs <= tau:
-        raise SingularLocalizerError(
-            f"localizer singular at (kappa={kappa}, s={s}): |eig| down to {min_abs:.3e}"
-        )
-    n_plus = int(np.count_nonzero(eigs > tau))
-    n_minus = int(np.count_nonzero(eigs < -tau))
-    inert = Inertia(n_plus, len(eigs) - n_plus - n_minus, n_minus)
-    return eigs, inert, n_plus - n_minus, min_abs
-
-
 def index(
     T: SpectralTriple,
     x: OperatorElement,
@@ -314,10 +299,6 @@ def index(
     interior point of the constancy region and at the four corners of a
     shrunken sub-rectangle; all five values must agree.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    if not delta_singular_check(x, delta, policy=policy).verdict:
-        raise NotGappedError(f"element is not {delta}-singular")
     region = valid_region(T, x, delta, policy)
 
     if kappa is not None or s is not None:
@@ -337,12 +318,16 @@ def index(
             (s_hi, kappa_hi),
         ]
 
-    evaluations = []
+    spectra = []
     for s_i, kappa_i in points:
-        eigs, inert, sig, min_abs = _signature_at(T, x, kappa_i, s_i, policy)
-        evaluations.append((s_i, kappa_i, sig, eigs, inert, min_abs))
-
-    signatures = {sig for _, _, sig, _, _, _ in evaluations}
+        spectrum = hermitian_spectrum(build_generalized(T, x, kappa_i, s_i, policy), policy)
+        if spectrum.inertia.n_zero > 0:
+            raise SingularLocalizerError(
+                f"localizer singular at (kappa={kappa_i}, s={s_i}): |eig| down to "
+                f"{np.min(np.abs(spectrum.eigenvalues)):.3e}"
+            )
+        spectra.append(spectrum)
+    signatures = {spectrum.signature for spectrum in spectra}
     if len(signatures) != 1:
         raise InconsistentSignatureError(
             f"signature varies over the sampled region: {sorted(signatures)}"
@@ -351,21 +336,21 @@ def index(
     if sig % 4:
         raise NotDivisibleBy4Error(f"signature {sig} is not divisible by 4")
 
-    s0, kappa0, _, eigs, inert, min_abs = evaluations[0]
+    (s0, kappa0), spectrum = points[0], spectra[0]
     g = localizer_gap(x, s0)
     report = LocalizerReport(
         parity=T.parity,
         kappa=kappa0,
         s=s0,
         delta=float(delta),
-        eigenvalues=eigs,
-        inertia=inert,
+        eigenvalues=spectrum.eigenvalues,
+        inertia=spectrum.inertia,
         signature=sig,
         index=sig // 4,
-        min_abs_eig=min_abs,
+        min_abs_eig=float(np.min(np.abs(spectrum.eigenvalues))),
         gap_bound=g * g - kappa0 * region.commutator_norm,
         commutator_norm=region.commutator_norm,
-        samples=tuple((s_i, k_i, sg) for s_i, k_i, sg, _, _, _ in evaluations),
+        samples=tuple((s_i, k_i, sp.signature) for (s_i, k_i), sp in zip(points, spectra)),
         tolerance_factor=policy.zero_threshold_factor,
     )
     return sig // 4, report

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BadDeltaError, WindingTooLargeError
 from .gap import OperatorElement
-from .linalg import DEFAULT_POLICY, TolerancePolicy, eig_hermitian
+from .linalg import DEFAULT_POLICY, TolerancePolicy, hermitian_spectrum
 from .localizer import (
     LocalizerReport,
     SpectralTriple,
@@ -113,7 +113,5 @@ def winding_demo(
     if s is None:
         s = 0.0
     idx, report = index(triple, x, 1.0, kappa=kappa, s=s, policy=policy)
-    reduced_eigs = eig_hermitian(build_reduced(triple, x, kappa, policy), policy)
-    tau = policy.scaled_tol(len(reduced_eigs), float(np.abs(reduced_eigs).max()))
-    reduced_sig = int((reduced_eigs > tau).sum() - (reduced_eigs < -tau).sum())
-    return idx, replace(report, reduced_signature=reduced_sig)
+    reduced = hermitian_spectrum(build_reduced(triple, x, kappa, policy), policy)
+    return idx, replace(report, reduced_signature=reduced.signature)

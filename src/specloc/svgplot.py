@@ -3,7 +3,7 @@
 One panel, eigenvalues sorted ascending along the x-axis: negative
 values as blue circles, positive as orange circles, and the surplus of
 the majority sign (the |signature| eigenvalues of the majority sign
-closest to zero) highlighted as red diamonds.
+closest to zero, signature as given by the caller) as red diamonds.
 """
 
 import numpy as np
@@ -17,10 +17,9 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return [(out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo)) for v in values]
 
 
-def eigenvalue_scatter(eigenvalues, title: str = "") -> str:
+def eigenvalue_scatter(eigenvalues, sig: int, title: str = "") -> str:
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
     n = len(eigs)
-    sig = int((eigs > 0).sum() - (eigs < 0).sum())
 
     xs = _scale(range(n), 0, max(n - 1, 1), _MARGIN, _WIDTH - _MARGIN)
     lo, hi = float(eigs.min()), float(eigs.max())

@@ -126,6 +126,21 @@ def test_localizer_subcommand(capsys, tmp_path):
     assert len(report["report"]["eigenvalues"]) == 28
 
 
+def test_localizer_singular_exit_2(capsys, tmp_path):
+    dirac = tmp_path / "dirac.json"
+    dirac.write_text(dumps(matrix_to_json(np.diag([-1.0, 0.0, 1.0]))))
+    matrix = tmp_path / "zero.json"
+    matrix.write_text(dumps(matrix_to_json(np.zeros((3, 3)))))
+    code, report = run(
+        capsys,
+        ["localizer", "--matrix", str(matrix), "--dirac", str(dirac),
+         "--kappa", "1", "--reduced"],
+    )
+    assert code == 2
+    assert report["report"]["min_abs_eig"] == 0.0
+    assert report["report"]["inertia"] == {"n_plus": 2, "n_zero": 2, "n_minus": 2}
+
+
 def test_clifford_verify(capsys):
     code, report = run(capsys, ["clifford-verify", "--p", "4"])
     assert code == 0

@@ -11,9 +11,11 @@ from specloc import (
     distinct_by_index,
     equal_certified,
     identity_element,
+    index,
     make_witness,
     max_delta,
     min_singular_value,
+    odd_triple,
     operator_element,
     sigma_spectrum,
     stabilize,
@@ -198,13 +200,20 @@ def test_witness_rejects_ungapped():
         make_witness(bilateral_shift_truncation(3), 1.5)
 
 
+def pair_index(triple, w, kappa, s):
+    """Index of the formal difference [w.plus] - [w.minus]."""
+    plus, _ = index(triple, w.plus, w.delta, kappa=kappa, s=s)
+    minus, _ = index(triple, w.minus, w.delta, kappa=kappa, s=s)
+    return plus - minus
+
+
 def test_witnesses_distinct_by_winding():
     triple = circle_dirac(3)
     w1 = make_witness(circle_unitary_truncation(1, 3), 1.0)
     w2 = make_witness(circle_unitary_truncation(2, 3), 1.0)
     assert distinct_by_index(w1, w2, triple, kappa=0.1, s=0.0)
-    assert w1.invariant_indices["circle-N3"] == 1
-    assert w2.invariant_indices["circle-N3"] == 2
+    assert pair_index(triple, w1, 0.1, 0.0) == 1
+    assert pair_index(triple, w2, 0.1, 0.0) == 2
 
 
 def test_witness_index_invariant_under_stabilization():
@@ -213,7 +222,17 @@ def test_witness_index_invariant_under_stabilization():
     w = make_witness(x, 1.0)
     w_up = make_witness(stabilize(x, 2), 1.0)
     assert not distinct_by_index(w, w_up, triple, kappa=0.5, s=0.0)
-    assert w.invariant_indices == w_up.invariant_indices
+    assert pair_index(triple, w, 0.5, 0.0) == pair_index(triple, w_up, 0.5, 0.0)
+
+
+def test_distinct_by_index_same_element_under_another_triple():
+    # two witnesses of one element are never distinct, whatever triple was used before
+    x = circle_unitary_truncation(1, 3)
+    d = circle_dirac(3).D0
+    wa, wb, wc = (make_witness(x, 1.0) for _ in range(3))
+    assert not distinct_by_index(wa, wb, odd_triple(d), kappa=0.5, s=0.0)
+    assert not distinct_by_index(wa, wc, odd_triple(-d), kappa=0.5, s=0.0)
+    assert pair_index(odd_triple(-d), wa, 0.5, 0.0) == -1
 
 
 def test_witnesses_equal_under_conjugation():
