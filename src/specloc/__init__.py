@@ -62,6 +62,7 @@ from .localizer import (
     gap_bound_check,
     index,
     localizer_gap,
+    localizer_halves,
     odd_triple,
     valid_region,
 )

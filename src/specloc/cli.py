@@ -22,10 +22,10 @@ from .gap import delta_singular_check, operator_element
 from .homotopy import contract_invertible, verify_path
 from .linalg import TolerancePolicy, hermitian_spectrum, min_singular_value, operator_norm
 from .localizer import (
-    build_generalized,
     build_reduced,
     even_triple,
     index as _index,
+    localizer_halves,
     odd_triple,
 )
 from .models import winding_demo
@@ -105,12 +105,12 @@ def _cmd_localizer(args) -> int:
     x = _load_element(args, policy)
     triple = _load_triple(args, policy)
     if args.reduced:
-        loc = build_reduced(triple, x, args.kappa, policy)
+        blocks = (build_reduced(triple, x, args.kappa, policy),)
         title = f"reduced localizer (kappa={args.kappa})"
     else:
-        loc = build_generalized(triple, x, args.kappa, args.s, policy)
+        blocks = localizer_halves(triple, x, args.kappa, args.s, policy)
         title = f"localizer (kappa={args.kappa}, s={args.s})"
-    spectrum = hermitian_spectrum(loc, policy)
+    spectrum = hermitian_spectrum(*blocks, policy=policy)
     report = {
         "kappa": args.kappa,
         "s": None if args.reduced else args.s,

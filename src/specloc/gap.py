@@ -150,11 +150,11 @@ def delta_singular_check(
         raise ModeMismatchError("self_adjoint mode requires a self-adjoint element")
 
     if mode == "self_adjoint":
-        spectrum = hermitian_spectrum(x.matrix, policy)
+        spectrum = hermitian_spectrum(x.matrix, policy=policy)
         eigs = np.abs(spectrum.eigenvalues)
         sigma = np.sort(np.concatenate([eigs, -eigs]))
     else:
-        spectrum = hermitian_spectrum(bordered(x, 0.0), policy)
+        spectrum = hermitian_spectrum(bordered(x, 0.0), policy=policy)
         sigma = spectrum.eigenvalues
     tau = spectrum.tau
 

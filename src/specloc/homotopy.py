@@ -32,7 +32,6 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     direct_sum,
-    min_singular_value,
     operator_norm,
 )
 from . import localizer as _localizer
@@ -139,6 +138,12 @@ def direct_sum_class(x: OperatorElement, y: OperatorElement) -> OperatorElement:
     )
 
 
+def _singular_at_tol(m: np.ndarray, policy: TolerancePolicy) -> bool:
+    """``min_singular_value(m) <= policy.tau(m)``, from one singular-value solve."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return bool(sv[-1] <= policy.scaled_tol(max(m.shape), sv[0]))
+
+
 def contract_invertible(
     x: OperatorElement,
     steps: int = 33,
@@ -155,7 +160,7 @@ def contract_invertible(
     if steps < 2:
         raise ValueError("need at least 2 steps")
     m = x.matrix
-    if min_singular_value(m) <= policy.tau(m):
+    if _singular_at_tol(m, policy):
         raise NotInvertibleError("element is singular at tolerance")
 
     args = np.angle(np.linalg.eigvals(m))
@@ -171,7 +176,8 @@ def contract_invertible(
     samples = []
     for t in params:
         sample = (1.0 - t) * m + t * z * eye
-        if min_singular_value(sample) <= policy.tau(sample):
+        # sample t = 0 is x, checked above
+        if t > 0 and _singular_at_tol(sample, policy):
             raise NotInvertibleError(f"contraction sample t={t:.4f} singular")
         samples.append(
             OperatorElement(sample, x.block_size, x.ambient_dim, False)

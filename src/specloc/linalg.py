@@ -2,8 +2,10 @@
 
 All spectra flow through :func:`hermitian_spectrum` (with
 :func:`eig_hermitian` and :func:`inertia_signature` as views of it).
-Eigenvalue zero tests use ``tau = factor * n * eps * max|eig|`` read
-from that spectrum, since ``||M||_2 = max|eig|`` for Hermitian M.
+It takes one matrix or the blocks of a direct sum, whose spectrum is
+the merged spectra of the blocks.  Eigenvalue zero tests use
+``tau = factor * n * eps * max|eig|`` read from that spectrum, since
+``||M||_2 = max|eig|`` for Hermitian M.
 Residuals of matrix identities use ``scaled_tol(dim, max(norm, 1))``:
 they compare two matrices and need the absolute floor at small norms.
 """
@@ -78,24 +80,49 @@ class Spectrum(NamedTuple):
 def is_self_adjoint(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """``M == M*`` exactly, or ``||M - M*||_2 <= tau(M)``."""
     m = as_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
-        return False
-    adjoint = m.conj().T
-    return bool(np.array_equal(m, adjoint)) or operator_norm(m - adjoint) <= policy.tau(m)
+    return m.shape[0] == m.shape[1] and _adjoint_within_tau((m,), policy)
 
 
-def hermitian_spectrum(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> Spectrum:
-    """One eigensolve of a (numerically) self-adjoint matrix, with its inertia.
+def _sum_tau(blocks, policy: TolerancePolicy) -> float:
+    """tau of the direct sum of square ``blocks``: its dimension, its norm max ||B||_2."""
+    dim = sum(b.shape[0] for b in blocks)
+    return policy.scaled_tol(max(dim, 1), max(operator_norm(b) for b in blocks))
 
-    Asymmetry up to tau(M) is symmetrized away silently; beyond that it
+
+def _adjoint_within_tau(blocks, policy: TolerancePolicy) -> bool:
+    """The adjoint test of the direct sum of square ``blocks``.
+
+    Exact ``B == B*`` for every block first; otherwise the norm test,
+    with ``||S - S*||_2 = max ||B - B*||_2`` for the sum S.
+    """
+    if all(np.array_equal(b, b.conj().T) for b in blocks):
+        return True
+    return max(operator_norm(b - b.conj().T) for b in blocks) <= _sum_tau(blocks, policy)
+
+
+def hermitian_spectrum(*blocks, policy: TolerancePolicy = DEFAULT_POLICY) -> Spectrum:
+    """Spectrum of the direct sum of (numerically) self-adjoint ``blocks``, with its inertia.
+
+    One matrix is the one-block case.  Each distinct block (by identity)
+    is solved once and the eigenvalues are merged in ascending order;
+    tau and the inertia are read from the merged spectrum.  Asymmetry up
+    to tau of the sum is symmetrized away silently; beyond that it
     raises ``NotSelfAdjointError``.
     """
-    m = as_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
-    if not is_self_adjoint(m, policy):
-        raise NotSelfAdjointError(f"asymmetry exceeds tolerance {policy.tau(m):.3e}")
-    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    if not blocks:
+        raise TypeError("hermitian_spectrum needs at least one block")
+    mats = [as_matrix(b) for b in blocks]
+    for m in mats:
+        if m.shape[0] != m.shape[1]:
+            raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
+    if not _adjoint_within_tau(mats, policy):
+        raise NotSelfAdjointError(f"asymmetry exceeds tolerance {_sum_tau(mats, policy):.3e}")
+    solved = {}
+    for m in mats:
+        if id(m) not in solved:
+            solved[id(m)] = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    parts = [solved[id(m)] for m in mats]
+    eigs = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
     tau = policy.scaled_tol(len(eigs), float(np.abs(eigs).max(initial=0.0)))
     n_plus = int(np.count_nonzero(eigs > tau))
     n_minus = int(np.count_nonzero(eigs < -tau))
@@ -104,7 +131,7 @@ def hermitian_spectrum(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> Spec
 
 def eig_hermitian(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Ascending real eigenvalues of a (numerically) self-adjoint matrix."""
-    return hermitian_spectrum(matrix, policy).eigenvalues
+    return hermitian_spectrum(matrix, policy=policy).eigenvalues
 
 
 def inertia_signature(
@@ -113,7 +140,7 @@ def inertia_signature(
     require_invertible: bool = False,
 ) -> tuple[Inertia, int]:
     """Counts of eigenvalues above/at/below the zero threshold, and their signature."""
-    spectrum = hermitian_spectrum(matrix, policy)
+    spectrum = hermitian_spectrum(matrix, policy=policy)
     n_zero = spectrum.inertia.n_zero
     if require_invertible and n_zero > 0:
         raise SingularAtToleranceError(

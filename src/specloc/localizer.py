@@ -22,6 +22,16 @@ diag(I,-I) in the even case.  This assembly satisfies, exactly:
     min{s, delta-s} for delta-gapped elements, giving the sufficient
     constancy region 0 < kappa < min{s, delta-s}^2 / ||[D, x]||.
 
+The Hadamard H = [[1, 1], [1, -1]] / sqrt(2) in the outer slot turns
+sigma_x into sigma_z, so for either parity
+
+    (H (x) I) L(kappa, s) (H (x) I) = (L_reduced + s*W) (+) (L_reduced - s*W).
+
+``index``, ``gap_bound_check`` and the CLI read the spectrum of
+L(kappa, s) from the two half-size blocks (:func:`localizer_halves`),
+and at s = 0 from one solve of L_reduced; ``build_generalized``
+assembles the full matrix and is kept as the dense reference.
+
 For a fixed finite truncation the region-certified signature is the
 small-coupling limit (zero for winding classes); integer indices of
 truncated symbols are obtained at explicit (kappa, s), typically s = 0,
@@ -48,7 +58,6 @@ from .linalg import (
     Inertia,
     TolerancePolicy,
     as_matrix,
-    eig_hermitian,
     hermitian_spectrum,
     is_self_adjoint,
     min_singular_value,
@@ -126,13 +135,16 @@ def _even_halves(T: SpectralTriple, x: OperatorElement, policy: TolerancePolicy)
     n = _level(T, x)
     h = T.D0.shape[0]
     d = 2 * h
-    gamma = np.kron(np.eye(n), np.asarray(T.grading))
     m = x.matrix
-    if operator_norm(gamma @ m - m @ gamma) > policy.scaled_tol(
-        m.shape[0], max(operator_norm(m), 1.0)
-    ):
-        raise ModeMismatchError("even element must commute with the grading")
     blocks = m.reshape(n, d, n, d)
+    # gamma x - x gamma is +-2 times the grading-off-diagonal blocks: exactly
+    # zero iff they are, else the norm test decides
+    if np.any(blocks[:, :h, :, h:]) or np.any(blocks[:, h:, :, :h]):
+        gamma = np.kron(np.eye(n), np.asarray(T.grading))
+        if operator_norm(gamma @ m - m @ gamma) > policy.scaled_tol(
+            m.shape[0], max(operator_norm(m), 1.0)
+        ):
+            raise ModeMismatchError("even element must commute with the grading")
     x_plus = blocks[:, :h, :, :h].reshape(n * h, n * h)
     x_minus = blocks[:, h:, :, h:].reshape(n * h, n * h)
     return x_plus, x_minus
@@ -147,6 +159,45 @@ def commutator_norm(
     return operator_norm(dirac @ x.matrix - x.matrix @ dirac)
 
 
+def _reduced_parts(T: SpectralTriple, x: OperatorElement, policy: TolerancePolicy):
+    """(C, K) with L_reduced(kappa) = C + kappa*K; the element's checks run here."""
+    n = _level(T, x)
+    d = T.amplified_D0(n)
+    zero = np.zeros_like(d)
+    if T.parity == "odd":
+        m = x.matrix
+        return np.block([[zero, m], [m.conj().T, zero]]), np.block([[d, zero], [zero, -d]])
+    if not x.self_adjoint:
+        raise ModeMismatchError("even localizer requires a self-adjoint element")
+    x_plus, x_minus = _even_halves(T, x, policy)
+    return np.block([[x_plus, zero], [zero, -x_minus]]), np.block([[zero, d], [d.conj().T, zero]])
+
+
+def _shift(T: SpectralTriple, dim: int) -> np.ndarray:
+    """W: the swap [[0,I],[I,0]] (odd) or the grading diag(I,-I) (even), of size dim."""
+    half = dim // 2
+    if T.parity == "odd":
+        w = np.zeros((dim, dim), dtype=np.complex128)
+        w[:half, half:] = np.eye(half)
+        w[half:, :half] = np.eye(half)
+        return w
+    return np.diag(np.concatenate([np.ones(half), -np.ones(half)])).astype(np.complex128)
+
+
+def _check_point(kappa: float, s: float) -> None:
+    if not kappa > 0:
+        raise ValueError("kappa must be positive")
+    if s < 0 or not math.isfinite(s):
+        raise ValueError("s must be finite and nonnegative")
+
+
+def _halves(reduced: np.ndarray, w: np.ndarray, s: float) -> tuple:
+    """Blocks of (L_reduced + s*W) (+) (L_reduced - s*W); one distinct block at s = 0."""
+    if s == 0:
+        return reduced, reduced
+    return reduced + s * w, reduced - s * w
+
+
 def build_reduced(
     T: SpectralTriple,
     x: OperatorElement,
@@ -154,16 +205,8 @@ def build_reduced(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """The odd or even spectral localizer (half the generalized one at s=0)."""
-    n = _level(T, x)
-    if T.parity == "odd":
-        kd = kappa * T.amplified_D0(n)
-        m = x.matrix
-        return np.block([[kd, m], [m.conj().T, -kd]])
-    if not x.self_adjoint:
-        raise ModeMismatchError("even localizer requires a self-adjoint element")
-    x_plus, x_minus = _even_halves(T, x, policy)
-    kd = kappa * T.amplified_D0(n)
-    return np.block([[x_plus, kd], [kd.conj().T, -x_minus]])
+    c, k = _reduced_parts(T, x, policy)
+    return c + kappa * k
 
 
 def build_generalized(
@@ -173,20 +216,31 @@ def build_generalized(
     s: float,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
-    """Shifted localizer I_2 (x) L_reduced + s * (sigma_x (x) W); see module docstring."""
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
-    if s < 0 or not math.isfinite(s):
-        raise ValueError("s must be finite and nonnegative")
+    """Shifted localizer I_2 (x) L_reduced + s * (sigma_x (x) W); see module docstring.
+
+    The dense reference for :func:`localizer_halves`.
+    """
+    _check_point(kappa, s)
     reduced = build_reduced(T, x, kappa, policy)
-    half = reduced.shape[0] // 2
-    if T.parity == "odd":
-        w = np.zeros((2 * half, 2 * half), dtype=np.complex128)
-        w[:half, half:] = np.eye(half)
-        w[half:, :half] = np.eye(half)
-    else:
-        w = np.diag(np.concatenate([np.ones(half), -np.ones(half)])).astype(np.complex128)
+    w = _shift(T, reduced.shape[0])
     return np.block([[reduced, s * w], [s * w, reduced]])
+
+
+def localizer_halves(
+    T: SpectralTriple,
+    x: OperatorElement,
+    kappa: float,
+    s: float,
+    policy: TolerancePolicy = DEFAULT_POLICY,
+) -> tuple:
+    """Blocks of the direct sum unitarily equivalent to ``build_generalized``.
+
+    ``(L_reduced + s*W, L_reduced - s*W)``, and ``(L_reduced, L_reduced)``
+    (one array twice, solved once by ``hermitian_spectrum``) at s = 0.
+    """
+    _check_point(kappa, s)
+    reduced = build_reduced(T, x, kappa, policy)
+    return _halves(reduced, _shift(T, reduced.shape[0]), s)
 
 
 @dataclass(frozen=True)
@@ -256,12 +310,11 @@ def gap_bound_check(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> GapBoundReport:
     """Verify min eig(L^2) >= g_loc^2 - kappa*||[D,x]|| - tau."""
-    loc = build_generalized(T, x, kappa, s, policy)
-    eigs = eig_hermitian(loc, policy)
+    eigs = hermitian_spectrum(*localizer_halves(T, x, kappa, s, policy), policy=policy).eigenvalues
     min_eig_sq = float(np.min(eigs**2))
     g = localizer_gap(x, s)
     bound = g * g - kappa * commutator_norm(T, x, policy)
-    tol = policy.scaled_tol(loc.shape[0], max(float(np.max(eigs**2)), 1.0))
+    tol = policy.scaled_tol(len(eigs), max(float(np.max(eigs**2)), 1.0))
     return GapBoundReport(min_eig_sq >= bound - tol, min_eig_sq, bound)
 
 
@@ -318,9 +371,13 @@ def index(
             (s_hi, kappa_hi),
         ]
 
+    for s_i, kappa_i in points:
+        _check_point(kappa_i, s_i)
+    c, k = _reduced_parts(T, x, policy)
+    w = _shift(T, c.shape[0])
     spectra = []
     for s_i, kappa_i in points:
-        spectrum = hermitian_spectrum(build_generalized(T, x, kappa_i, s_i, policy), policy)
+        spectrum = hermitian_spectrum(*_halves(c + kappa_i * k, w, s_i), policy=policy)
         if spectrum.inertia.n_zero > 0:
             raise SingularLocalizerError(
                 f"localizer singular at (kappa={kappa_i}, s={s_i}): |eig| down to "

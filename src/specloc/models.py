@@ -113,5 +113,10 @@ def winding_demo(
     if s is None:
         s = 0.0
     idx, report = index(triple, x, 1.0, kappa=kappa, s=s, policy=policy)
-    reduced = hermitian_spectrum(build_reduced(triple, x, kappa, policy), policy)
-    return idx, replace(report, reduced_signature=reduced.signature)
+    if s == 0:
+        # L(kappa, 0) = R (+) R has no eigenvalue within tau(4n) = 2 tau(2n) of
+        # zero, so neither has R within its own tau(2n)
+        reduced = report.signature // 2
+    else:
+        reduced = hermitian_spectrum(build_reduced(triple, x, kappa, policy), policy=policy).signature
+    return idx, replace(report, reduced_signature=reduced)

@@ -263,6 +263,42 @@ def test_even_requires_self_adjoint_and_commuting():
         build_reduced(triple, bad, 0.5)
 
 
+def test_even_grading_test_exact_first_then_norm():
+    rng = np.random.default_rng(12)
+    triple = even_triple(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    xp = random_gapped(3, 1, 0.5, self_adjoint=True, seed=13).matrix
+    xm = random_gapped(3, 1, 0.5, self_adjoint=True, seed=14).matrix
+    even = np.block([[xp, np.zeros((3, 3))], [np.zeros((3, 3)), xm]])
+    off = np.zeros((6, 6))
+    off[0, 4] = off[4, 0] = 1.0
+    clean = operator_element(even, self_adjoint=True)
+    noisy = operator_element(even + 1e-17 * off, self_adjoint=True)
+    np.testing.assert_array_equal(build_reduced(triple, noisy, 0.5), build_reduced(triple, clean, 0.5))
+    assert index(triple, noisy, 0.5, kappa=0.1, s=0.2)[0] == index(triple, clean, 0.5, kappa=0.1, s=0.2)[0]
+    bad = operator_element(even + 1e-3 * off, self_adjoint=True)
+    with pytest.raises(ModeMismatchError):
+        build_reduced(triple, bad, 0.5)
+    with pytest.raises(ModeMismatchError):
+        index(triple, bad, 0.4)
+
+
+def test_index_checks_the_grading_once(monkeypatch):
+    import specloc.localizer as loc
+
+    rng = np.random.default_rng(15)
+    triple = even_triple(rng.standard_normal((2, 2)))
+    xp = random_gapped(2, 1, 0.5, self_adjoint=True, seed=16).matrix
+    xm = random_gapped(2, 1, 0.5, self_adjoint=True, seed=17).matrix
+    x = operator_element(
+        np.block([[xp, np.zeros((2, 2))], [np.zeros((2, 2)), xm]]), self_adjoint=True
+    )
+    calls = []
+    original = loc._even_halves
+    monkeypatch.setattr(loc, "_even_halves", lambda *a: calls.append(1) or original(*a))
+    _, report = index(triple, x, 0.5)
+    assert len(report.samples) == 5 and len(calls) == 1
+
+
 def test_even_gap_bound():
     rng = np.random.default_rng(9)
     d0 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

@@ -1,7 +1,9 @@
 """Property tests: the Hermitian spectral kernel against the dense oracle.
 
 The oracle is ``np.linalg.eigvalsh`` of the symmetrized matrix, with the
-zero threshold ``TolerancePolicy.tau`` (an SVD-based operator norm).
+zero threshold ``TolerancePolicy.tau`` (an SVD-based operator norm).  The
+split localizer (two half-size blocks, one at s = 0) is checked against
+the dense ``build_generalized`` assembly.
 """
 
 import numpy as np
@@ -12,13 +14,26 @@ from hypothesis import strategies as st
 from specloc import (
     DEFAULT_POLICY,
     HomotopyPath,
+    OperatorElement,
+    SpectralTriple,
+    build_generalized,
+    bordered,
+    build_reduced,
+    direct_sum,
+    eig_hermitian,
+    even_triple,
+    gap_bound_check,
     hermitian_spectrum,
+    identity_element,
     is_self_adjoint,
+    localizer_halves,
     operator_norm,
     random_gapped,
     s_gap,
+    sigma_spectrum,
     verify_path,
 )
+from specloc.errors import NotSelfAdjointError
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -98,3 +113,166 @@ def test_path_guard_reads_shifted_sigma(d, n, samples, seed, gap, frac, sa):
     cert = verify_path(HomotopyPath(xs, params), delta, mode="sa" if sa else "general")
     expected = 0.5 * min(s_gap(x, delta / 2.0) for x in xs)
     assert cert.step_guard == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@SETTINGS
+@given(st.lists(st.one_of(hermitian(), perturbed()), min_size=1, max_size=3), st.booleans())
+def test_direct_sum_kernel_matches_the_assembled_sum(blocks, repeat):
+    if repeat:
+        blocks = blocks + blocks[:1]  # one array twice: solved once, counted twice
+    dense = blocks[0]
+    for b in blocks[1:]:
+        dense = direct_sum(dense, b)
+    asym = operator_norm(dense - dense.conj().T)
+    assume(abs(asym - DEFAULT_POLICY.tau(dense)) > 1e-9 * DEFAULT_POLICY.tau(dense))
+    if not is_self_adjoint(dense):
+        with pytest.raises(NotSelfAdjointError):
+            hermitian_spectrum(*blocks)
+        return
+    split = hermitian_spectrum(*blocks)
+    oracle = hermitian_spectrum(dense)
+    scale = max(float(np.abs(oracle.eigenvalues).max()), 1e-300)
+    assert np.max(np.abs(split.eigenvalues - oracle.eigenvalues)) <= 1e-12 * scale
+    assert split.tau == pytest.approx(oracle.tau, rel=1e-12, abs=0.0)
+    _assert_inertia_away_from_tau(split, oracle)
+
+
+def _assert_inertia_away_from_tau(split, oracle):
+    """Equal inertia unless an eigenvalue lies within the two spectra's disagreement of +-tau."""
+    slack = 2.0 * (
+        np.max(np.abs(split.eigenvalues - oracle.eigenvalues)) + abs(split.tau - oracle.tau)
+    )
+    assume(not np.any(np.abs(np.abs(oracle.eigenvalues) - oracle.tau) <= slack))
+    assert split.inertia == oracle.inertia
+
+
+@st.composite
+def localizer_input(draw, asymmetry=False):
+    """(triple, x, kappa, s): odd or even, at s = 0 or s > 0, with drawn kappa.
+
+    Dirac eigenvalues and element kinds include exact zeros, so singular
+    localizers are drawn too.  With ``asymmetry`` the odd Dirac matrix
+    (built without ``odd_triple``'s check) or the even element gets a
+    round-off-sized or larger non-Hermitian part.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parity = draw(st.sampled_from(["odd", "even"]))
+    rows = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "zero", "unit"]))
+    kappa = draw(st.floats(1e-3, 3.0))
+    s = draw(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 2.5]))
+    noise = draw(st.sampled_from([1e-17, 1e-15, 1e-13, 1e-8])) if asymmetry else 0.0
+    if parity == "odd":
+        dirac = np.diag(rng.integers(-2, 3, rows).astype(np.complex128))
+        q, _ = np.linalg.qr(rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows)))
+        dirac = q @ dirac @ q.conj().T
+        dirac = (dirac + dirac.conj().T) / 2.0
+        dirac = dirac + noise * rng.standard_normal((rows, rows))
+        triple = SpectralTriple("odd", dirac)
+        dim = rows * n
+        if kind == "random":
+            matrix = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        else:
+            matrix = np.eye(dim) if kind == "unit" else np.zeros((dim, dim))
+        return triple, OperatorElement(matrix, n, rows, False), kappa, s
+    triple = even_triple(rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows)))
+    d = 2 * rows
+    blocks = np.zeros((n, d, n, d), dtype=np.complex128)
+    for sl in (slice(0, rows), slice(rows, d)):
+        a = rng.standard_normal((rows * n, rows * n)) + 1j * rng.standard_normal((rows * n, rows * n))
+        half = {"random": (a + a.conj().T) / 2.0, "unit": np.eye(rows * n), "zero": 0.0 * a}[kind]
+        half = half + noise * rng.standard_normal(half.shape)
+        blocks[:, sl, :, sl] = half.reshape(n, rows, n, rows)
+    return triple, OperatorElement(blocks.reshape(n * d, n * d), n, d, True), kappa, s
+
+
+@SETTINGS
+@given(localizer_input())
+def test_split_localizer_matches_dense_oracle(case):
+    triple, x, kappa, s = case
+    split = hermitian_spectrum(*localizer_halves(triple, x, kappa, s))
+    oracle = hermitian_spectrum(build_generalized(triple, x, kappa, s))
+    scale = float(np.abs(oracle.eigenvalues).max())
+    assert len(split.eigenvalues) == len(oracle.eigenvalues)
+    assert np.max(np.abs(split.eigenvalues - oracle.eigenvalues)) <= 1e-12 * scale
+    assert split.tau == pytest.approx(oracle.tau, rel=1e-12, abs=0.0)
+    _assert_inertia_away_from_tau(split, oracle)
+
+
+@SETTINGS
+@given(localizer_input(asymmetry=True))
+def test_split_localizer_same_adjoint_verdict_as_dense(case):
+    triple, x, kappa, s = case
+    dense = build_generalized(triple, x, kappa, s)
+    tau = DEFAULT_POLICY.tau(dense)
+    asym = operator_norm(dense - dense.conj().T)
+    assume(abs(asym - tau) > 1e-9 * tau)
+    halves = localizer_halves(triple, x, kappa, s)
+    if not is_self_adjoint(dense):
+        with pytest.raises(NotSelfAdjointError):
+            hermitian_spectrum(*halves)
+        return
+    split = hermitian_spectrum(*halves)
+    oracle = hermitian_spectrum(dense)
+    scale = float(np.abs(oracle.eigenvalues).max())
+    assert np.max(np.abs(split.eigenvalues - oracle.eigenvalues)) <= 1e-12 * scale
+
+
+@SETTINGS
+@given(localizer_input())
+def test_localizer_at_s_zero_is_reduced_plus_reduced(case):
+    triple, x, kappa, _ = case
+    reduced = build_reduced(triple, x, kappa)
+    np.testing.assert_array_equal(build_generalized(triple, x, kappa, 0.0), direct_sum(reduced, reduced))
+    first, second = localizer_halves(triple, x, kappa, 0.0)
+    assert first is second
+    np.testing.assert_array_equal(first, reduced)
+
+
+@SETTINGS
+@given(localizer_input())
+def test_unit_localizer_closed_form(case):
+    # x = e: eigenvalues +-sqrt((1 +- s)^2 + kappa^2 lambda^2), lambda over the Dirac
+    # spectrum (odd) or the singular values of D0, each once per amplification level
+    triple, x, kappa, s = case
+    e = identity_element(triple.ambient_dim, x.block_size)
+    if triple.parity == "odd":
+        lam = np.linalg.eigvalsh((triple.D0 + triple.D0.conj().T) / 2.0)
+    else:
+        lam = np.linalg.svd(triple.D0, compute_uv=False)
+    lam = np.tile(lam, x.block_size)
+    expected = np.sort(np.concatenate([
+        sign * np.sqrt((1.0 + pm * s) ** 2 + kappa**2 * lam**2)
+        for sign in (1.0, -1.0) for pm in (1.0, -1.0)
+    ]))
+    for spectrum in (
+        hermitian_spectrum(*localizer_halves(triple, e, kappa, s)),
+        hermitian_spectrum(build_generalized(triple, e, kappa, s)),
+    ):
+        scale = float(np.abs(expected).max())
+        assert np.max(np.abs(spectrum.eigenvalues - expected)) <= 1e-12 * scale
+
+
+@SETTINGS
+@given(localizer_input())
+def test_square_bound_holds_and_reads_the_split_spectrum(case):
+    # L(kappa, s)^2 >= g_loc^2 - kappa * ||[D, x]|| at every (kappa, s)
+    triple, x, kappa, s = case
+    report = gap_bound_check(triple, x, kappa, s)
+    assert report.passed
+    oracle = hermitian_spectrum(build_generalized(triple, x, kappa, s)).eigenvalues
+    scale = float(np.max(oracle**2))
+    assert report.min_eig_sq == pytest.approx(float(np.min(oracle**2)), rel=0.0, abs=1e-12 * scale)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**31 - 1), st.floats(-3.0, 3.0), st.booleans())
+def test_bordered_spectrum_is_shifted_sigma(d, n, seed, s, sa):
+    # eig(bordered(x, s)) = s + Sigma_x, and Sigma_x = +-(singular values of x)
+    x = random_gapped(d, n, 0.5, self_adjoint=sa, seed=seed)
+    sigma = sigma_spectrum(x)
+    sv = np.linalg.svd(x.matrix, compute_uv=False)
+    np.testing.assert_allclose(sigma, np.sort(np.concatenate([sv, -sv])), rtol=0.0, atol=1e-12)
+    shifted = eig_hermitian(bordered(x, s))
+    np.testing.assert_allclose(shifted, s + sigma, rtol=0.0, atol=1e-12 * max(1.0, abs(s)))
