@@ -14,9 +14,11 @@ from .linalg import (
     hermitian_spectrum,
     inertia_signature,
     is_self_adjoint,
+    is_singular,
     kron,
     min_singular_value,
     operator_norm,
+    residual_ok,
     verify_similarity,
 )
 from .gap import (

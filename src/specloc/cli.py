@@ -58,16 +58,6 @@ def _policy(args) -> TolerancePolicy:
     return TolerancePolicy(factor)
 
 
-def _emit(args, payload: dict, exit_code: int) -> int:
-    text = dumps(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return exit_code
-
-
 def _emit_plot(plot_path: str, eigenvalues, signature: int, title: str):
     with open(plot_path, "w", encoding="utf-8") as fh:
         fh.write(eigenvalue_scatter(eigenvalues, signature, title))
@@ -88,20 +78,21 @@ def _load_triple(args, policy):
     return odd_triple(dirac, policy=policy)
 
 
-def _cmd_gap_check(args) -> int:
-    policy = _policy(args)
+# Each command takes the parsed arguments and the policy, writes its plot if
+# asked, and returns (subcommand, report, exit code); ``main`` wraps the
+# report in the envelope and emits it.
+
+
+def _cmd_gap_check(args, policy):
     x = _load_element(args, policy)
     cert = delta_singular_check(
         x, args.delta, mode=args.mode.replace("-", "_"),
         grid_points=args.grid_points, policy=policy,
     )
-    payload = report_envelope("gap-check", certificate_to_json(cert), policy)
-    payload["seed"] = args.seed
-    return _emit(args, payload, 0 if cert.verdict else 2)
+    return "gap-check", certificate_to_json(cert), 0 if cert.verdict else 2
 
 
-def _cmd_localizer(args) -> int:
-    policy = _policy(args)
+def _cmd_localizer(args, policy):
     x = _load_element(args, policy)
     triple = _load_triple(args, policy)
     if args.reduced:
@@ -120,29 +111,23 @@ def _cmd_localizer(args) -> int:
         "signature": spectrum.signature,
         "min_abs_eig": float(np.min(np.abs(spectrum.eigenvalues))),
     }
-    payload = report_envelope("localizer", report, policy)
-    payload["seed"] = args.seed
     if args.plot:
         _emit_plot(args.plot, spectrum.eigenvalues, spectrum.signature, title)
-    return _emit(args, payload, 2 if spectrum.inertia.n_zero > 0 else 0)
+    return "localizer", report, 2 if spectrum.inertia.n_zero > 0 else 0
 
 
-def _cmd_index(args) -> int:
-    policy = _policy(args)
+def _cmd_index(args, policy):
     x = _load_element(args, policy)
     triple = _load_triple(args, policy)
     idx, report = _index(
         triple, x, args.delta, kappa=args.kappa, s=args.s, policy=policy
     )
-    payload = report_envelope("index", localizer_report_to_json(report), policy)
-    payload["seed"] = args.seed
     if args.plot:
         _emit_plot(args.plot, report.eigenvalues, report.signature, f"localizer index = {idx}")
-    return _emit(args, payload, 0)
+    return "index", localizer_report_to_json(report), 0
 
 
-def _cmd_circle(args) -> int:
-    policy = _policy(args)
+def _cmd_circle(args, policy):
     m, N, kappa, s = args.m, args.N, args.kappa, args.s
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -156,10 +141,6 @@ def _cmd_circle(args) -> int:
     if m is None or N is None:
         raise ValueError("m and N must be given by flag or config file")
     idx, report = winding_demo(m, N, kappa=kappa, s=s, policy=policy)
-    payload = report_envelope("circle", localizer_report_to_json(report), policy)
-    payload["report"]["m"] = m
-    payload["report"]["N"] = N
-    payload["seed"] = args.seed
     if args.plot:
         _emit_plot(
             args.plot,
@@ -167,15 +148,13 @@ def _cmd_circle(args) -> int:
             report.signature,
             f"circle m={m}, N={N}, kappa={report.kappa}",
         )
-    return _emit(args, payload, 0)
+    return "circle", {**localizer_report_to_json(report), "m": m, "N": N}, 0
 
 
-def _cmd_clifford_verify(args) -> int:
-    policy = _policy(args)
+def _cmd_clifford_verify(args, policy):
     rep = _clifford.clifford_rep(args.p)
     eye = np.eye(rep.rep_dim)
     residuals = {}
-    worst = 0.0
     for i, gi in enumerate(rep.generators):
         residuals[f"hermitian_{i}"] = operator_norm(gi - gi.conj().T)
         residuals[f"grading_anticommute_{i}"] = operator_norm(
@@ -193,15 +172,13 @@ def _cmd_clifford_verify(args) -> int:
         "parity": rep.parity,
         "max_residual": float(worst),
         "residuals": {k: float(v) for k, v in sorted(residuals.items())},
-        "verdict": bool(worst < 1e-12),
+        # generators and grading are unitary: residual threshold at scale 1
+        "verdict": bool(worst <= policy.residual_tol(rep.rep_dim, 1.0)),
     }
-    payload = report_envelope("clifford-verify", report, policy)
-    payload["seed"] = args.seed
-    return _emit(args, payload, 0 if report["verdict"] else 2)
+    return "clifford-verify", report, 0 if report["verdict"] else 2
 
 
-def _cmd_homotopy_verify(args) -> int:
-    policy = _policy(args)
+def _cmd_homotopy_verify(args, policy):
     with open(args.path, "r", encoding="utf-8") as fh:
         path, delta, mode = path_from_json(json.load(fh), policy)
     if args.delta is not None:
@@ -209,13 +186,10 @@ def _cmd_homotopy_verify(args) -> int:
     if args.mode is not None:
         mode = args.mode
     cert = verify_path(path, delta, mode=mode, policy=policy)
-    payload = report_envelope("homotopy-verify", path_certificate_to_json(cert), policy)
-    payload["seed"] = args.seed
-    return _emit(args, payload, 0 if cert.verdict else 2)
+    return "homotopy-verify", path_certificate_to_json(cert), 0 if cert.verdict else 2
 
 
-def _cmd_contract(args) -> int:
-    policy = _policy(args)
+def _cmd_contract(args, policy):
     x = _load_element(args, policy)
     path = contract_invertible(x, steps=args.steps, policy=policy)
     min_sv = min(min_singular_value(s.matrix) for s in path.samples)
@@ -223,9 +197,7 @@ def _cmd_contract(args) -> int:
     report["steps"] = args.steps
     report["min_singular_value"] = min_sv
     report["endpoint"] = element_to_json(path.samples[-1])
-    payload = report_envelope("contract", report, policy)
-    payload["seed"] = args.seed
-    return _emit(args, payload, 0)
+    return "contract", report, 0
 
 
 def _add_shared(sub):
@@ -309,7 +281,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        policy = _policy(args)
+        subcommand, report, exit_code = args.func(args, policy)
+        text = dumps({**report_envelope(subcommand, report, policy), "seed": args.seed})
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return exit_code
     except SpeclocError as exc:
         sys.stdout.write(dumps({"error": exc.code, "detail": str(exc)}))
         return 1

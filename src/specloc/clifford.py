@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ModeMismatchError, NotOddError, NotSelfAdjointError
 from .gap import OperatorElement, bordered
-from .linalg import DEFAULT_POLICY, TolerancePolicy, as_matrix, operator_norm, verify_similarity
+from .linalg import (
+    DEFAULT_POLICY, TolerancePolicy, as_matrix, is_self_adjoint, residual_ok, verify_similarity,
+)
 
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -125,9 +127,7 @@ def reduce_periodic(
     if dim % 2:
         raise DimensionMismatchError("odd-sized matrix cannot be graded-reduced")
     half = dim // 2
-    scale = max(operator_norm(m), 1.0)
-    tol = policy.scaled_tol(dim, scale)
-    if operator_norm(m - m.conj().T) > tol:
+    if not is_self_adjoint(m, policy):
         raise NotSelfAdjointError("reduction input must be self-adjoint")
 
     rep = clifford_rep(p + 1)
@@ -137,26 +137,19 @@ def reduce_periodic(
             f"dimension {rep.rep_dim}"
         )
     grading = np.kron(rep.grading, np.eye(dim // rep.rep_dim))
-    if operator_norm(grading @ m + m @ grading) > tol:
+    if not residual_ok(grading @ m + m @ grading, m, policy=policy):
         raise NotOddError("element does not anticommute with the grading")
 
+    zero = np.zeros((half, half), dtype=np.complex128)
     if p % 2 == 0:
         block = m[:half, :half]
-        expected = np.block(
-            [[block, np.zeros_like(block)], [np.zeros_like(block), -block]]
-        )
-        self_adjoint = True
+        expected = np.block([[block, zero], [zero, -block]])
     else:
         block = m[:half, half:]
-        expected = np.block(
-            [[np.zeros_like(block), block], [block.conj().T, np.zeros_like(block)]]
-        )
-        self_adjoint = False
-    if operator_norm(m - expected) > tol:
+        expected = np.block([[zero, block], [block.conj().T, zero]])
+    if not residual_ok(m - expected, m, policy=policy):
         raise NotOddError("element is odd but not in the represented algebra")
-    return OperatorElement(
-        np.array(block), y.block_size, y.ambient_dim // 2, self_adjoint
-    )
+    return OperatorElement(np.array(block), y.block_size, y.ambient_dim // 2, p % 2 == 0)
 
 
 def verify_doubling(

@@ -32,7 +32,9 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     direct_sum,
+    is_singular,
     operator_norm,
+    residual_ok,
 )
 from . import localizer as _localizer
 
@@ -49,6 +51,8 @@ class HomotopyPath:
         object.__setattr__(self, "parameters", params)
         if len(samples) != len(params) or len(samples) < 2:
             raise ShapeMismatchError("need matching samples/parameters, at least 2")
+        # parameters are numbers in [0, 1], not matrices, and a path has no
+        # policy: 1e-12 absorbs decimal rounding of hand-written endpoints
         if abs(params[0]) > 1e-12 or abs(params[-1] - 1.0) > 1e-12:
             raise ShapeMismatchError("parameters must start at 0 and end at 1")
         if any(b <= a for a, b in zip(params, params[1:])):
@@ -138,12 +142,6 @@ def direct_sum_class(x: OperatorElement, y: OperatorElement) -> OperatorElement:
     )
 
 
-def _singular_at_tol(m: np.ndarray, policy: TolerancePolicy) -> bool:
-    """``min_singular_value(m) <= policy.tau(m)``, from one singular-value solve."""
-    sv = np.linalg.svd(m, compute_uv=False)
-    return bool(sv[-1] <= policy.scaled_tol(max(m.shape), sv[0]))
-
-
 def contract_invertible(
     x: OperatorElement,
     steps: int = 33,
@@ -160,13 +158,15 @@ def contract_invertible(
     if steps < 2:
         raise ValueError("need at least 2 steps")
     m = x.matrix
-    if _singular_at_tol(m, policy):
+    if is_singular(m, policy):
         raise NotInvertibleError("element is singular at tolerance")
 
     args = np.angle(np.linalg.eigvals(m))
     points = np.sort(np.mod(np.concatenate([args, args + np.pi]), 2 * np.pi))
     gaps = np.diff(np.concatenate([points, [points[0] + 2 * np.pi]]))
     widest = int(np.argmax(gaps))
+    # angles, not matrices: the widest of these 2n gaps is at least pi / n, so
+    # 1e-9 rad only guards degenerate input; each sample is certified below
     if gaps[widest] <= 1e-9:
         raise NoGapFoundError("no eigenvalue-free direction at angular tolerance")
     z = np.exp(1j * (points[widest] + gaps[widest] / 2.0))
@@ -177,7 +177,7 @@ def contract_invertible(
     for t in params:
         sample = (1.0 - t) * m + t * z * eye
         # sample t = 0 is x, checked above
-        if t > 0 and _singular_at_tol(sample, policy):
+        if t > 0 and is_singular(sample, policy):
             raise NotInvertibleError(f"contraction sample t={t:.4f} singular")
         samples.append(
             OperatorElement(sample, x.block_size, x.ambient_dim, False)
@@ -217,10 +217,9 @@ def equal_certified(
     b = stabilize(w2.plus, level)
     if path.samples[0].matrix.shape != a.matrix.shape:
         raise ShapeMismatchError("path samples do not match the stabilized level")
-    tol = policy.scaled_tol(a.dim, max(operator_norm(a.matrix), 1.0))
-    if (
-        operator_norm(path.samples[0].matrix - a.matrix) > tol
-        or operator_norm(path.samples[-1].matrix - b.matrix) > tol
+    if not (
+        residual_ok(path.samples[0].matrix - a.matrix, a.matrix, policy=policy)
+        and residual_ok(path.samples[-1].matrix - b.matrix, a.matrix, policy=policy)
     ):
         raise ShapeMismatchError("path endpoints do not match the witnesses")
     delta = min(w.delta, w2.delta)

@@ -1,13 +1,22 @@
-"""Dense complex linear algebra substrate.
+"""Dense complex linear algebra substrate, and the only module that forms a tolerance.
 
-All spectra flow through :func:`hermitian_spectrum` (with
-:func:`eig_hermitian` and :func:`inertia_signature` as views of it).
-It takes one matrix or the blocks of a direct sum, whose spectrum is
-the merged spectra of the blocks.  Eigenvalue zero tests use
-``tau = factor * n * eps * max|eig|`` read from that spectrum, since
-``||M||_2 = max|eig|`` for Hermitian M.
-Residuals of matrix identities use ``scaled_tol(dim, max(norm, 1))``:
-they compare two matrices and need the absolute floor at small norms.
+With f = ``TolerancePolicy.zero_threshold_factor``, zero tests use
+``tau(M) = f * dim * eps * ||M||_2`` with no floor; residual tests compare two
+matrices through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
+(``residual_tol``).  One predicate per test, with its callers:
+
+* :func:`hermitian_spectrum` (and its views :func:`eig_hermitian` and
+  :func:`inertia_signature`): the eigensolve-plus-zero-test of one matrix or a
+  direct sum of blocks, tau read from the merged spectrum (``||M||_2 = max|eig|``
+  for Hermitian M); gap certificates, ``index``, ``winding_demo``, CLI ``localizer``.
+* :func:`is_self_adjoint`, ``M == M*`` else ``||M - M*||_2 <= tau(M)``: the
+  kernel, element and triple constructors, ``reduce_periodic``.
+* :func:`is_singular`, ``sigma_min <= tau`` from one SVD: ``contract_invertible``
+  and :func:`verify_similarity`.
+* :func:`residual_ok`, exact-first: the localizer's even grading test,
+  ``equal_certified``, ``reduce_periodic`` and :func:`verify_similarity`.
+  ``valid_region``, ``gap_bound_check`` and CLI ``clifford-verify`` compare a
+  number, not a matrix, with ``residual_tol``.
 """
 
 from dataclasses import dataclass
@@ -44,6 +53,10 @@ class TolerancePolicy:
     def scaled_tol(self, dim: int, scale: float) -> float:
         """Threshold for a computation of size ``dim`` at magnitude ``scale``."""
         return self.zero_threshold_factor * dim * _EPS * max(scale, 0.0)
+
+    def residual_tol(self, dim: int, scale: float) -> float:
+        """Residual threshold: ``scaled_tol`` with the absolute floor ``max(scale, 1)``."""
+        return self.scaled_tol(dim, max(scale, 1.0))
 
 
 DEFAULT_POLICY = TolerancePolicy()
@@ -165,6 +178,25 @@ def min_singular_value(matrix) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
+def is_singular(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
+    """``sigma_min(M) <= tau(M)``, both from one singular-value solve."""
+    m = as_matrix(matrix)
+    sv = np.linalg.svd(m, compute_uv=False)
+    return bool(sv[-1] <= policy.scaled_tol(max(m.shape), sv[0]))
+
+
+def residual_ok(residual, *refs, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
+    """``||R||_2 <= residual_tol(dim(R), max ||A||_2 over refs)``.
+
+    Exact first: an all-zero R passes without taking any norm.
+    """
+    r = as_matrix(residual)
+    if not np.any(r):
+        return True
+    scale = max((operator_norm(a) for a in refs), default=0.0)
+    return operator_norm(r) <= policy.residual_tol(max(r.shape), scale)
+
+
 def direct_sum(a, b) -> np.ndarray:
     a = as_matrix(a)
     b = as_matrix(b)
@@ -187,8 +219,6 @@ def verify_similarity(a, b, p, policy: TolerancePolicy = DEFAULT_POLICY) -> bool
         raise DimensionMismatchError(
             f"incompatible shapes {a.shape}, {b.shape}, {p.shape}"
         )
-    if min_singular_value(p) <= policy.tau(p):
+    if is_singular(p, policy):
         raise SingularConjugatorError("conjugator is singular at tolerance")
-    resid = operator_norm(p @ a @ np.linalg.inv(p) - b)
-    scale = max(operator_norm(a), operator_norm(b), 1.0)
-    return resid <= policy.scaled_tol(a.shape[0], scale)
+    return residual_ok(p @ a @ np.linalg.inv(p) - b, a, b, policy=policy)

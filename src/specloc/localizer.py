@@ -39,7 +39,7 @@ where invertibility is checked directly rather than via the bound.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,22 +62,22 @@ from .linalg import (
     is_self_adjoint,
     min_singular_value,
     operator_norm,
+    residual_ok,
 )
 
 
 @dataclass(frozen=True)
 class SpectralTriple:
-    """Finite spectral triple data: parity, Dirac block, optional grading.
+    """Finite spectral triple data: parity and Dirac block.
 
     Odd: D0 is the self-adjoint Dirac matrix itself.  Even: D0 is the
     off-diagonal block of D = [[0, D0], [D0*, 0]] with respect to the
-    balanced grading diag(I, -I); represented elements must commute
-    with the grading.
+    balanced grading diag(I, -I), which follows from the size of D0;
+    represented elements must commute with the grading.
     """
 
     parity: str
     D0: np.ndarray
-    grading: np.ndarray | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -112,14 +112,11 @@ def odd_triple(
     d = as_matrix(D)
     if not is_self_adjoint(d, policy):
         raise NotSelfAdjointError("odd Dirac operator must be self-adjoint")
-    return SpectralTriple("odd", d, None, label)
+    return SpectralTriple("odd", d, label)
 
 
 def even_triple(D0, label: str = "") -> SpectralTriple:
-    d0 = as_matrix(D0)
-    h = d0.shape[0]
-    grading = np.diag(np.concatenate([np.ones(h), -np.ones(h)])).astype(np.complex128)
-    return SpectralTriple("even", d0, grading, label)
+    return SpectralTriple("even", as_matrix(D0), label)
 
 
 def _level(T: SpectralTriple, x: OperatorElement) -> int:
@@ -137,14 +134,13 @@ def _even_halves(T: SpectralTriple, x: OperatorElement, policy: TolerancePolicy)
     d = 2 * h
     m = x.matrix
     blocks = m.reshape(n, d, n, d)
-    # gamma x - x gamma is +-2 times the grading-off-diagonal blocks: exactly
-    # zero iff they are, else the norm test decides
-    if np.any(blocks[:, :h, :, h:]) or np.any(blocks[:, h:, :, :h]):
-        gamma = np.kron(np.eye(n), np.asarray(T.grading))
-        if operator_norm(gamma @ m - m @ gamma) > policy.scaled_tol(
-            m.shape[0], max(operator_norm(m), 1.0)
-        ):
-            raise ModeMismatchError("even element must commute with the grading")
+    # gamma x - x gamma for gamma = I_n (x) diag(I, -I): +-2 times the
+    # grading-off-diagonal blocks, zero elsewhere
+    commutator = np.zeros_like(blocks)
+    commutator[:, :h, :, h:] = 2 * blocks[:, :h, :, h:]
+    commutator[:, h:, :, :h] = -2 * blocks[:, h:, :, :h]
+    if not residual_ok(commutator.reshape(m.shape), m, policy=policy):
+        raise ModeMismatchError("even element must commute with the grading")
     x_plus = blocks[:, :h, :, :h].reshape(n * h, n * h)
     x_minus = blocks[:, h:, :, h:].reshape(n * h, n * h)
     return x_plus, x_minus
@@ -252,7 +248,6 @@ class RegionDescription:
     unbounded: bool
     s_star: float
     kappa_star: float
-    curve: tuple  # sampled (s, kappa_max(s)) pairs
 
     def kappa_max(self, s: float) -> float:
         if not 0 < s < self.delta:
@@ -271,17 +266,16 @@ def valid_region(
     """Sufficient constancy region 0 < kappa < min{s, delta-s}^2 / ||[D,x]||."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    if not delta_singular_check(x, delta, policy=policy).verdict:
+    cert = delta_singular_check(x, delta, policy=policy)
+    if not cert.verdict:
         raise NotGappedError(f"element is not {delta}-singular")
     norm = commutator_norm(T, x, policy)
-    scale = max(operator_norm(T.assembled_dirac(_level(T, x))) * operator_norm(x.matrix), 1.0)
-    unbounded = norm <= policy.scaled_tol(x.dim, scale)
-    region = RegionDescription(float(delta), norm, unbounded, delta / 2.0, 0.0, ())
-    kappa_star = 1.0 if unbounded else 0.5 * region.kappa_max(region.s_star)
-    curve = tuple(
-        (s, region.kappa_max(s)) for s in (delta * i / 10.0 for i in range(1, 10))
-    )
-    return replace(region, kappa_star=kappa_star, curve=curve)
+    # ||D_n|| = ||D0|| for both parities; ||x|| = max|Sigma_x|
+    scale = operator_norm(T.D0) * float(np.abs(cert.sigma_x).max())
+    unbounded = norm <= policy.residual_tol(x.dim, scale)
+    s_star = delta / 2.0
+    kappa_star = 1.0 if unbounded else 0.5 * (s_star**2 / norm)
+    return RegionDescription(float(delta), norm, unbounded, s_star, kappa_star)
 
 
 def localizer_gap(x: OperatorElement, s: float) -> float:
@@ -314,7 +308,7 @@ def gap_bound_check(
     min_eig_sq = float(np.min(eigs**2))
     g = localizer_gap(x, s)
     bound = g * g - kappa * commutator_norm(T, x, policy)
-    tol = policy.scaled_tol(len(eigs), max(float(np.max(eigs**2)), 1.0))
+    tol = policy.residual_tol(len(eigs), float(np.max(eigs**2)))
     return GapBoundReport(min_eig_sq >= bound - tol, min_eig_sq, bound)
 
 

@@ -148,6 +148,15 @@ def test_clifford_verify(capsys):
     assert report["report"]["verdict"] is True
 
 
+def test_clifford_verify_at_the_tightest_factor(capsys):
+    # the verdict threshold is the policy's residual tolerance at rep_dim
+    code, report = run(capsys, ["clifford-verify", "--p", "12", "--tol-factor", "1"])
+    assert code == 0
+    assert report["tolerance_factor"] == 1.0
+    assert report["report"]["rep_dim"] == 64
+    assert report["report"]["verdict"] is True
+
+
 def test_homotopy_verify(capsys, tmp_path):
     e = identity_element(2)
     params = (0.0, 0.5, 1.0)

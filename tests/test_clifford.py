@@ -13,7 +13,12 @@ from specloc import (
     sigma_spectrum,
     verify_doubling,
 )
-from specloc.errors import DimensionMismatchError, ModeMismatchError, NotOddError
+from specloc.errors import (
+    DimensionMismatchError,
+    ModeMismatchError,
+    NotOddError,
+    NotSelfAdjointError,
+)
 
 
 def relation_residual(rep):
@@ -157,6 +162,18 @@ def test_reduce_rejects_off_algebra():
     y = operator_element(np.block([[np.zeros((2, 2)), b], [b, np.zeros((2, 2))]]))
     with pytest.raises(NotOddError):
         reduce_periodic(y, 0)
+
+
+def test_reduce_rejects_non_self_adjoint_odd_input():
+    # odd for the diagonal grading of CCl_2 (p = 1) and for the swap grading
+    # of CCl_1 (p = 0), but not self-adjoint
+    corner = operator_element(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(NotSelfAdjointError):
+        reduce_periodic(corner, 1)
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    diagonal = operator_element(np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), -a]]))
+    with pytest.raises(NotSelfAdjointError):
+        reduce_periodic(diagonal, 0)
 
 
 def test_verify_doubling_unit():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specloc import (
+    SpectralTriple,
     build_generalized,
     build_reduced,
     circle_dirac,
@@ -311,3 +312,21 @@ def test_even_gap_bound():
     region = valid_region(triple, x, 0.5)
     for s in (0.1, 0.25, 0.4):
         assert gap_bound_check(triple, x, 0.5 * region.kappa_max(s), s).passed
+
+
+def test_even_triple_built_directly_has_the_balanced_grading():
+    # the grading follows from D0's size; no triple field can leave it unset
+    rng = np.random.default_rng(18)
+    d0 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    triple = SpectralTriple("even", d0)
+    xp = random_gapped(3, 1, 0.5, self_adjoint=True, seed=19).matrix
+    xm = random_gapped(3, 1, 0.5, self_adjoint=True, seed=20).matrix
+    even = np.block([[xp, np.zeros((3, 3))], [np.zeros((3, 3)), xm]])
+    off = np.zeros((6, 6))
+    off[1, 3] = off[3, 1] = 1.0
+    noisy = operator_element(even + 1e-17 * off, self_adjoint=True)
+    np.testing.assert_array_equal(
+        build_reduced(triple, noisy, 0.5), build_reduced(even_triple(d0), noisy, 0.5)
+    )
+    with pytest.raises(ModeMismatchError):
+        build_reduced(triple, operator_element(even + 1e-3 * off, self_adjoint=True), 0.5)

@@ -3,8 +3,12 @@
 The oracle is ``np.linalg.eigvalsh`` of the symmetrized matrix, with the
 zero threshold ``TolerancePolicy.tau`` (an SVD-based operator norm).  The
 split localizer (two half-size blocks, one at s = 0) is checked against
-the dense ``build_generalized`` assembly.
+the dense ``build_generalized`` assembly.  The tolerance predicates
+``is_singular`` and ``residual_ok`` are checked against the two rules
+written out by hand.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,14 +30,17 @@ from specloc import (
     hermitian_spectrum,
     identity_element,
     is_self_adjoint,
+    is_singular,
     localizer_halves,
     operator_norm,
+    min_singular_value,
     random_gapped,
+    residual_ok,
     s_gap,
     sigma_spectrum,
     verify_path,
 )
-from specloc.errors import NotSelfAdjointError
+from specloc.errors import ModeMismatchError, NotSelfAdjointError
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -276,3 +283,105 @@ def test_bordered_spectrum_is_shifted_sigma(d, n, seed, s, sa):
     np.testing.assert_allclose(sigma, np.sort(np.concatenate([sv, -sv])), rtol=0.0, atol=1e-12)
     shifted = eig_hermitian(bordered(x, s))
     np.testing.assert_allclose(shifted, s + sigma, rtol=0.0, atol=1e-12 * max(1.0, abs(s)))
+
+
+EPS = float(np.finfo(np.float64).eps)
+FACTOR = DEFAULT_POLICY.zero_threshold_factor
+
+
+def _residual_rule(r, refs):
+    """||R||_2 <= f * dim(R) * eps * max(1, max ||A||_2), written out."""
+    scale = max([1.0] + [operator_norm(a) for a in refs])
+    return operator_norm(r) <= FACTOR * r.shape[0] * EPS * scale
+
+
+@st.composite
+def square(draw):
+    """Seeded random square matrix, possibly rank-deficient, at a drawn scale."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1e-2, 1.0, 3.0, 1e4]))
+    rank = draw(st.integers(0, n))
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    sv = scale * np.concatenate([np.abs(rng.standard_normal(rank)), np.zeros(n - rank)])
+    return (u * sv) @ v.conj().T
+
+
+@st.composite
+def residual_case(draw):
+    """(R, refs): references of norm below and above 1, and R zero, dense or
+    partly zero, at a drawn multiple of the residual threshold."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unit():
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return m / operator_norm(m)
+
+    scale = st.sampled_from([0.0, 1e-6, 1e-2, 0.5, 1.0, 3.0, 1e4])
+    scales = draw(st.lists(scale, min_size=1, max_size=2))
+    refs = [scale * unit() for scale in scales]
+    kind = draw(st.sampled_from(["zero", "dense", "sparse"]))
+    if kind == "zero":
+        return np.zeros((n, n), dtype=np.complex128), refs
+    r = unit()
+    if kind == "sparse":
+        r = r * (rng.random((n, n)) < 0.5)
+        r[rng.integers(n), rng.integers(n)] = 1.0
+    ratio = draw(st.sampled_from([1e-3, 0.5, 0.9, 1.1, 2.0, 1e3]))
+    threshold = FACTOR * n * EPS * max([1.0] + [operator_norm(a) for a in refs])
+    return ratio * threshold * r / operator_norm(r), refs
+
+
+@SETTINGS
+@given(square())
+def test_is_singular_is_min_singular_value_against_tau(m):
+    assert is_singular(m) == (min_singular_value(m) <= DEFAULT_POLICY.tau(m))
+
+
+@SETTINGS
+@given(residual_case())
+def test_residual_ok_is_the_floored_norm_test(case):
+    r, refs = case
+    assert residual_ok(r, *refs) == _residual_rule(r, refs)
+    if not np.any(r):
+        assert residual_ok(r, *refs)
+
+
+@SETTINGS
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([0.0, 1e-17, 1e-15, 1e-13, 1e-3]),
+)
+def test_even_grading_residual_is_the_commutator(h, n, seed, noise):
+    # the residual of the even grading test is gamma x - x gamma, bit for bit
+    import specloc.localizer as loc
+
+    rng = np.random.default_rng(seed)
+    triple = even_triple(rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h)))
+    dim = 2 * h * n
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    mask = np.kron(np.ones((n, n)), np.kron(np.eye(2), np.ones((h, h))))
+    off = rng.standard_normal((dim, dim)) * (1 - mask)
+    m = (a + a.conj().T) * mask + noise * (off + off.T)
+    x = OperatorElement(m, n, 2 * h, True)
+    residuals = []
+    original = loc.residual_ok
+
+    def recording(r, *refs, policy):
+        residuals.append(r)
+        return original(r, *refs, policy=policy)
+
+    with mock.patch.object(loc, "residual_ok", recording):
+        try:
+            build_reduced(triple, x, 0.5)
+            commutes = True
+        except ModeMismatchError:
+            commutes = False
+    gamma = np.kron(np.eye(n), np.diag([1.0] * h + [-1.0] * h))
+    commutator = gamma @ x.matrix - x.matrix @ gamma
+    np.testing.assert_array_equal(residuals[0], commutator)
+    assert commutes == (not np.any(commutator) or _residual_rule(commutator, [x.matrix]))
