@@ -18,7 +18,7 @@ import numpy as np
 
 from . import clifford as _clifford
 from .errors import SpeclocError
-from .gap import delta_singular_check, operator_element
+from .gap import MODES, delta_singular_check, operator_element
 from .homotopy import contract_invertible, verify_path
 from .linalg import TolerancePolicy, hermitian_spectrum, min_singular_value, operator_norm
 from .localizer import (
@@ -86,8 +86,7 @@ def _load_triple(args, policy):
 def _cmd_gap_check(args, policy):
     x = _load_element(args, policy)
     cert = delta_singular_check(
-        x, args.delta, mode=args.mode.replace("-", "_"),
-        grid_points=args.grid_points, policy=policy,
+        x, args.delta, mode=args.mode, grid_points=args.grid_points, policy=policy
     )
     return "gap-check", certificate_to_json(cert), 0 if cert.verdict else 2
 
@@ -180,12 +179,10 @@ def _cmd_clifford_verify(args, policy):
 
 def _cmd_homotopy_verify(args, policy):
     with open(args.path, "r", encoding="utf-8") as fh:
-        path, delta, mode = path_from_json(json.load(fh), policy)
+        path, delta = path_from_json(json.load(fh), policy)
     if args.delta is not None:
         delta = args.delta
-    if args.mode is not None:
-        mode = args.mode
-    cert = verify_path(path, delta, mode=mode, policy=policy)
+    cert = verify_path(path, delta, policy=policy)
     return "homotopy-verify", path_certificate_to_json(cert), 0 if cert.verdict else 2
 
 
@@ -217,8 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--block-size", type=int, default=1)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--mode", choices=["spectrum", "grid", "self-adjoint"],
-                   default="spectrum")
+    p.add_argument("--mode", choices=MODES, default="spectrum")
     p.add_argument("--grid-points", type=int, default=9)
     _add_shared(p)
     p.set_defaults(func=_cmd_gap_check)
@@ -263,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("homotopy-verify", help="certify a sampled homotopy path")
     p.add_argument("--path", required=True, help="path JSON file")
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--mode", choices=["sa", "general"], default=None)
     _add_shared(p)
     p.set_defaults(func=_cmd_homotopy_verify)
 

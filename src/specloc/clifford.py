@@ -128,7 +128,7 @@ def reduce_periodic(
         raise DimensionMismatchError("odd-sized matrix cannot be graded-reduced")
     half = dim // 2
     if not is_self_adjoint(m, policy):
-        raise NotSelfAdjointError("reduction input must be self-adjoint")
+        raise NotSelfAdjointError("reduction input is not self-adjoint within tau")
 
     rep = clifford_rep(p + 1)
     if dim % rep.rep_dim:

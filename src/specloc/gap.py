@@ -9,6 +9,12 @@ avoids (-delta, 0) and (0, delta).  The bordered matrix
 ``[[s, x], [x*, s]]`` probes this: its eigenvalues are ``s + Sigma_x``,
 so the element is delta-singular exactly when the bordered matrix stays
 invertible for every shift s in (0, delta).
+
+For self-adjoint x the bordered matrix is unitarily equivalent to
+``(s + x) (+) (s - x)`` (a Hadamard in the outer slot), so Sigma_x is the
+spectrum of ``x (+) (-x)``: two solves of size n instead of one of size
+2n, with the same tau (the sum's, at dimension 2n).  The certificate reads
+which solve applies from ``OperatorElement.self_adjoint``.
 """
 
 import math
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModeMismatchError, NonFiniteError
+from .errors import NonFiniteError
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
@@ -26,7 +32,7 @@ from .linalg import (
     is_self_adjoint,
 )
 
-MODES = ("spectrum", "grid", "self_adjoint")
+MODES = ("spectrum", "grid")
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,7 @@ def bordered(x: OperatorElement, s: float) -> np.ndarray:
 
 def sigma_spectrum(x: OperatorElement, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Sigma_x: ascending eigenvalues of the doubled matrix, symmetric about 0."""
-    return eig_hermitian(bordered(x, 0.0), policy)
+    return delta_singular_check(x, 0.0, policy=policy).sigma_x
 
 
 def max_delta(x: OperatorElement, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
@@ -132,13 +138,16 @@ def delta_singular_check(
 ) -> GapCertificate:
     """Certify (or refute) that x is delta-singular.
 
+    Sigma_x comes from the spectrum of ``x (+) (-x)`` when x is flagged
+    self-adjoint (``NotSelfAdjointError`` if the flag is wrong at tau),
+    and from one solve of ``bordered(x, 0)`` otherwise; tau is the
+    doubled matrix's either way.
+
     Modes:
-      * ``spectrum`` - one eigensolve of the doubled matrix; exact.
+      * ``spectrum`` - the verdict is read from Sigma_x; exact.
       * ``grid`` - independent oracle: per-sample eigensolves of the
         bordered matrix on an interior grid of shifts, each checked
         against the min{s, delta-s} lower bound for gapped elements.
-      * ``self_adjoint`` - checks sigma(x) directly (valid by the
-        similarity bordered(x,s) ~ (s+x) + (s-x) for self-adjoint x).
 
     ``delta = 0`` degenerates to invertibility of the doubled matrix.
     """
@@ -146,17 +155,12 @@ def delta_singular_check(
         raise ValueError(f"unknown mode {mode!r}")
     if not math.isfinite(delta) or delta < 0:
         raise ValueError("delta must be finite and nonnegative")
-    if mode == "self_adjoint" and not x.self_adjoint:
-        raise ModeMismatchError("self_adjoint mode requires a self-adjoint element")
 
-    if mode == "self_adjoint":
-        spectrum = hermitian_spectrum(x.matrix, policy=policy)
-        eigs = np.abs(spectrum.eigenvalues)
-        sigma = np.sort(np.concatenate([eigs, -eigs]))
+    if x.self_adjoint:
+        spectrum = hermitian_spectrum(x.matrix, -x.matrix, policy=policy)
     else:
         spectrum = hermitian_spectrum(bordered(x, 0.0), policy=policy)
-        sigma = spectrum.eigenvalues
-    tau = spectrum.tau
+    sigma, tau = spectrum.eigenvalues, spectrum.tau
 
     magnitudes = np.abs(sigma)
     nonzero = magnitudes[magnitudes > tau]

@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatchError,
     GapViolationError,
     LevelTooSmallError,
-    ModeMismatchError,
     NoGapFoundError,
     NotGappedError,
     NotInvertibleError,
@@ -66,7 +65,6 @@ class HomotopyPath:
 class PathCertificate:
     verdict: bool
     delta: float
-    mode: str
     sample_trace: tuple  # (t, sample verdict, delta_max) per sample
     step_guard: float
     max_step: float
@@ -76,22 +74,15 @@ class PathCertificate:
 def verify_path(
     path: HomotopyPath,
     delta: float,
-    mode: str = "general",
     policy: TolerancePolicy = DEFAULT_POLICY,
     strict: bool = False,
 ) -> PathCertificate:
     """Certify that a sampled path stays delta-singular with controlled steps."""
-    if mode not in ("sa", "general"):
-        raise ValueError("mode must be 'sa' or 'general'")
-    if mode == "sa" and not all(x.self_adjoint for x in path.samples):
-        raise ModeMismatchError("sa mode requires every sample self-adjoint")
-
-    check_mode = "self_adjoint" if mode == "sa" else "spectrum"
     violations = []
     trace = []
     guard = np.inf
     for k, x in enumerate(path.samples):
-        cert = delta_singular_check(x, delta, mode=check_mode, policy=policy)
+        cert = delta_singular_check(x, delta, policy=policy)
         trace.append((path.parameters[k], cert.verdict, cert.delta_max))
         # mid-gap guard: half the worst s-gap at s = delta/2, from eig(bordered) = s + Sigma_x
         guard = min(guard, 0.5 * float(np.min(np.abs(delta / 2.0 + cert.sigma_x))))
@@ -110,7 +101,7 @@ def verify_path(
                 raise StepTooLargeError(k)
 
     return PathCertificate(
-        not violations, float(delta), mode, tuple(trace), guard, max_step, tuple(violations)
+        not violations, float(delta), tuple(trace), guard, max_step, tuple(violations)
     )
 
 
@@ -223,7 +214,7 @@ def equal_certified(
     ):
         raise ShapeMismatchError("path endpoints do not match the witnesses")
     delta = min(w.delta, w2.delta)
-    return verify_path(path, delta, mode="general", policy=policy).verdict
+    return verify_path(path, delta, policy=policy).verdict
 
 
 def distinct_by_index(

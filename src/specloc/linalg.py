@@ -163,12 +163,14 @@ def inertia_signature(
 
 
 def operator_norm(matrix) -> float:
-    """Largest singular value."""
+    """Largest singular value; 0.0 for an all-zero matrix without an SVD."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.size == 0:
         return 0.0
     if not np.all(np.isfinite(m)):
         raise NonFiniteError("matrix contains NaN or Inf entries")
+    if not np.any(m):
+        return 0.0
     return float(np.linalg.norm(m, 2))
 
 

@@ -111,7 +111,7 @@ def odd_triple(
 ) -> SpectralTriple:
     d = as_matrix(D)
     if not is_self_adjoint(d, policy):
-        raise NotSelfAdjointError("odd Dirac operator must be self-adjoint")
+        raise NotSelfAdjointError("odd Dirac operator is not self-adjoint within tau")
     return SpectralTriple("odd", d, label)
 
 
@@ -146,9 +146,7 @@ def _even_halves(T: SpectralTriple, x: OperatorElement, policy: TolerancePolicy)
     return x_plus, x_minus
 
 
-def commutator_norm(
-    T: SpectralTriple, x: OperatorElement, policy: TolerancePolicy = DEFAULT_POLICY
-) -> float:
+def commutator_norm(T: SpectralTriple, x: OperatorElement) -> float:
     """||[D, x]|| with D assembled per parity and amplified blockwise."""
     n = _level(T, x)
     dirac = T.assembled_dirac(n)
@@ -269,7 +267,7 @@ def valid_region(
     cert = delta_singular_check(x, delta, policy=policy)
     if not cert.verdict:
         raise NotGappedError(f"element is not {delta}-singular")
-    norm = commutator_norm(T, x, policy)
+    norm = commutator_norm(T, x)
     # ||D_n|| = ||D0|| for both parities; ||x|| = max|Sigma_x|
     scale = operator_norm(T.D0) * float(np.abs(cert.sigma_x).max())
     unbounded = norm <= policy.residual_tol(x.dim, scale)
@@ -283,8 +281,11 @@ def localizer_gap(x: OperatorElement, s: float) -> float:
 
     This is the quantity that lower-bounds the shifted localizer; it
     equals the bordered s-gap whenever x is normal (in particular
-    self-adjoint) and is never larger than it.
+    self-adjoint) and is never larger than it.  At s = 0 both matrices are x,
+    so one SVD suffices.
     """
+    if s == 0:
+        return min_singular_value(x.matrix)
     eye = np.eye(x.dim)
     return min(min_singular_value(x.matrix - s * eye), min_singular_value(x.matrix + s * eye))
 
@@ -307,7 +308,7 @@ def gap_bound_check(
     eigs = hermitian_spectrum(*localizer_halves(T, x, kappa, s, policy), policy=policy).eigenvalues
     min_eig_sq = float(np.min(eigs**2))
     g = localizer_gap(x, s)
-    bound = g * g - kappa * commutator_norm(T, x, policy)
+    bound = g * g - kappa * commutator_norm(T, x)
     tol = policy.residual_tol(len(eigs), float(np.max(eigs**2)))
     return GapBoundReport(min_eig_sq >= bound - tol, min_eig_sq, bound)
 

@@ -62,7 +62,6 @@ def random_gapped(
     delta: float,
     self_adjoint: bool = False,
     seed: int = 0,
-    policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> OperatorElement:
     """Seeded random element of M_n(M_d), gapped at delta by spectral surgery.
 

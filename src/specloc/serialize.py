@@ -111,7 +111,6 @@ def path_certificate_to_json(cert: PathCertificate) -> dict:
     return {
         "verdict": bool(cert.verdict),
         "delta": float(cert.delta),
-        "mode": cert.mode,
         "samples": [
             {"t": float(t), "verdict": bool(v), "delta_max": _number(dm)}
             for t, v, dm in cert.sample_trace
@@ -122,10 +121,9 @@ def path_certificate_to_json(cert: PathCertificate) -> dict:
     }
 
 
-def path_to_json(path: HomotopyPath, delta: float, mode: str = "general") -> dict:
+def path_to_json(path: HomotopyPath, delta: float) -> dict:
     return {
         "delta": float(delta),
-        "mode": mode,
         "samples": [
             {"t": float(t), "matrix": matrix_to_json(x.matrix)}
             for t, x in zip(path.parameters, path.samples)
@@ -135,7 +133,8 @@ def path_to_json(path: HomotopyPath, delta: float, mode: str = "general") -> dic
 
 def path_from_json(
     payload: dict, policy: TolerancePolicy = DEFAULT_POLICY
-) -> tuple[HomotopyPath, float, str]:
+) -> tuple[HomotopyPath, float]:
+    """Read a path file; a ``"mode"`` key left by older writers is ignored."""
     samples = []
     params = []
     for entry in payload["samples"]:
@@ -148,7 +147,7 @@ def path_from_json(
             )
         )
     path = HomotopyPath(tuple(samples), tuple(params))
-    return path, float(payload["delta"]), payload.get("mode", "general")
+    return path, float(payload["delta"])
 
 
 def eigenvalues_to_csv(eigenvalues) -> str:
@@ -156,10 +155,9 @@ def eigenvalues_to_csv(eigenvalues) -> str:
 
 
 def element_to_json(x: OperatorElement) -> dict:
-    payload = matrix_to_json(x.matrix)
-    payload["block_size"] = x.block_size
-    payload["self_adjoint"] = bool(x.self_adjoint)
-    return payload
+    return dict(
+        matrix_to_json(x.matrix), block_size=x.block_size, self_adjoint=bool(x.self_adjoint)
+    )
 
 
 def report_envelope(subcommand: str, payload: dict, policy: TolerancePolicy) -> dict:

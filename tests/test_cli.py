@@ -183,12 +183,28 @@ def test_homotopy_verify_failure_exit_2(capsys, tmp_path):
     assert report["report"]["violations"]
 
 
+def test_homotopy_verify_ignores_a_mode_key(capsys, tmp_path):
+    # path files written with the former "mode" key still load; the key selects nothing
+    e = identity_element(2)
+    payload = path_to_json(HomotopyPath((e, e), (0.0, 1.0)), 0.5)
+    assert "mode" not in payload
+    reports = []
+    for mode in (None, "general", "sa"):
+        path_file = tmp_path / f"path-{mode}.json"
+        path_file.write_text(dumps(payload if mode is None else {**payload, "mode": mode}))
+        code, report = run(capsys, ["homotopy-verify", "--path", str(path_file)])
+        assert code == 0 and "mode" not in report["report"]
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_contract_subcommand(capsys, tmp_path):
     matrix = tmp_path / "x.json"
     matrix.write_text(dumps(matrix_to_json(np.eye(2))))
     code, report = run(capsys, ["contract", "--matrix", str(matrix), "--steps", "9"])
     assert code == 0
     assert len(report["report"]["samples"]) == 9
+    assert "mode" not in report["report"]
     assert report["report"]["min_singular_value"] > 0.7
 
 
@@ -217,9 +233,14 @@ def test_module_error_code(capsys, tmp_path):
 
 
 def test_usage_error_exit_64(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gap-check", "--matrix"])
-    assert exc.value.code == 64
+    for argv in (
+        ["gap-check", "--matrix"],
+        ["gap-check", "--matrix", "x.json", "--delta", "0.5", "--mode", "self-adjoint"],
+        ["homotopy-verify", "--path", "path.json", "--mode", "sa"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
 
 
 def test_tol_factor_env(capsys, shift_file, monkeypatch):

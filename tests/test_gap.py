@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from specloc import (
+    HomotopyPath,
+    OperatorElement,
     bilateral_shift_truncation,
     bordered,
     delta_singular_check,
@@ -11,8 +13,9 @@ from specloc import (
     operator_element,
     s_gap,
     sigma_spectrum,
+    verify_path,
 )
-from specloc.errors import ModeMismatchError
+from specloc.errors import NotSelfAdjointError
 
 
 def random_element(seed, n=4, self_adjoint=False):
@@ -96,9 +99,42 @@ def test_marginal_at_boundary():
     assert cert.verdict and not cert.marginal
 
 
-def test_self_adjoint_mode_requires_flag():
-    with pytest.raises(ModeMismatchError):
-        delta_singular_check(bilateral_shift_truncation(3), 0.5, mode="self_adjoint")
+def test_self_adjoint_certificate_zero_test_at_the_doubled_dimension():
+    # Sigma_x = {+-1, +-1e-14}; tau(4) = 1.4e-14 makes 1e-14 a zero, so the gap is 1
+    x = operator_element(np.diag([1.0, 1e-14]))
+    assert x.self_adjoint
+    cert = delta_singular_check(x, 0.5)
+    assert cert.verdict and cert.delta_max == 1.0
+    path = verify_path(HomotopyPath((x, x), (0.0, 1.0)), 0.5)
+    assert path.verdict and [dm for _, _, dm in path.sample_trace] == [1.0, 1.0]
+
+
+def test_element_flagged_self_adjoint_must_be_hermitian():
+    x = bilateral_shift_truncation(3)
+    for certify in (
+        lambda y: delta_singular_check(y, 0.5),
+        lambda y: delta_singular_check(y, 0.5, mode="grid"),
+        sigma_spectrum,
+        lambda y: verify_path(HomotopyPath((y, y), (0.0, 1.0)), 0.5),
+    ):
+        with pytest.raises(NotSelfAdjointError):
+            certify(OperatorElement(x.matrix, 1, 3, self_adjoint=True))
+
+
+def test_self_adjoint_certificate_builds_no_bordered_matrix(monkeypatch):
+    import specloc.gap as gap
+
+    calls = []
+    original = gap.bordered
+    monkeypatch.setattr(gap, "bordered", lambda y, s: calls.append(s) or original(y, s))
+    x = operator_element(np.diag([2.0, -3.0]))
+    sigma_spectrum(x)
+    delta_singular_check(x, 0.5)
+    assert calls == []
+    delta_singular_check(x, 0.5, mode="grid", grid_points=3)
+    assert calls == [0.125, 0.25, 0.375]
+    delta_singular_check(bilateral_shift_truncation(3), 0.5)
+    assert calls[-1] == 0.0
 
 
 def test_grid_mode_requirements():
@@ -127,9 +163,6 @@ def test_mode_agreement(seed):
         spectrum = delta_singular_check(x, delta, mode="spectrum").verdict
         grid = delta_singular_check(x, delta, mode="grid", grid_points=9).verdict
         assert spectrum == grid == (factor < 1.0)
-        if self_adjoint:
-            sa = delta_singular_check(x, delta, mode="self_adjoint").verdict
-            assert sa == spectrum
 
 
 @pytest.mark.parametrize("seed", [2, 9])

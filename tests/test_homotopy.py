@@ -26,7 +26,6 @@ from specloc.errors import (
     DimensionMismatchError,
     GapViolationError,
     LevelTooSmallError,
-    ModeMismatchError,
     NotGappedError,
     NotInvertibleError,
     ShapeMismatchError,
@@ -84,11 +83,6 @@ def test_big_step_fails_guard():
     b = operator_element(u)  # both gapped, but far apart
     cert = verify_path(HomotopyPath((a, b), (0.0, 1.0)), 0.5)
     assert any(kind == "step" for kind, _ in cert.violations)
-
-
-def test_sa_mode_requires_self_adjoint_samples():
-    with pytest.raises(ModeMismatchError):
-        verify_path(constant_path(bilateral_shift_truncation(3)), 0.5, mode="sa")
 
 
 def test_path_shape_validation():

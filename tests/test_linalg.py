@@ -172,3 +172,14 @@ def test_tolerance_policy_monotone():
     with pytest.raises(ValueError):
         TolerancePolicy(0.0)
     assert DEFAULT_POLICY.zero_threshold_factor == 16.0
+
+
+def test_operator_norm_of_zeros_takes_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD taken")
+
+    monkeypatch.setattr(np.linalg, "norm", no_svd)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert operator_norm(np.zeros((4, 4), dtype=np.complex128)) == 0.0
+    with pytest.raises(NonFiniteError):
+        operator_norm(np.array([[0.0, np.nan], [0.0, 0.0]]))

@@ -167,6 +167,19 @@ def test_localizer_gap_matches_s_gap_for_self_adjoint():
         assert localizer_gap(x, s) == pytest.approx(s_gap(x, s), abs=1e-12)
 
 
+def test_localizer_gap_takes_one_svd_at_s_zero(monkeypatch):
+    import specloc.localizer as loc
+
+    calls = []
+    original = loc.min_singular_value
+    monkeypatch.setattr(loc, "min_singular_value", lambda m: calls.append(1) or original(m))
+    x = random_gapped(4, 1, 0.4, seed=5)
+    assert localizer_gap(x, 0.0) == original(x.matrix)
+    assert len(calls) == 1
+    localizer_gap(x, 0.2)
+    assert len(calls) == 3
+
+
 def test_index_circle_values():
     triple = circle_dirac(3)
     idx, report = index(triple, circle_unitary_truncation(1, 3), 1.0, kappa=1.0, s=0.0)

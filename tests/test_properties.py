@@ -23,6 +23,7 @@ from specloc import (
     build_generalized,
     bordered,
     build_reduced,
+    delta_singular_check,
     direct_sum,
     eig_hermitian,
     even_triple,
@@ -117,7 +118,7 @@ def test_path_guard_reads_shifted_sigma(d, n, samples, seed, gap, frac, sa):
     delta = frac * gap
     xs = tuple(random_gapped(d, n, gap, self_adjoint=sa, seed=seed + k) for k in range(samples))
     params = tuple(k / (samples - 1) for k in range(samples))
-    cert = verify_path(HomotopyPath(xs, params), delta, mode="sa" if sa else "general")
+    cert = verify_path(HomotopyPath(xs, params), delta)
     expected = 0.5 * min(s_gap(x, delta / 2.0) for x in xs)
     assert cert.step_guard == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -287,6 +288,47 @@ def test_bordered_spectrum_is_shifted_sigma(d, n, seed, s, sa):
 
 EPS = float(np.finfo(np.float64).eps)
 FACTOR = DEFAULT_POLICY.zero_threshold_factor
+
+
+@st.composite
+def self_adjoint_matrix(draw):
+    """A Hermitian matrix from ``hermitian()``, ``random_gapped(self_adjoint=True)``,
+    or with one eigenvalue planted at a drawn multiple of f * n * eps * ||x||, so
+    that it falls below, between or above tau(n) and tau(2n)."""
+    kind = draw(st.sampled_from(["hermitian", "gapped", "planted"]))
+    if kind == "hermitian":
+        return draw(hermitian())
+    seed = draw(st.integers(0, 2**31 - 1))
+    if kind == "gapped":
+        d, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        return random_gapped(d, n, draw(st.floats(0.1, 0.9)), self_adjoint=True, seed=seed).matrix
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    eigs = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n)
+    eigs[0] = draw(st.sampled_from([0.5, 1.5, 2.5, 3.5, 5.0])) * FACTOR * n * EPS * np.abs(eigs).max()
+    h = (q * eigs) @ q.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+@SETTINGS
+@given(self_adjoint_matrix(), st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, 1.5]))
+def test_self_adjoint_certificate_equals_the_bordered_one(m, frac):
+    # Sigma_x from x (+) (-x) and from one solve of bordered(x, 0): same tau and verdict
+    n = m.shape[0]
+    split = delta_singular_check(OperatorElement(m, 1, n, True), frac * operator_norm(m))
+    dense = delta_singular_check(OperatorElement(m, 1, n, False), frac * operator_norm(m))
+    atol = 1e-12 * operator_norm(m)
+    np.testing.assert_allclose(split.sigma_x, dense.sigma_x, rtol=0.0, atol=atol)
+    assert split.delta_max == pytest.approx(dense.delta_max, rel=0.0, abs=atol)
+    # the verdicts compare |Sigma_x| with tau, 2 tau and delta -+ tau: equal
+    # unless a magnitude lies within the two spectra's disagreement of an edge
+    magnitudes = np.abs(dense.sigma_x)
+    tau = DEFAULT_POLICY.scaled_tol(2 * n, float(magnitudes.max(initial=0.0)))
+    slack = 4.0 * float(np.max(np.abs(split.sigma_x - dense.sigma_x), initial=0.0)) + EPS * tau
+    edges = (tau, 2 * tau, dense.queried_delta - tau, dense.queried_delta + tau)
+    assume(not any(np.any(np.abs(magnitudes - edge) <= slack) for edge in edges))
+    assert (split.verdict, split.marginal) == (dense.verdict, dense.marginal)
 
 
 def _residual_rule(r, refs):
