@@ -41,8 +41,8 @@ print("s-gaps:", [(s, round(s_gap(x, s), 12)) for s in (0.1, 0.3, 0.5, 0.7)])
 
 # --- both certification modes agree ---------------------------------------
 
-# a self-adjoint element: Sigma_x is read from x (+) (-x), two half-size solves,
-# while grid mode probes the full bordered matrix at interior shifts
+# a self-adjoint element: Sigma_x is read from the singular values of x, one
+# half-size solve, while grid mode probes the full bordered matrix at interior shifts
 rng = np.random.default_rng(0)
 h = rng.standard_normal((4, 4))
 y = operator_element(h + h.T)

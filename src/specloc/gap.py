@@ -10,11 +10,13 @@ avoids (-delta, 0) and (0, delta).  The bordered matrix
 so the element is delta-singular exactly when the bordered matrix stays
 invertible for every shift s in (0, delta).
 
-For self-adjoint x the bordered matrix is unitarily equivalent to
-``(s + x) (+) (s - x)`` (a Hadamard in the outer slot), so Sigma_x is the
-spectrum of ``x (+) (-x)``: two solves of size n instead of one of size
-2n, with the same tau (the sum's, at dimension 2n).  The certificate reads
-which solve applies from ``OperatorElement.self_adjoint``.
+The doubled matrix's eigenvalues are exactly the singular values of x
+with both signs, Sigma_x = {+-sigma_i(x)}, so every certificate reads
+Sigma_x from one singular-value solve of size n
+(:func:`specloc.linalg.doubled_spectrum`), with the doubled matrix's tau
+at dimension 2n.  The bordered matrix itself is built only by the
+independent oracles: ``grid`` mode, :func:`s_gap` and
+``clifford.verify_doubling``.
 """
 
 import math
@@ -27,8 +29,8 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     as_matrix,
+    doubled_spectrum,
     eig_hermitian,
-    hermitian_spectrum,
     is_self_adjoint,
 )
 
@@ -138,10 +140,9 @@ def delta_singular_check(
 ) -> GapCertificate:
     """Certify (or refute) that x is delta-singular.
 
-    Sigma_x comes from the spectrum of ``x (+) (-x)`` when x is flagged
-    self-adjoint (``NotSelfAdjointError`` if the flag is wrong at tau),
-    and from one solve of ``bordered(x, 0)`` otherwise; tau is the
-    doubled matrix's either way.
+    Sigma_x = +-(singular values of x), from one SVD of x, tested against
+    the doubled matrix's tau; an element flagged self-adjoint must be
+    Hermitian at that tau (``NotSelfAdjointError`` otherwise).
 
     Modes:
       * ``spectrum`` - the verdict is read from Sigma_x; exact.
@@ -156,10 +157,7 @@ def delta_singular_check(
     if not math.isfinite(delta) or delta < 0:
         raise ValueError("delta must be finite and nonnegative")
 
-    if x.self_adjoint:
-        spectrum = hermitian_spectrum(x.matrix, -x.matrix, policy=policy)
-    else:
-        spectrum = hermitian_spectrum(bordered(x, 0.0), policy=policy)
+    spectrum = doubled_spectrum(x.matrix, x.self_adjoint, policy=policy)
     sigma, tau = spectrum.eigenvalues, spectrum.tau
 
     magnitudes = np.abs(sigma)

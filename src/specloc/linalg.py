@@ -8,7 +8,10 @@ matrices through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 
 * :func:`hermitian_spectrum` (and its views :func:`eig_hermitian` and
   :func:`inertia_signature`): the eigensolve-plus-zero-test of one matrix or a
   direct sum of blocks, tau read from the merged spectrum (``||M||_2 = max|eig|``
-  for Hermitian M); gap certificates, ``index``, ``winding_demo``, CLI ``localizer``.
+  for Hermitian M); ``index``, ``winding_demo``, CLI ``localizer``.
+* :func:`doubled_spectrum`: ``spec [[0, x], [x*, 0]] = +-sigma_i(x)`` from one
+  singular-value solve of x, with the zero test of the doubled matrix (tau at
+  dimension 2n, ``||.||_2 = sigma_max``); gap certificates.
 * :func:`is_self_adjoint`, ``M == M*`` else ``||M - M*||_2 <= tau(M)``: the
   kernel, element and triple constructors, ``reduce_periodic``.
 * :func:`is_singular`, ``sigma_min <= tau`` from one SVD: ``contract_invertible``
@@ -102,15 +105,28 @@ def _sum_tau(blocks, policy: TolerancePolicy) -> float:
     return policy.scaled_tol(max(dim, 1), max(operator_norm(b) for b in blocks))
 
 
-def _adjoint_within_tau(blocks, policy: TolerancePolicy) -> bool:
-    """The adjoint test of the direct sum of square ``blocks``.
+def _asymmetry(blocks) -> float:
+    """``||S - S*||_2 = max ||B - B*||_2`` of the direct sum S of square ``blocks``.
 
-    Exact ``B == B*`` for every block first; otherwise the norm test,
-    with ``||S - S*||_2 = max ||B - B*||_2`` for the sum S.
+    Exact first: 0.0 without any norm when every ``B == B*``.
     """
     if all(np.array_equal(b, b.conj().T) for b in blocks):
-        return True
-    return max(operator_norm(b - b.conj().T) for b in blocks) <= _sum_tau(blocks, policy)
+        return 0.0
+    return max(operator_norm(b - b.conj().T) for b in blocks)
+
+
+def _adjoint_within_tau(blocks, policy: TolerancePolicy) -> bool:
+    """The adjoint test of the direct sum of square ``blocks``; tau is taken only if needed."""
+    asymmetry = _asymmetry(blocks)
+    return asymmetry == 0.0 or asymmetry <= _sum_tau(blocks, policy)
+
+
+def _read_spectrum(eigs: np.ndarray, policy: TolerancePolicy) -> Spectrum:
+    """tau and the inertia of ascending Hermitian eigenvalues ``eigs`` (``||M||_2 = max|eig|``)."""
+    tau = policy.scaled_tol(len(eigs), float(np.abs(eigs).max(initial=0.0)))
+    n_plus = int(np.count_nonzero(eigs > tau))
+    n_minus = int(np.count_nonzero(eigs < -tau))
+    return Spectrum(eigs, tau, Inertia(n_plus, len(eigs) - n_plus - n_minus, n_minus))
 
 
 def hermitian_spectrum(*blocks, policy: TolerancePolicy = DEFAULT_POLICY) -> Spectrum:
@@ -136,10 +152,28 @@ def hermitian_spectrum(*blocks, policy: TolerancePolicy = DEFAULT_POLICY) -> Spe
             solved[id(m)] = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     parts = [solved[id(m)] for m in mats]
     eigs = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
-    tau = policy.scaled_tol(len(eigs), float(np.abs(eigs).max(initial=0.0)))
-    n_plus = int(np.count_nonzero(eigs > tau))
-    n_minus = int(np.count_nonzero(eigs < -tau))
-    return Spectrum(eigs, tau, Inertia(n_plus, len(eigs) - n_plus - n_minus, n_minus))
+    return _read_spectrum(eigs, policy)
+
+
+def doubled_spectrum(
+    matrix, self_adjoint: bool = False, policy: TolerancePolicy = DEFAULT_POLICY
+) -> Spectrum:
+    """Spectrum of the doubled matrix ``[[0, x], [x*, 0]]``, which is ``+-sigma_i(x)``.
+
+    One singular-value solve of the square x gives the ascending
+    eigenvalues ``(-sigma, sigma reversed)``; tau and the inertia are the
+    doubled matrix's, at dimension 2n with ``||.||_2 = sigma_max``.  With
+    ``self_adjoint`` the adjoint test of x runs against that tau (exact
+    first, then one SVD of ``x - x*``) and raises ``NotSelfAdjointError``.
+    """
+    m = as_matrix(matrix)
+    if m.shape[0] != m.shape[1]:
+        raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
+    sv = np.linalg.svd(m, compute_uv=False)
+    spectrum = _read_spectrum(np.concatenate([-sv, sv[::-1]]), policy)
+    if self_adjoint and _asymmetry((m,)) > spectrum.tau:
+        raise NotSelfAdjointError(f"asymmetry exceeds tolerance {spectrum.tau:.3e}")
+    return spectrum
 
 
 def eig_hermitian(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

@@ -262,6 +262,13 @@ def valid_region(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> RegionDescription:
     """Sufficient constancy region 0 < kappa < min{s, delta-s}^2 / ||[D,x]||."""
+    return _certified_region(T, x, delta, policy)[0]
+
+
+def _certified_region(
+    T: SpectralTriple, x: OperatorElement, delta: float, policy: TolerancePolicy
+) -> tuple:
+    """``valid_region`` and the gap certificate it was read from."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     cert = delta_singular_check(x, delta, policy=policy)
@@ -273,7 +280,7 @@ def valid_region(
     unbounded = norm <= policy.residual_tol(x.dim, scale)
     s_star = delta / 2.0
     kappa_star = 1.0 if unbounded else 0.5 * (s_star**2 / norm)
-    return RegionDescription(float(delta), norm, unbounded, s_star, kappa_star)
+    return RegionDescription(float(delta), norm, unbounded, s_star, kappa_star), cert
 
 
 def localizer_gap(x: OperatorElement, s: float) -> float:
@@ -347,7 +354,7 @@ def index(
     interior point of the constancy region and at the four corners of a
     shrunken sub-rectangle; all five values must agree.
     """
-    region = valid_region(T, x, delta, policy)
+    region, cert = _certified_region(T, x, delta, policy)
 
     if kappa is not None or s is not None:
         points = [(s if s is not None else 0.0, kappa if kappa is not None else region.kappa_star)]
@@ -389,7 +396,8 @@ def index(
         raise NotDivisibleBy4Error(f"signature {sig} is not divisible by 4")
 
     (s0, kappa0), spectrum = points[0], spectra[0]
-    g = localizer_gap(x, s0)
+    # localizer_gap(x, 0) = sigma_min(x) = min|Sigma_x|, the same LAPACK output
+    g = float(np.min(np.abs(cert.sigma_x))) if s0 == 0 else localizer_gap(x, s0)
     report = LocalizerReport(
         parity=T.parity,
         kappa=kappa0,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specloc import (
+    DEFAULT_POLICY,
     HomotopyPath,
     OperatorElement,
     bilateral_shift_truncation,
@@ -9,6 +10,7 @@ from specloc import (
     delta_singular_check,
     eig_hermitian,
     identity_element,
+    is_self_adjoint,
     max_delta,
     operator_element,
     s_gap,
@@ -61,11 +63,11 @@ def test_sigma_self_adjoint_diag():
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_sigma_is_plus_minus_singular_values(seed):
-    # independent oracle: Sigma_x = (+-) singular values of x
-    x = random_element(seed)
-    sv = np.linalg.svd(x.matrix, compute_uv=False)
-    expected = np.sort(np.concatenate([sv, -sv]))
-    np.testing.assert_allclose(sigma_spectrum(x), expected, atol=1e-12)
+    # Sigma_x is computed as +-(singular values of x); the independent oracle
+    # is its definition, the dense spectrum of bordered(x, 0)
+    for x in (random_element(seed), random_element(seed, self_adjoint=True)):
+        expected = np.linalg.eigvalsh(bordered(x, 0.0))
+        np.testing.assert_allclose(sigma_spectrum(x), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
@@ -122,19 +124,57 @@ def test_element_flagged_self_adjoint_must_be_hermitian():
 
 
 def test_self_adjoint_certificate_builds_no_bordered_matrix(monkeypatch):
+    # Sigma_x comes from the singular values of x for every element, self-adjoint
+    # or not; only grid mode builds the bordered matrix, at its interior shifts
     import specloc.gap as gap
 
     calls = []
     original = gap.bordered
     monkeypatch.setattr(gap, "bordered", lambda y, s: calls.append(s) or original(y, s))
-    x = operator_element(np.diag([2.0, -3.0]))
-    sigma_spectrum(x)
-    delta_singular_check(x, 0.5)
-    assert calls == []
-    delta_singular_check(x, 0.5, mode="grid", grid_points=3)
-    assert calls == [0.125, 0.25, 0.375]
-    delta_singular_check(bilateral_shift_truncation(3), 0.5)
-    assert calls[-1] == 0.0
+    for x in (operator_element(np.diag([2.0, -3.0])), bilateral_shift_truncation(3)):
+        sigma_spectrum(x)
+        max_delta(x)
+        delta_singular_check(x, 0.0)
+        delta_singular_check(x, 0.5)
+        assert calls == []
+        delta_singular_check(x, 0.5, mode="grid", grid_points=3)
+        assert calls == [0.125, 0.25, 0.375]
+        calls.clear()
+
+
+def test_certificate_takes_one_svd_of_x(solve_counts):
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    h = (a + a.conj().T) / 2
+    noisy = h + 1e-16 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    assert not np.array_equal(noisy, noisy.conj().T)
+    for m, flagged, most in ((h, True, 1), (a, False, 1), (noisy, True, 2)):
+        solve_counts.clear()
+        delta_singular_check(OperatorElement(m, 1, 6, flagged), 0.1)
+        # the exactly Hermitian x needs no adjoint norm; within tau, one SVD of x - x*
+        assert 1 <= solve_counts["svd"] <= most and solve_counts["eigvalsh"] == 0
+
+
+def test_flag_is_tested_at_the_doubled_dimension():
+    # a flagged x with ||x - x*|| between tau(n) and tau(2n), e.g. a
+    # reduce_periodic output, is accepted: the flag is tested at the doubled
+    # matrix's tau, not at is_self_adjoint's tau(n)
+    n = 4
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    skew = (a - a.conj().T) / 2
+    skew /= np.linalg.norm(skew, 2)
+    h = np.diag([1.0, -2.0, 3.0, 0.5])
+    tau_n = DEFAULT_POLICY.scaled_tol(n, 3.0)
+    for multiple, accepted in ((1.5, True), (2.5, False)):
+        x = h + (multiple * tau_n / 2) * skew  # ||x - x*|| = multiple * tau(n)
+        assert not is_self_adjoint(x)
+        element = OperatorElement(x, 1, n, self_adjoint=True)
+        if accepted:
+            assert delta_singular_check(element, 0.4).verdict
+        else:
+            with pytest.raises(NotSelfAdjointError):
+                delta_singular_check(element, 0.4)
 
 
 def test_grid_mode_requirements():

@@ -20,6 +20,7 @@ from specloc.errors import (
     SingularAtToleranceError,
     SingularConjugatorError,
 )
+from specloc.linalg import doubled_spectrum
 
 
 def random_unitary(n, seed):
@@ -35,6 +36,16 @@ def test_eig_hermitian_diagonal():
 
 def test_eig_hermitian_pauli_x():
     np.testing.assert_allclose(eig_hermitian(np.array([[0, 1], [1, 0]])), [-1, 1])
+
+
+def test_doubled_spectrum_is_plus_minus_singular_values_at_the_doubled_tau():
+    # [[0, x], [x*, 0]] for x = [[0, 2], [0, 0]]: eigenvalues -2, 0, 0, 2
+    spectrum = doubled_spectrum(np.array([[0.0, 2.0], [0.0, 0.0]]))
+    np.testing.assert_array_equal(spectrum.eigenvalues, [-2.0, 0.0, 0.0, 2.0])
+    assert spectrum.tau == DEFAULT_POLICY.scaled_tol(4, 2.0)
+    assert spectrum.inertia == (1, 2, 1) and spectrum.signature == 0
+    with pytest.raises(NotSquareError):
+        doubled_spectrum(np.ones((2, 3)))
 
 
 def test_eig_hermitian_bordered_shift():

@@ -106,6 +106,13 @@ def test_winding_demo_defaults():
         assert report.s == 0.0
 
 
+def test_winding_demo_solves_x_once(solve_counts):
+    # at s = 0: one SVD of x for the certificate, which also gives the report's
+    # gap bound sigma_min(x), one for ||[D, x]||, one for ||D0||, one eigensolve of R
+    winding_demo(1, 25)
+    assert (solve_counts["svd"], solve_counts["eigvalsh"]) == (3, 1)
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_winding_demo_stable_in_N(N):
     idx, _ = winding_demo(1, N)

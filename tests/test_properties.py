@@ -3,9 +3,10 @@
 The oracle is ``np.linalg.eigvalsh`` of the symmetrized matrix, with the
 zero threshold ``TolerancePolicy.tau`` (an SVD-based operator norm).  The
 split localizer (two half-size blocks, one at s = 0) is checked against
-the dense ``build_generalized`` assembly.  The tolerance predicates
-``is_singular`` and ``residual_ok`` are checked against the two rules
-written out by hand.
+the dense ``build_generalized`` assembly, and the gap certificate (one SVD
+of x) against the dense spectrum of ``bordered(x, 0)``.  The tolerance
+predicates ``is_singular`` and ``residual_ok`` are checked against the two
+rules written out by hand.
 """
 
 from unittest import mock
@@ -277,11 +278,11 @@ def test_square_bound_holds_and_reads_the_split_spectrum(case):
 @SETTINGS
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**31 - 1), st.floats(-3.0, 3.0), st.booleans())
 def test_bordered_spectrum_is_shifted_sigma(d, n, seed, s, sa):
-    # eig(bordered(x, s)) = s + Sigma_x, and Sigma_x = +-(singular values of x)
+    # Sigma_x, computed as +-(singular values of x), is the dense spectrum of
+    # bordered(x, 0), and eig(bordered(x, s)) = s + Sigma_x
     x = random_gapped(d, n, 0.5, self_adjoint=sa, seed=seed)
     sigma = sigma_spectrum(x)
-    sv = np.linalg.svd(x.matrix, compute_uv=False)
-    np.testing.assert_allclose(sigma, np.sort(np.concatenate([sv, -sv])), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(sigma, np.linalg.eigvalsh(bordered(x, 0.0)), rtol=0.0, atol=1e-12)
     shifted = eig_hermitian(bordered(x, s))
     np.testing.assert_allclose(shifted, s + sigma, rtol=0.0, atol=1e-12 * max(1.0, abs(s)))
 
@@ -311,24 +312,77 @@ def self_adjoint_matrix(draw):
     return (h + h.conj().T) / 2.0
 
 
+@st.composite
+def certificate_input(draw):
+    """(x, flagged): a flagged matrix from ``self_adjoint_matrix()``, possibly plus an
+    anti-Hermitian part of norm a drawn multiple of f * n * eps * ||x||; an unflagged
+    ``square()`` matrix (non-Hermitian, possibly rank-deficient); or an unflagged one
+    with a singular value planted at such a multiple.  The multiples fall below,
+    between or above tau(n) and tau(2n)."""
+    kind = draw(st.sampled_from(["hermitian", "square", "planted"]))
+    if kind == "square":
+        return draw(square()), False
+    multiple = draw(st.sampled_from([0.0, 0.5, 1.5, 2.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    if kind == "planted":
+        n = draw(st.integers(2, 8))
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        sv = rng.uniform(0.5, 1.0, n)
+        sv[0] = multiple * FACTOR * n * EPS * sv.max()
+        return (u * sv) @ v.conj().T, False
+    h = draw(self_adjoint_matrix())
+    n = h.shape[0]
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    skew = (a - a.conj().T) / 2.0
+    return h + (0.5 * multiple * FACTOR * n * EPS * operator_norm(h) / operator_norm(skew)) * skew, True
+
+
+def _dense_doubled_spectrum(matrix, self_adjoint=False, policy=DEFAULT_POLICY):
+    """The oracle for ``linalg.doubled_spectrum``: the dense spectrum of
+    bordered(x, 0), and the adjoint rule at its tau written out."""
+    spectrum = hermitian_spectrum(bordered(OperatorElement(matrix, 1, matrix.shape[0]), 0.0), policy=policy)
+    if self_adjoint and operator_norm(matrix - matrix.conj().T) > spectrum.tau:
+        raise NotSelfAdjointError("asymmetry exceeds the doubled matrix's tau")
+    return spectrum
+
+
+def _certify(x, delta):
+    try:
+        return delta_singular_check(x, delta)
+    except NotSelfAdjointError:
+        return None
+
+
 @SETTINGS
-@given(self_adjoint_matrix(), st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, 1.5]))
-def test_self_adjoint_certificate_equals_the_bordered_one(m, frac):
-    # Sigma_x from x (+) (-x) and from one solve of bordered(x, 0): same tau and verdict
-    n = m.shape[0]
-    split = delta_singular_check(OperatorElement(m, 1, n, True), frac * operator_norm(m))
-    dense = delta_singular_check(OperatorElement(m, 1, n, False), frac * operator_norm(m))
+@given(certificate_input(), st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, 1.5]))
+def test_self_adjoint_certificate_equals_the_bordered_one(case, frac):
+    # the certificate (one SVD of x) against the same certificate with Sigma_x
+    # from the dense oracle: same spectrum, tau, adjoint test and verdict
+    m, flagged = case
+    x = OperatorElement(m, 1, m.shape[0], flagged)
+    tau = _dense_doubled_spectrum(m).tau
+    if flagged:
+        # the adjoint test is decided exactly or away from its edge
+        asymmetry = operator_norm(m - m.conj().T)
+        assume(asymmetry == 0.0 or abs(asymmetry - tau) > 0.1 * tau)
+    delta = frac * operator_norm(m)
+    cert = _certify(x, delta)
+    with mock.patch("specloc.gap.doubled_spectrum", _dense_doubled_spectrum):
+        dense = _certify(x, delta)
+    assert (cert is None) == (dense is None)
+    if dense is None:
+        return
     atol = 1e-12 * operator_norm(m)
-    np.testing.assert_allclose(split.sigma_x, dense.sigma_x, rtol=0.0, atol=atol)
-    assert split.delta_max == pytest.approx(dense.delta_max, rel=0.0, abs=atol)
+    np.testing.assert_allclose(cert.sigma_x, dense.sigma_x, rtol=0.0, atol=atol)
+    assert cert.delta_max == pytest.approx(dense.delta_max, rel=0.0, abs=atol)
     # the verdicts compare |Sigma_x| with tau, 2 tau and delta -+ tau: equal
     # unless a magnitude lies within the two spectra's disagreement of an edge
     magnitudes = np.abs(dense.sigma_x)
-    tau = DEFAULT_POLICY.scaled_tol(2 * n, float(magnitudes.max(initial=0.0)))
-    slack = 4.0 * float(np.max(np.abs(split.sigma_x - dense.sigma_x), initial=0.0)) + EPS * tau
+    slack = 4.0 * float(np.max(np.abs(cert.sigma_x - dense.sigma_x), initial=0.0)) + EPS * tau
     edges = (tau, 2 * tau, dense.queried_delta - tau, dense.queried_delta + tau)
     assume(not any(np.any(np.abs(magnitudes - edge) <= slack) for edge in edges))
-    assert (split.verdict, split.marginal) == (dense.verdict, dense.marginal)
+    assert (cert.verdict, cert.marginal) == (dense.verdict, dense.marginal)
 
 
 def _residual_rule(r, refs):
