@@ -21,10 +21,6 @@ class NonFiniteError(SpeclocError):
     code = "non_finite"
 
 
-class SingularAtToleranceError(SpeclocError):
-    code = "singular_at_tolerance"
-
-
 class DimensionMismatchError(SpeclocError):
     code = "dimension_mismatch"
 

@@ -51,10 +51,11 @@ class HomotopyPath:
         if len(samples) != len(params) or len(samples) < 2:
             raise ShapeMismatchError("need matching samples/parameters, at least 2")
         # parameters are numbers in [0, 1], not matrices, and a path has no
-        # policy: 1e-12 absorbs decimal rounding of hand-written endpoints
-        if abs(params[0]) > 1e-12 or abs(params[-1] - 1.0) > 1e-12:
+        # policy: 1e-12 absorbs decimal rounding of hand-written endpoints.
+        # Each comparison is written to hold, so that a NaN parameter fails it.
+        if not (abs(params[0]) <= 1e-12 and abs(params[-1] - 1.0) <= 1e-12):
             raise ShapeMismatchError("parameters must start at 0 and end at 1")
-        if any(b <= a for a, b in zip(params, params[1:])):
+        if not all(a < b for a, b in zip(params, params[1:])):
             raise ShapeMismatchError("parameters must be strictly increasing")
         shapes = {s.matrix.shape for s in samples}
         if len(shapes) != 1:

@@ -1,27 +1,30 @@
 """Dense complex linear algebra substrate, and the only module that forms a tolerance.
 
-With f = ``TolerancePolicy.zero_threshold_factor``, zero tests use
-``tau(M) = f * dim * eps * ||M||_2`` with no floor; residual tests compare two
-matrices through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
-(``residual_tol``).  One predicate per test, with its callers:
+With f = ``TolerancePolicy.zero_threshold_factor`` and no floor, a zero test
+reads the spectrum it has just solved; residual tests compare two matrices
+through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
+(``residual_tol``).  One rule per question, with its callers:
 
-* :func:`hermitian_spectrum` (and its views :func:`eig_hermitian` and
-  :func:`inertia_signature`): the eigensolve-plus-zero-test of one matrix or a
-  direct sum of blocks, tau read from the merged spectrum (``||M||_2 = max|eig|``
-  for Hermitian M); ``index``, ``winding_demo``, CLI ``localizer``.
-* :func:`doubled_spectrum`: ``spec [[0, x], [x*, 0]] = +-sigma_i(x)`` from one
-  singular-value solve of x, with the zero test of the doubled matrix (tau at
-  dimension 2n, ``||.||_2 = sigma_max``); gap certificates.
-* :func:`is_self_adjoint`, ``M == M*`` else ``||M - M*||_2 <= tau(M)``: the
-  kernel, element and triple constructors, ``reduce_periodic``.
-* :func:`is_singular`, ``sigma_min <= tau`` from one SVD: ``contract_invertible``
-  and :func:`verify_similarity`.
+* Hermitian zero test, :func:`hermitian_spectrum` (and its views
+  :func:`eig_hermitian` and :func:`inertia_signature`): the merged spectrum of
+  size N of one matrix or a direct sum of blocks, ``|lambda| <= f * N * eps *
+  max|lambda|``; ``index``, ``winding_demo``, CLI ``localizer``.
+* Doubled zero test, :func:`doubled_spectrum`: ``spec [[0, x], [x*, 0]] =
+  +-sigma_i(x)`` from one singular-value solve of x, ``sigma <= f * 2n * eps *
+  sigma_max``; gap certificates, and :func:`is_singular` (``n_zero > 0``) for
+  ``contract_invertible`` and :func:`verify_similarity`.
+* Adjointness, ``M == M*`` else ``||M - M*||_2 <= tau``: inside the two
+  spectra above, against the tau of the spectrum just solved; in
+  :func:`is_self_adjoint`, which solves nothing, against ``policy.tau(M) =
+  f * dim * eps * ||M||_2`` (element and triple constructors,
+  ``reduce_periodic``).
 * :func:`residual_ok`, exact-first: the localizer's even grading test,
   ``equal_certified``, ``reduce_periodic`` and :func:`verify_similarity`.
   ``valid_region``, ``gap_bound_check`` and CLI ``clifford-verify`` compare a
   number, not a matrix, with ``residual_tol``.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,7 +35,6 @@ from .errors import (
     NonFiniteError,
     NotSquareError,
     NotSelfAdjointError,
-    SingularAtToleranceError,
     SingularConjugatorError,
 )
 
@@ -46,8 +48,8 @@ class TolerancePolicy:
     zero_threshold_factor: float = 16.0
 
     def __post_init__(self):
-        if not self.zero_threshold_factor > 0:
-            raise ValueError("zero_threshold_factor must be positive")
+        if not 0 < self.zero_threshold_factor < math.inf:
+            raise ValueError("zero_threshold_factor must be finite and positive")
 
     def tau(self, matrix: np.ndarray) -> float:
         dim = max(matrix.shape) if matrix.size else 1
@@ -71,12 +73,12 @@ class Inertia(NamedTuple):
     n_minus: int
 
 
-def as_matrix(matrix, require_finite: bool = True) -> np.ndarray:
+def as_matrix(matrix) -> np.ndarray:
     """Coerce to a complex 2-d array, rejecting NaN/Inf entries."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2:
         raise NotSquareError(f"expected a 2-d array, got shape {m.shape}")
-    if require_finite and not np.all(np.isfinite(m)):
+    if not np.all(np.isfinite(m)):
         raise NonFiniteError("matrix contains NaN or Inf entries")
     return m
 
@@ -94,31 +96,21 @@ class Spectrum(NamedTuple):
 
 
 def is_self_adjoint(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """``M == M*`` exactly, or ``||M - M*||_2 <= tau(M)``."""
+    """``M == M*`` exactly, or ``||M - M*||_2 <= policy.tau(M)``: nothing is solved here."""
     m = as_matrix(matrix)
-    return m.shape[0] == m.shape[1] and _adjoint_within_tau((m,), policy)
+    if m.shape[0] != m.shape[1]:
+        return False
+    return np.array_equal(m, m.conj().T) or operator_norm(m - m.conj().T) <= policy.tau(m)
 
 
-def _sum_tau(blocks, policy: TolerancePolicy) -> float:
-    """tau of the direct sum of square ``blocks``: its dimension, its norm max ||B||_2."""
-    dim = sum(b.shape[0] for b in blocks)
-    return policy.scaled_tol(max(dim, 1), max(operator_norm(b) for b in blocks))
+def _require_adjoint(blocks, tau: float) -> None:
+    """Raise ``NotSelfAdjointError`` when some square block has ``||B - B*||_2 > tau``.
 
-
-def _asymmetry(blocks) -> float:
-    """``||S - S*||_2 = max ||B - B*||_2`` of the direct sum S of square ``blocks``.
-
-    Exact first: 0.0 without any norm when every ``B == B*``.
+    Exact first: no norm is taken of a block with ``B == B*``.
     """
-    if all(np.array_equal(b, b.conj().T) for b in blocks):
-        return 0.0
-    return max(operator_norm(b - b.conj().T) for b in blocks)
-
-
-def _adjoint_within_tau(blocks, policy: TolerancePolicy) -> bool:
-    """The adjoint test of the direct sum of square ``blocks``; tau is taken only if needed."""
-    asymmetry = _asymmetry(blocks)
-    return asymmetry == 0.0 or asymmetry <= _sum_tau(blocks, policy)
+    for b in blocks:
+        if not np.array_equal(b, b.conj().T) and operator_norm(b - b.conj().T) > tau:
+            raise NotSelfAdjointError(f"asymmetry exceeds tolerance {tau:.3e}")
 
 
 def _read_spectrum(eigs: np.ndarray, policy: TolerancePolicy) -> Spectrum:
@@ -133,10 +125,12 @@ def hermitian_spectrum(*blocks, policy: TolerancePolicy = DEFAULT_POLICY) -> Spe
     """Spectrum of the direct sum of (numerically) self-adjoint ``blocks``, with its inertia.
 
     One matrix is the one-block case.  Each distinct block (by identity)
-    is solved once and the eigenvalues are merged in ascending order;
-    tau and the inertia are read from the merged spectrum.  Asymmetry up
-    to tau of the sum is symmetrized away silently; beyond that it
-    raises ``NotSelfAdjointError``.
+    is symmetrized and solved once, and the eigenvalues are merged in
+    ascending order.  The zero test reads the merged spectrum of size N:
+    ``|lambda| <= tau = f * N * eps * max|lambda|``.  Only then is each
+    distinct block's asymmetry tested against that tau: up to it, the
+    asymmetry is symmetrized away silently; beyond it,
+    ``NotSelfAdjointError`` is raised.
     """
     if not blocks:
         raise TypeError("hermitian_spectrum needs at least one block")
@@ -144,15 +138,13 @@ def hermitian_spectrum(*blocks, policy: TolerancePolicy = DEFAULT_POLICY) -> Spe
     for m in mats:
         if m.shape[0] != m.shape[1]:
             raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
-    if not _adjoint_within_tau(mats, policy):
-        raise NotSelfAdjointError(f"asymmetry exceeds tolerance {_sum_tau(mats, policy):.3e}")
-    solved = {}
-    for m in mats:
-        if id(m) not in solved:
-            solved[id(m)] = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    distinct = {id(m): m for m in mats}
+    solved = {key: np.linalg.eigvalsh((m + m.conj().T) / 2.0) for key, m in distinct.items()}
     parts = [solved[id(m)] for m in mats]
     eigs = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
-    return _read_spectrum(eigs, policy)
+    spectrum = _read_spectrum(eigs, policy)
+    _require_adjoint(distinct.values(), spectrum.tau)
+    return spectrum
 
 
 def doubled_spectrum(
@@ -162,7 +154,7 @@ def doubled_spectrum(
 
     One singular-value solve of the square x gives the ascending
     eigenvalues ``(-sigma, sigma reversed)``; tau and the inertia are the
-    doubled matrix's, at dimension 2n with ``||.||_2 = sigma_max``.  With
+    doubled matrix's: ``sigma <= tau = f * 2n * eps * sigma_max``.  With
     ``self_adjoint`` the adjoint test of x runs against that tau (exact
     first, then one SVD of ``x - x*``) and raises ``NotSelfAdjointError``.
     """
@@ -171,8 +163,8 @@ def doubled_spectrum(
         raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
     sv = np.linalg.svd(m, compute_uv=False)
     spectrum = _read_spectrum(np.concatenate([-sv, sv[::-1]]), policy)
-    if self_adjoint and _asymmetry((m,)) > spectrum.tau:
-        raise NotSelfAdjointError(f"asymmetry exceeds tolerance {spectrum.tau:.3e}")
+    if self_adjoint:
+        _require_adjoint((m,), spectrum.tau)
     return spectrum
 
 
@@ -181,18 +173,9 @@ def eig_hermitian(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarra
     return hermitian_spectrum(matrix, policy=policy).eigenvalues
 
 
-def inertia_signature(
-    matrix,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-    require_invertible: bool = False,
-) -> tuple[Inertia, int]:
+def inertia_signature(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> tuple[Inertia, int]:
     """Counts of eigenvalues above/at/below the zero threshold, and their signature."""
     spectrum = hermitian_spectrum(matrix, policy=policy)
-    n_zero = spectrum.inertia.n_zero
-    if require_invertible and n_zero > 0:
-        raise SingularAtToleranceError(
-            f"{n_zero} eigenvalue(s) within tolerance {spectrum.tau:.3e} of zero"
-        )
     return spectrum.inertia, spectrum.signature
 
 
@@ -215,10 +198,12 @@ def min_singular_value(matrix) -> float:
 
 
 def is_singular(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """``sigma_min(M) <= tau(M)``, both from one singular-value solve."""
-    m = as_matrix(matrix)
-    sv = np.linalg.svd(m, compute_uv=False)
-    return bool(sv[-1] <= policy.scaled_tol(max(m.shape), sv[0]))
+    """The doubled matrix's zero test, ``sigma_min <= f * 2n * eps * sigma_max``, from one SVD.
+
+    The rule of ``delta_singular_check(x, 0)``: M is singular exactly when
+    ``[[0, M], [M*, 0]]`` is.
+    """
+    return doubled_spectrum(matrix, policy=policy).inertia.n_zero > 0
 
 
 def residual_ok(residual, *refs, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:

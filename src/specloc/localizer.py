@@ -78,7 +78,6 @@ class SpectralTriple:
 
     parity: str
     D0: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         d0 = as_matrix(self.D0).copy()
@@ -106,17 +105,15 @@ class SpectralTriple:
         return np.kron(np.eye(n), full)
 
 
-def odd_triple(
-    D, label: str = "", policy: TolerancePolicy = DEFAULT_POLICY
-) -> SpectralTriple:
+def odd_triple(D, policy: TolerancePolicy = DEFAULT_POLICY) -> SpectralTriple:
     d = as_matrix(D)
     if not is_self_adjoint(d, policy):
         raise NotSelfAdjointError("odd Dirac operator is not self-adjoint within tau")
-    return SpectralTriple("odd", d, label)
+    return SpectralTriple("odd", d)
 
 
-def even_triple(D0, label: str = "") -> SpectralTriple:
-    return SpectralTriple("even", as_matrix(D0), label)
+def even_triple(D0) -> SpectralTriple:
+    return SpectralTriple("even", as_matrix(D0))
 
 
 def _level(T: SpectralTriple, x: OperatorElement) -> int:

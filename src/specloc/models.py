@@ -28,9 +28,7 @@ def circle_dirac(N: int) -> SpectralTriple:
     """Truncation of -i d/dt to the Fourier modes -N..N."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    return odd_triple(
-        np.diag(np.arange(-N, N + 1).astype(np.complex128)), label=f"circle-N{N}"
-    )
+    return odd_triple(np.diag(np.arange(-N, N + 1).astype(np.complex128)))
 
 
 def circle_unitary_truncation(m: int, N: int) -> OperatorElement:

@@ -253,3 +253,23 @@ def test_tol_factor_env(capsys, shift_file, monkeypatch):
         ["gap-check", "--matrix", shift_file, "--delta", "0.5", "--tol-factor", "8"],
     )
     assert report["tolerance_factor"] == 8.0
+
+
+@pytest.mark.parametrize("factor", ["inf", "nan", "-1"])
+def test_tol_factor_must_be_finite_and_positive(capsys, shift_file, monkeypatch, factor):
+    argv = ["gap-check", "--matrix", shift_file, "--delta", "0.5"]
+    code, report = run(capsys, argv + ["--tol-factor", factor])
+    assert (code, report["error"]) == (1, "parse_error")
+    monkeypatch.setenv("SPECLOC_TOL_FACTOR", factor)
+    code, report = run(capsys, argv)
+    assert (code, report["error"]) == (1, "parse_error")
+
+
+def test_homotopy_verify_rejects_a_nan_parameter(capsys, tmp_path):
+    e = matrix_to_json(np.eye(2))
+    samples = [{"t": t, "matrix": e} for t in (0.0, float("nan"), 1.0)]
+    path_file = tmp_path / "nan.json"
+    path_file.write_text(json.dumps({"delta": 0.5, "samples": samples}))
+    assert "NaN" in path_file.read_text()
+    code, report = run(capsys, ["homotopy-verify", "--path", str(path_file)])
+    assert (code, report["error"]) == (1, "shape_mismatch")

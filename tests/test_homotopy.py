@@ -91,6 +91,12 @@ def test_path_shape_validation():
         HomotopyPath((a, identity_element(3)), (0.0, 1.0))
     with pytest.raises(ShapeMismatchError):
         HomotopyPath((a, a), (0.0, 0.5))
+    with pytest.raises(ShapeMismatchError):
+        HomotopyPath((a, a, a), (0.0, np.nan, 1.0))
+    with pytest.raises(ShapeMismatchError):
+        HomotopyPath((a, a), (np.nan, 1.0))
+    with pytest.raises(ShapeMismatchError):
+        HomotopyPath((a, a), (0.0, np.nan))
 
 
 def test_stabilize():
@@ -166,6 +172,16 @@ def test_contract_mixed_phases():
 def test_contract_rejects_singular():
     with pytest.raises(NotInvertibleError):
         contract_invertible(bilateral_shift_truncation(3))
+
+
+def test_contract_rejects_what_the_delta_zero_certificate_refutes():
+    # sigma_min = 1e-14 is above tau(2) but not above the doubled matrix's
+    # tau(4): contract_invertible used to return a path whose sample 0
+    # verify_path(path, 0) refutes
+    x = operator_element(np.diag([1.0, 1e-14]))
+    assert not verify_path(HomotopyPath((x, identity_element(2)), (0.0, 1.0)), 0.0).verdict
+    with pytest.raises(NotInvertibleError):
+        contract_invertible(x)
 
 
 def test_contract_path_verifies_at_delta_zero():

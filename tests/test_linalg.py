@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from specloc import (
     TolerancePolicy,
     direct_sum,
     eig_hermitian,
+    hermitian_spectrum,
     inertia_signature,
+    is_singular,
     kron,
     min_singular_value,
     operator_norm,
@@ -17,7 +21,6 @@ from specloc.errors import (
     NonFiniteError,
     NotSelfAdjointError,
     NotSquareError,
-    SingularAtToleranceError,
     SingularConjugatorError,
 )
 from specloc.linalg import doubled_spectrum
@@ -117,9 +120,11 @@ def test_inertia_counts_and_negation(seed):
     assert sig == -neg_sig
 
 
-def test_inertia_require_invertible():
-    with pytest.raises(SingularAtToleranceError):
-        inertia_signature(np.diag([1.0, 0.0]), require_invertible=True)
+def test_inertia_counts_a_singular_matrix_in_n_zero():
+    # a singular verdict is spelled inertia.n_zero > 0
+    inert, sig = inertia_signature(np.diag([1.0, 0.0]))
+    assert (inert.n_plus, inert.n_zero, inert.n_minus) == (1, 1, 0)
+    assert sig == 1
 
 
 def test_operator_norm_values():
@@ -180,9 +185,53 @@ def test_verify_similarity_errors():
 def test_tolerance_policy_monotone():
     policy = TolerancePolicy(16.0)
     assert policy.tau(np.eye(3)) < policy.tau(10.0 * np.eye(3))
-    with pytest.raises(ValueError):
-        TolerancePolicy(0.0)
+    for factor in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            TolerancePolicy(factor)
     assert DEFAULT_POLICY.zero_threshold_factor == 16.0
+
+
+def test_is_singular_is_the_doubled_zero_test():
+    # sigma_min = 1e-14 lies between tau(2) = 7.1e-15 and tau(4) = 1.4e-14:
+    # singular at the doubled matrix's tau, the rule of the delta = 0 certificate
+    m = np.diag([1.0, 1e-14])
+    assert DEFAULT_POLICY.scaled_tol(2, 1.0) < 1e-14 <= DEFAULT_POLICY.scaled_tol(4, 1.0)
+    assert is_singular(m)
+    assert not is_singular(np.diag([1.0, 1e-13]))
+    with pytest.raises(NotSquareError):
+        is_singular(np.ones((2, 3)))
+
+
+def _count_svds(monkeypatch):
+    impl = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
+    calls = []
+    original = impl.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(impl, "svd", counting)
+    return calls
+
+
+def test_kernel_tests_adjointness_at_the_solved_tau(monkeypatch):
+    # one SVD per distinct non-Hermitian block (of B - B*); none for Hermitian input
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    ha, hb = a + a.conj().T, b + b.conj().T
+    calls = _count_svds(monkeypatch)
+    hermitian_spectrum(ha, hb)
+    assert calls == []
+    noisy_a, noisy_b = ha + 1e-17j * np.eye(4), hb + 1e-17j * np.eye(4)
+    spectrum = hermitian_spectrum(noisy_a, noisy_b, noisy_a)
+    assert len(calls) == 2
+    assert np.array_equal(spectrum.eigenvalues, hermitian_spectrum(ha, hb, ha).eigenvalues)
+    tau = hermitian_spectrum(ha, hb).tau
+    with pytest.raises(NotSelfAdjointError, match=f"{tau:.3e}"):
+        hermitian_spectrum(ha + 1e3 * tau * np.diag([1j, 0, 0, 0]), hb)
 
 
 def test_operator_norm_of_zeros_takes_no_svd(monkeypatch):

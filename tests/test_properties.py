@@ -4,9 +4,9 @@ The oracle is ``np.linalg.eigvalsh`` of the symmetrized matrix, with the
 zero threshold ``TolerancePolicy.tau`` (an SVD-based operator norm).  The
 split localizer (two half-size blocks, one at s = 0) is checked against
 the dense ``build_generalized`` assembly, and the gap certificate (one SVD
-of x) against the dense spectrum of ``bordered(x, 0)``.  The tolerance
-predicates ``is_singular`` and ``residual_ok`` are checked against the two
-rules written out by hand.
+of x) against the dense spectrum of ``bordered(x, 0)``.  ``is_singular`` is
+checked against the delta = 0 certificate, and ``residual_ok`` against its
+rule written out by hand.
 """
 
 from unittest import mock
@@ -24,6 +24,7 @@ from specloc import (
     build_generalized,
     bordered,
     build_reduced,
+    contract_invertible,
     delta_singular_check,
     direct_sum,
     eig_hermitian,
@@ -34,15 +35,20 @@ from specloc import (
     is_self_adjoint,
     is_singular,
     localizer_halves,
+    operator_element,
     operator_norm,
-    min_singular_value,
     random_gapped,
     residual_ok,
     s_gap,
     sigma_spectrum,
     verify_path,
 )
-from specloc.errors import ModeMismatchError, NotSelfAdjointError
+from specloc.errors import (
+    ModeMismatchError,
+    NoGapFoundError,
+    NotInvertibleError,
+    NotSelfAdjointError,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -430,10 +436,36 @@ def residual_case(draw):
     return ratio * threshold * r / operator_norm(r), refs
 
 
+@st.composite
+def near_singular(draw):
+    """Square matrix with sigma_min planted at a drawn multiple of tau(n) = f * n * eps *
+    sigma_max: below tau(n), between tau(n) and the doubled matrix's tau(2n), or above."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e4]))
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    sv = scale * rng.uniform(0.5, 1.0, n)
+    sv[-1] = draw(st.sampled_from([0.0, 0.5, 1.5, 2.5, 4.0])) * FACTOR * n * EPS * sv[:-1].max()
+    return (u * sv) @ v.conj().T
+
+
 @SETTINGS
-@given(square())
+@given(st.one_of(square(), near_singular()))
 def test_is_singular_is_min_singular_value_against_tau(m):
-    assert is_singular(m) == (min_singular_value(m) <= DEFAULT_POLICY.tau(m))
+    # sigma_min against the doubled matrix's tau: the delta = 0 certificate's rule
+    x = operator_element(m, self_adjoint=False)
+    assert is_singular(m) == (not delta_singular_check(x, 0.0).verdict)
+
+
+@SETTINGS
+@given(near_singular())
+def test_a_contraction_path_passes_its_delta_zero_certificate(m):
+    try:
+        path = contract_invertible(operator_element(m, self_adjoint=False))
+    except (NotInvertibleError, NoGapFoundError):
+        return
+    assert not [v for v in verify_path(path, 0.0).violations if v[0] == "gap"]
 
 
 @SETTINGS
