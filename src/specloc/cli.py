@@ -20,7 +20,7 @@ from . import clifford as _clifford
 from .errors import SpeclocError
 from .gap import MODES, delta_singular_check, operator_element
 from .homotopy import contract_invertible, verify_path
-from .linalg import TolerancePolicy, hermitian_spectrum, min_singular_value, operator_norm
+from .linalg import TolerancePolicy, hermitian_spectrum, operator_norm
 from .localizer import (
     build_reduced,
     even_triple,
@@ -189,7 +189,8 @@ def _cmd_homotopy_verify(args, policy):
 def _cmd_contract(args, policy):
     x = _load_element(args, policy)
     path = contract_invertible(x, steps=args.steps, policy=policy)
-    min_sv = min(min_singular_value(s.matrix) for s in path.samples)
+    # sigma_min of each sample is min|Sigma_x|, memoized by contract_invertible
+    min_sv = min(float(np.abs(s.doubled(policy).eigenvalues).min()) for s in path.samples)
     report = path_to_json(path, 0.0)
     report["steps"] = args.steps
     report["min_singular_value"] = min_sv

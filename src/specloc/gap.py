@@ -14,8 +14,12 @@ The doubled matrix's eigenvalues are exactly the singular values of x
 with both signs, Sigma_x = {+-sigma_i(x)}, so every certificate reads
 Sigma_x from one singular-value solve of size n
 (:func:`specloc.linalg.doubled_spectrum`), with the doubled matrix's tau
-at dimension 2n.  The bordered matrix itself is built only by the
-independent oracles: ``grid`` mode, :func:`s_gap` and
+at dimension 2n.  That solve runs once per element and tolerance policy:
+:meth:`OperatorElement.doubled` memoizes it, so a path sample certified by
+``contract_invertible`` is not solved again by ``verify_path``.  The memo
+is sound because an element's matrix is a read-only private copy, which
+must never be made writable.  The bordered matrix itself is built only by
+the independent oracles: ``grid`` mode, :func:`s_gap` and
 ``clifford.verify_doubling``.
 """
 
@@ -27,6 +31,7 @@ import numpy as np
 from .errors import NonFiniteError
 from .linalg import (
     DEFAULT_POLICY,
+    Spectrum,
     TolerancePolicy,
     as_matrix,
     doubled_spectrum,
@@ -42,7 +47,9 @@ class OperatorElement:
     """A matrix over M_n(E) with its block metadata.
 
     ``matrix`` has size (ambient_dim * block_size); element blocks are
-    outer, the ambient representation space inner.
+    outer, the ambient representation space inner.  The matrix is a
+    read-only private copy, and must not be made writable: the doubled
+    spectrum read from it is solved once per policy (:meth:`doubled`).
     """
 
     matrix: np.ndarray
@@ -67,6 +74,21 @@ class OperatorElement:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def doubled(self, policy: TolerancePolicy = DEFAULT_POLICY) -> Spectrum:
+        """``doubled_spectrum`` of this element, solved once per policy.
+
+        The matrix is a read-only private copy and the flag is frozen, so
+        (element, policy) is everything the spectrum depends on.  The memo
+        lives in the instance ``__dict__``, outside the dataclass fields;
+        a raised ``NotSelfAdjointError`` is not memoized.
+        """
+        memo = self.__dict__.setdefault("_doubled", {})
+        if policy not in memo:
+            spectrum = doubled_spectrum(self.matrix, self.self_adjoint, policy=policy)
+            spectrum.eigenvalues.setflags(write=False)
+            memo[policy] = spectrum
+        return memo[policy]
 
 
 def operator_element(
@@ -157,7 +179,7 @@ def delta_singular_check(
     if not math.isfinite(delta) or delta < 0:
         raise ValueError("delta must be finite and nonnegative")
 
-    spectrum = doubled_spectrum(x.matrix, x.self_adjoint, policy=policy)
+    spectrum = x.doubled(policy)
     sigma, tau = spectrum.eigenvalues, spectrum.tau
 
     magnitudes = np.abs(sigma)

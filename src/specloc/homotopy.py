@@ -31,7 +31,6 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     direct_sum,
-    is_singular,
     operator_norm,
     residual_ok,
 )
@@ -150,9 +149,6 @@ def contract_invertible(
     if steps < 2:
         raise ValueError("need at least 2 steps")
     m = x.matrix
-    if is_singular(m, policy):
-        raise NotInvertibleError("element is singular at tolerance")
-
     args = np.angle(np.linalg.eigvals(m))
     points = np.sort(np.mod(np.concatenate([args, args + np.pi]), 2 * np.pi))
     gaps = np.diff(np.concatenate([points, [points[0] + 2 * np.pi]]))
@@ -167,13 +163,13 @@ def contract_invertible(
     params = [k / (steps - 1) for k in range(steps)]
     samples = []
     for t in params:
-        sample = (1.0 - t) * m + t * z * eye
-        # sample t = 0 is x, checked above
-        if t > 0 and is_singular(sample, policy):
+        sample = OperatorElement((1.0 - t) * m + t * z * eye, x.block_size, x.ambient_dim, False)
+        # the doubled zero test of verify_path(path, 0), memoized on the sample
+        if sample.doubled(policy).inertia.n_zero > 0:
+            if t == 0:
+                raise NotInvertibleError("element is singular at tolerance")
             raise NotInvertibleError(f"contraction sample t={t:.4f} singular")
-        samples.append(
-            OperatorElement(sample, x.block_size, x.ambient_dim, False)
-        )
+        samples.append(sample)
     return HomotopyPath(tuple(samples), tuple(params))
 
 

@@ -11,8 +11,9 @@ through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
   max|lambda|``; ``index``, ``winding_demo``, CLI ``localizer``.
 * Doubled zero test, :func:`doubled_spectrum`: ``spec [[0, x], [x*, 0]] =
   +-sigma_i(x)`` from one singular-value solve of x, ``sigma <= f * 2n * eps *
-  sigma_max``; gap certificates, and :func:`is_singular` (``n_zero > 0``) for
-  ``contract_invertible`` and :func:`verify_similarity`.
+  sigma_max``; gap certificates and ``contract_invertible`` (through
+  ``OperatorElement.doubled``, which solves it once per policy), and
+  :func:`is_singular` (``n_zero > 0``) for :func:`verify_similarity`.
 * Adjointness, ``M == M*`` else ``||M - M*||_2 <= tau``: inside the two
   spectra above, against the tau of the spectrum just solved; in
   :func:`is_self_adjoint`, which solves nothing, against ``policy.tau(M) =

@@ -208,6 +208,22 @@ def test_contract_subcommand(capsys, tmp_path):
     assert report["report"]["min_singular_value"] > 0.7
 
 
+def test_contract_solves_each_sample_once(capsys, tmp_path, solve_counts):
+    # 2 SVDs infer the flag, one per sample certifies it, and the report's
+    # min_singular_value reads the samples' memoized spectra
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    x = np.eye(8) + 0.3 * g / np.linalg.norm(g, 2)
+    matrix = tmp_path / "x.json"
+    matrix.write_text(dumps(matrix_to_json(x)))
+    solve_counts.clear()
+    code, report = run(capsys, ["contract", "--matrix", str(matrix)])
+    assert code == 0 and solve_counts["svd"] == 2 + 33
+    samples = [matrix_from_json(s["matrix"]) for s in report["report"]["samples"]]
+    worst = min(np.linalg.svd(m, compute_uv=False)[-1] for m in samples)
+    assert report["report"]["min_singular_value"] == worst
+
+
 def test_reports_byte_identical(capsys, shift_file, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out1, out2):

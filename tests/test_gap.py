@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specloc import (
     DEFAULT_POLICY,
     HomotopyPath,
     OperatorElement,
+    TolerancePolicy,
     bilateral_shift_truncation,
     bordered,
     delta_singular_check,
@@ -250,3 +255,75 @@ def test_max_delta_values():
     assert max_delta(identity_element(3)) == pytest.approx(1.0)
     x = operator_element(np.diag([2.0, -3.0]), self_adjoint=True)
     assert max_delta(x) == pytest.approx(2.0)
+
+
+def _same_certificate(a, b):
+    return (
+        np.array_equal(a.sigma_x, b.sigma_x)
+        and (a.delta_max, a.queried_delta, a.verdict, a.marginal, a.s_gaps, a.mode)
+        == (b.delta_max, b.queried_delta, b.verdict, b.marginal, b.s_gaps, b.mode)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 1e-13, 0.0]),
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, 1.5]),
+            st.sampled_from([1.0, 16.0, 1000.0]),
+            st.sampled_from(["spectrum", "grid"]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_memoized_certificate_equals_a_fresh_elements(n, seed, column_scale, queries):
+    # every certificate of one element after its first equals the certificate
+    # of a fresh element with the same matrix: the memo changes no answer.  A
+    # column scaled by 1e-13 puts sigma_min between the taus of factors 1 and
+    # 1000, so a memo that ignored the policy would change delta_max.
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m[:, 0] *= column_scale
+    x = operator_element(m)
+    for frac, factor, mode in queries:
+        policy = TolerancePolicy(factor)
+        delta = frac * float(np.linalg.norm(m, 2))
+        if mode == "grid" and delta == 0.0:
+            continue
+        cert = delta_singular_check(x, delta, mode=mode, policy=policy)
+        fresh = delta_singular_check(
+            OperatorElement(m, 1, n, x.self_adjoint), delta, mode=mode, policy=policy
+        )
+        assert _same_certificate(cert, fresh)
+
+
+def test_memo_is_no_dataclass_field():
+    x = random_element(5)
+    before = repr(x)
+    delta_singular_check(x, 0.5)
+    assert repr(x) == before
+    assert "_doubled" not in {f.name for f in dataclasses.fields(x)}
+    assert dataclasses.replace(x).__dict__.get("_doubled") is None
+
+
+def test_certificate_spectrum_is_read_only():
+    x = random_element(6)
+    cert = delta_singular_check(x, 0.5)
+    with pytest.raises(ValueError):
+        cert.sigma_x[0] = 0.0
+    assert np.array_equal(delta_singular_check(x, 0.5).sigma_x, cert.sigma_x)
+
+
+def test_failed_adjoint_test_is_not_memoized(solve_counts):
+    # a flagged element that fails the adjoint test raises on every call,
+    # solving again each time: only a spectrum that passed is memoized
+    x = OperatorElement(bilateral_shift_truncation(3).matrix, 1, 3, self_adjoint=True)
+    for _ in range(3):
+        solve_counts.clear()
+        with pytest.raises(NotSelfAdjointError):
+            delta_singular_check(x, 0.5)
+        assert solve_counts["svd"] == 2  # x, then x - x*

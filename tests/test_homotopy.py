@@ -3,6 +3,7 @@ import pytest
 
 from specloc import (
     HomotopyPath,
+    TolerancePolicy,
     bilateral_shift_truncation,
     circle_dirac,
     circle_unitary_truncation,
@@ -194,6 +195,22 @@ def test_contract_path_verifies_at_delta_zero():
     # and at any delta below the path's minimal gap
     delta = 0.5 * min(min_singular_value(s.matrix) for s in path.samples)
     assert verify_path(path, delta).verdict
+
+
+def test_verify_path_solves_no_contraction_sample_again(solve_counts):
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    x = operator_element(np.eye(8) + 0.3 * g / np.linalg.norm(g, 2))
+    solve_counts.clear()
+    path = contract_invertible(x, steps=33)
+    assert solve_counts["svd"] == 33  # one per sample, sample 0 included
+    solve_counts.clear()
+    assert verify_path(path, 0.0).verdict
+    assert solve_counts["svd"] == 32  # the step norms only
+    # the memo is keyed on the policy: another one solves every sample again
+    solve_counts.clear()
+    assert verify_path(path, 0.0, policy=TolerancePolicy(1000.0)).verdict
+    assert solve_counts["svd"] == 33 + 32
 
 
 def test_witness_equengance_via_constant_path():

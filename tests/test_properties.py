@@ -374,20 +374,24 @@ def test_self_adjoint_certificate_equals_the_bordered_one(case, frac):
         assume(asymmetry == 0.0 or abs(asymmetry - tau) > 0.1 * tau)
     delta = frac * operator_norm(m)
     cert = _certify(x, delta)
-    with mock.patch("specloc.gap.doubled_spectrum", _dense_doubled_spectrum):
-        dense = _certify(x, delta)
+    # a fresh element: x has memoized its doubled spectrum, which the oracle must not reuse
+    fresh = OperatorElement(m, 1, m.shape[0], flagged)
+    with mock.patch("specloc.gap.doubled_spectrum", side_effect=_dense_doubled_spectrum) as oracle:
+        dense = _certify(fresh, delta)
+    assert oracle.called
     assert (cert is None) == (dense is None)
     if dense is None:
         return
     atol = 1e-12 * operator_norm(m)
     np.testing.assert_allclose(cert.sigma_x, dense.sigma_x, rtol=0.0, atol=atol)
-    assert cert.delta_max == pytest.approx(dense.delta_max, rel=0.0, abs=atol)
-    # the verdicts compare |Sigma_x| with tau, 2 tau and delta -+ tau: equal
-    # unless a magnitude lies within the two spectra's disagreement of an edge
+    # delta_max and the verdicts compare |Sigma_x| with tau, 2 tau and
+    # delta -+ tau: equal unless a magnitude lies within the two spectra's
+    # disagreement of an edge
     magnitudes = np.abs(dense.sigma_x)
     slack = 4.0 * float(np.max(np.abs(cert.sigma_x - dense.sigma_x), initial=0.0)) + EPS * tau
     edges = (tau, 2 * tau, dense.queried_delta - tau, dense.queried_delta + tau)
     assume(not any(np.any(np.abs(magnitudes - edge) <= slack) for edge in edges))
+    assert cert.delta_max == pytest.approx(dense.delta_max, rel=0.0, abs=atol)
     assert (cert.verdict, cert.marginal) == (dense.verdict, dense.marginal)
 
 
