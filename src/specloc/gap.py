@@ -17,10 +17,10 @@ Sigma_x from one singular-value solve of size n
 at dimension 2n.  That solve runs once per element and tolerance policy:
 :meth:`OperatorElement.doubled` memoizes it, so a path sample certified by
 ``contract_invertible`` is not solved again by ``verify_path``.  The memo
-is sound because an element's matrix is a read-only private copy, which
-must never be made writable.  The bordered matrix itself is built only by
-the independent oracles: ``grid`` mode, :func:`s_gap` and
-``clifford.verify_doubling``.
+is sound because an element's matrix is a private copy that numpy refuses
+to make writable, and the memoized spectrum is read-only the same way.
+The bordered matrix itself is built only by the independent oracles:
+``grid`` mode, :func:`s_gap` and ``clifford.verify_doubling``.
 """
 
 import math
@@ -42,14 +42,22 @@ from .linalg import (
 MODES = ("spectrum", "grid")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A private copy of a that cannot be made writable: a view of a read-only base."""
+    base = a.copy()
+    base.setflags(write=False)
+    return base.view()
+
+
 @dataclass(frozen=True)
 class OperatorElement:
     """A matrix over M_n(E) with its block metadata.
 
     ``matrix`` has size (ambient_dim * block_size); element blocks are
     outer, the ambient representation space inner.  The matrix is a
-    read-only private copy, and must not be made writable: the doubled
+    private copy that numpy refuses to make writable, so the doubled
     spectrum read from it is solved once per policy (:meth:`doubled`).
+    Copying or pickling an element builds a new one, without the memo.
     """
 
     matrix: np.ndarray
@@ -58,8 +66,7 @@ class OperatorElement:
     self_adjoint: bool = False
 
     def __post_init__(self):
-        m = as_matrix(self.matrix).copy()
-        m.setflags(write=False)
+        m = _read_only(as_matrix(self.matrix))
         object.__setattr__(self, "matrix", m)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"element matrix must be square, got {m.shape}")
@@ -71,6 +78,9 @@ class OperatorElement:
                 f"* ambient_dim {self.ambient_dim}"
             )
 
+    def __reduce__(self):
+        return type(self), (self.matrix, self.block_size, self.ambient_dim, self.self_adjoint)
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -78,16 +88,16 @@ class OperatorElement:
     def doubled(self, policy: TolerancePolicy = DEFAULT_POLICY) -> Spectrum:
         """``doubled_spectrum`` of this element, solved once per policy.
 
-        The matrix is a read-only private copy and the flag is frozen, so
+        The matrix cannot be made writable and the flag is frozen, so
         (element, policy) is everything the spectrum depends on.  The memo
-        lives in the instance ``__dict__``, outside the dataclass fields;
-        a raised ``NotSelfAdjointError`` is not memoized.
+        lives in the instance ``__dict__``, outside the dataclass fields,
+        and its eigenvalues are read-only; a raised ``NotSelfAdjointError``
+        is not memoized.
         """
         memo = self.__dict__.setdefault("_doubled", {})
         if policy not in memo:
             spectrum = doubled_spectrum(self.matrix, self.self_adjoint, policy=policy)
-            spectrum.eigenvalues.setflags(write=False)
-            memo[policy] = spectrum
+            memo[policy] = spectrum._replace(eigenvalues=_read_only(spectrum.eigenvalues))
         return memo[policy]
 
 

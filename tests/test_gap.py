@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -315,7 +317,23 @@ def test_certificate_spectrum_is_read_only():
     cert = delta_singular_check(x, 0.5)
     with pytest.raises(ValueError):
         cert.sigma_x[0] = 0.0
+    with pytest.raises(ValueError):
+        cert.sigma_x.setflags(write=True)
     assert np.array_equal(delta_singular_check(x, 0.5).sigma_x, cert.sigma_x)
+
+
+def test_element_matrix_cannot_be_made_writable():
+    # the memo is keyed on (element, policy): the matrix it was read from
+    # must not change, so numpy refuses to make it writable, and a copy is
+    # a new element that solves again
+    x = random_element(5)
+    delta_singular_check(x, 0.5)
+    with pytest.raises(ValueError):
+        x.matrix.setflags(write=True)
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert np.array_equal(twin.matrix, x.matrix) and "_doubled" not in vars(twin)
+        with pytest.raises(ValueError):
+            twin.matrix.setflags(write=True)
 
 
 def test_failed_adjoint_test_is_not_memoized(solve_counts):
