@@ -10,6 +10,7 @@ from .linalg import (
     Spectrum,
     TolerancePolicy,
     direct_sum,
+    doubled_matrix,
     eig_hermitian,
     hermitian_spectrum,
     inertia_signature,

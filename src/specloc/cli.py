@@ -66,9 +66,11 @@ def _emit_plot(plot_path: str, eigenvalues, signature: int, title: str):
         fh.write(eigenvalues_to_csv(eigenvalues))
 
 
-def _load_element(args, policy):
+def _load_element(args, policy, infer_self_adjoint=False):
+    # inferring the self-adjoint flag takes up to two SVDs; only the even localizer reads it
+    flag = None if infer_self_adjoint else False
     matrix = load_matrix(args.matrix)
-    return operator_element(matrix, block_size=args.block_size, policy=policy)
+    return operator_element(matrix, block_size=args.block_size, self_adjoint=flag, policy=policy)
 
 
 def _load_triple(args, policy):
@@ -92,7 +94,7 @@ def _cmd_gap_check(args, policy):
 
 
 def _cmd_localizer(args, policy):
-    x = _load_element(args, policy)
+    x = _load_element(args, policy, infer_self_adjoint=args.parity == "even")
     triple = _load_triple(args, policy)
     if args.reduced:
         blocks = (build_reduced(triple, x, args.kappa, policy),)
@@ -116,7 +118,7 @@ def _cmd_localizer(args, policy):
 
 
 def _cmd_index(args, policy):
-    x = _load_element(args, policy)
+    x = _load_element(args, policy, infer_self_adjoint=args.parity == "even")
     triple = _load_triple(args, policy)
     idx, report = _index(
         triple, x, args.delta, kappa=args.kappa, s=args.s, policy=policy
@@ -131,6 +133,8 @@ def _cmd_circle(args, policy):
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("model config must be a JSON object")
         if config.get("model", "circle") != "circle":
             raise ValueError(f"unsupported model {config.get('model')!r}")
         m = config["m"] if m is None else m
@@ -139,6 +143,11 @@ def _cmd_circle(args, policy):
         s = config.get("s") if s is None else s
     if m is None or N is None:
         raise ValueError("m and N must be given by flag or config file")
+    # config values must have the types the flags parse to
+    if type(m) is not int or type(N) is not int:
+        raise ValueError(f"m and N must be integers, got {m!r} and {N!r}")
+    if any(v is not None and type(v) not in (int, float) for v in (kappa, s)):
+        raise ValueError(f"kappa and s must be numbers, got {kappa!r} and {s!r}")
     idx, report = winding_demo(m, N, kappa=kappa, s=s, policy=policy)
     if args.plot:
         _emit_plot(
@@ -179,7 +188,7 @@ def _cmd_clifford_verify(args, policy):
 
 def _cmd_homotopy_verify(args, policy):
     with open(args.path, "r", encoding="utf-8") as fh:
-        path, delta = path_from_json(json.load(fh), policy)
+        path, delta = path_from_json(json.load(fh))
     if args.delta is not None:
         delta = args.delta
     cert = verify_path(path, delta, policy=policy)

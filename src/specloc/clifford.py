@@ -15,7 +15,8 @@ import numpy as np
 from .errors import DimensionMismatchError, ModeMismatchError, NotOddError, NotSelfAdjointError
 from .gap import OperatorElement, bordered
 from .linalg import (
-    DEFAULT_POLICY, TolerancePolicy, as_matrix, is_self_adjoint, residual_ok, verify_similarity,
+    DEFAULT_POLICY, TolerancePolicy, as_matrix, direct_sum, doubled_matrix, is_self_adjoint,
+    residual_ok, verify_similarity,
 )
 
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -67,13 +68,10 @@ def clifford_rep(p: int) -> CliffordRep:
     m = (p - 1) // 2
     base, base_grading = _jordan_wigner(m)
     base.append(base_grading)  # the volume element anticommutes with all others
-    half = 2**m
-    zero = np.zeros((half, half), dtype=np.complex128)
-    gens = [np.block([[b, zero], [zero, -b]]) for b in base]
-    eye = np.eye(half, dtype=np.complex128)
-    grading = np.block([[zero, eye], [eye, zero]])
+    gens = [direct_sum(b, -b) for b in base]
+    grading = doubled_matrix(np.eye(2**m))
     _freeze(gens + [grading])
-    return CliffordRep(p, 2 * half, tuple(gens), grading, "odd")
+    return CliffordRep(p, 2 ** (m + 1), tuple(gens), grading, "odd")
 
 
 def graded_part(a, rep: CliffordRep, parity: int) -> np.ndarray:
@@ -99,13 +97,12 @@ def embed_low(x: OperatorElement, target: str) -> OperatorElement:
     if target not in ("V0", "V1"):
         raise ValueError("target must be 'V0' or 'V1'")
     m = x.matrix
-    zero = np.zeros_like(m)
     if target == "V0":
         if not x.self_adjoint:
             raise ModeMismatchError("V0 embedding requires a self-adjoint element")
-        doubled = np.block([[m, zero], [zero, -m]])
+        doubled = direct_sum(m, -m)
     else:
-        doubled = np.block([[zero, m], [m.conj().T, zero]])
+        doubled = doubled_matrix(m)
     return OperatorElement(doubled, x.block_size, 2 * x.ambient_dim, True)
 
 
@@ -140,13 +137,12 @@ def reduce_periodic(
     if not residual_ok(grading @ m + m @ grading, m, policy=policy):
         raise NotOddError("element does not anticommute with the grading")
 
-    zero = np.zeros((half, half), dtype=np.complex128)
     if p % 2 == 0:
         block = m[:half, :half]
-        expected = np.block([[block, zero], [zero, -block]])
+        expected = direct_sum(block, -block)
     else:
         block = m[:half, half:]
-        expected = np.block([[zero, block], [block.conj().T, zero]])
+        expected = doubled_matrix(block)
     if not residual_ok(m - expected, m, policy=policy):
         raise NotOddError("element is odd but not in the represented algebra")
     return OperatorElement(np.array(block), y.block_size, y.ambient_dim // 2, p % 2 == 0)
@@ -155,38 +151,20 @@ def reduce_periodic(
 def verify_doubling(
     x: OperatorElement, s: float, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> bool:
-    """Check the four-block doubling similarity against bordered(x, s) (x) I_2.
+    """Check that the doubling embedding's probe is similar to bordered(x, s) (x) I_2.
 
-    Uses the V0 form for self-adjoint x (which needs a signed
-    permutation conjugator) and the V1 form otherwise (plain
-    permutation); the conjugator is constructed by index bookkeeping.
+    The probe is ``bordered(embed_low(x), s)``: the V0 form for
+    self-adjoint x (which needs a signed permutation conjugator) and the
+    V1 form otherwise (plain permutation); the conjugator is constructed
+    by index bookkeeping.
     """
-    m = x.matrix
-    q = m.shape[0]
-    zero = np.zeros_like(m)
-    eye = s * np.eye(q)
+    four = bordered(embed_low(x, "V0" if x.self_adjoint else "V1"), s)
     if x.self_adjoint:
-        four = np.block(
-            [
-                [eye, zero, m, zero],
-                [zero, eye, zero, -m],
-                [m, zero, eye, zero],
-                [zero, -m, zero, eye],
-            ]
-        )
         block_map = {0: (0, 0, 1.0), 1: (0, 1, 1.0), 2: (1, 0, 1.0), 3: (1, 1, -1.0)}
     else:
-        mh = m.conj().T
-        four = np.block(
-            [
-                [eye, zero, zero, m],
-                [zero, eye, mh, zero],
-                [zero, m, eye, zero],
-                [mh, zero, zero, eye],
-            ]
-        )
         block_map = {0: (0, 0, 1.0), 1: (1, 1, 1.0), 2: (0, 1, 1.0), 3: (1, 0, 1.0)}
 
+    q = x.dim
     conj = np.zeros((4 * q, 4 * q))
     for u, (beta, t, sign) in block_map.items():
         for j in range(q):

@@ -34,6 +34,7 @@ from .linalg import (
     Spectrum,
     TolerancePolicy,
     as_matrix,
+    doubled_matrix,
     doubled_spectrum,
     eig_hermitian,
     is_self_adjoint,
@@ -141,9 +142,7 @@ def bordered(x: OperatorElement, s: float) -> np.ndarray:
     """The self-adjoint probe [[s, x], [x*, s]]."""
     if not math.isfinite(s):
         raise NonFiniteError("shift s must be finite")
-    m = x.matrix
-    eye = s * np.eye(m.shape[0])
-    return np.block([[eye, m], [m.conj().T, eye]])
+    return doubled_matrix(x.matrix, s)
 
 
 def sigma_spectrum(x: OperatorElement, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

@@ -16,13 +16,17 @@ through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
   :func:`is_singular` (``n_zero > 0``) for :func:`verify_similarity`.
 * Adjointness, ``M == M*`` else ``||M - M*||_2 <= tau``: inside the two
   spectra above, against the tau of the spectrum just solved; in
-  :func:`is_self_adjoint`, which solves nothing, against ``policy.tau(M) =
-  f * dim * eps * ||M||_2`` (element and triple constructors,
-  ``reduce_periodic``).
+  :func:`is_self_adjoint`, against ``policy.tau(M) = f * dim * eps * ||M||_2``,
+  which takes up to two SVDs, ``||M - M*||_2`` and ``||M||_2`` (element and
+  triple constructors, ``reduce_periodic``).
 * :func:`residual_ok`, exact-first: the localizer's even grading test,
   ``equal_certified``, ``reduce_periodic`` and :func:`verify_similarity`.
   ``valid_region``, ``gap_bound_check`` and CLI ``clifford-verify`` compare a
   number, not a matrix, with ``residual_tol``.
+
+The paper's two block forms are built only here: the doubling ``[[s, a],
+[a*, s]]`` by :func:`doubled_matrix` and the graded sum ``a (+) (-b)`` by
+:func:`direct_sum`.
 """
 
 import math
@@ -97,7 +101,7 @@ class Spectrum(NamedTuple):
 
 
 def is_self_adjoint(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """``M == M*`` exactly, or ``||M - M*||_2 <= policy.tau(M)``: nothing is solved here."""
+    """``M == M*`` exactly (no solve), or ``||M - M*||_2 <= policy.tau(M)`` (up to two SVDs)."""
     m = as_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         return False
@@ -219,7 +223,15 @@ def residual_ok(residual, *refs, policy: TolerancePolicy = DEFAULT_POLICY) -> bo
     return operator_norm(r) <= policy.residual_tol(max(r.shape), scale)
 
 
+def doubled_matrix(a, s: float = 0.0) -> np.ndarray:
+    """The doubling ``[[s*I, a], [a*, s*I]]`` of a square a; its spectrum is ``s + Sigma_a``."""
+    a = as_matrix(a)
+    eye = s * np.eye(a.shape[0])
+    return np.block([[eye, a], [a.conj().T, eye]])
+
+
 def direct_sum(a, b) -> np.ndarray:
+    """``a (+) b``; the graded sum of the paper is ``direct_sum(a, -b)``."""
     a = as_matrix(a)
     b = as_matrix(b)
     out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.complex128)

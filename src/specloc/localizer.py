@@ -9,8 +9,10 @@ and the generalized (shifted) localizer used for delta-gapped elements is
 
     L(kappa, s) = I_2 (x) L_reduced + s * (sigma_x (x) W),
 
-with W the swap [[0,I],[I,0]] in the odd case and the grading
-diag(I,-I) in the even case.  This assembly satisfies, exactly:
+with W the swap [[0,I],[I,0]] = doubled_matrix(I) in the odd case and
+the grading diag(I,-I) = direct_sum(I, -I) in the even case.  W comes
+from ``_reduced_parts``, with L_reduced's parts, all built from the two
+block forms of :mod:`specloc.linalg`.  This assembly satisfies, exactly:
 
   * L(kappa, 0) = L_reduced (+) L_reduced;
   * for x = e the eigenvalues are +-sqrt((1 +-' s)^2 + kappa^2 lambda^2)
@@ -58,6 +60,8 @@ from .linalg import (
     Inertia,
     TolerancePolicy,
     as_matrix,
+    direct_sum,
+    doubled_matrix,
     hermitian_spectrum,
     is_self_adjoint,
     min_singular_value,
@@ -99,10 +103,7 @@ class SpectralTriple:
     def assembled_dirac(self, n: int = 1) -> np.ndarray:
         if self.parity == "odd":
             return self.amplified_D0(n)
-        h = self.D0.shape[0]
-        zero = np.zeros((h, h), dtype=np.complex128)
-        full = np.block([[zero, self.D0], [self.D0.conj().T, zero]])
-        return np.kron(np.eye(n), full)
+        return np.kron(np.eye(n), doubled_matrix(self.D0))
 
 
 def odd_triple(D, policy: TolerancePolicy = DEFAULT_POLICY) -> SpectralTriple:
@@ -151,28 +152,16 @@ def commutator_norm(T: SpectralTriple, x: OperatorElement) -> float:
 
 
 def _reduced_parts(T: SpectralTriple, x: OperatorElement, policy: TolerancePolicy):
-    """(C, K) with L_reduced(kappa) = C + kappa*K; the element's checks run here."""
+    """(C, K, W): L_reduced(kappa) = C + kappa*K and the shift W; the element's checks run here."""
     n = _level(T, x)
     d = T.amplified_D0(n)
-    zero = np.zeros_like(d)
+    eye = np.eye(d.shape[0])
     if T.parity == "odd":
-        m = x.matrix
-        return np.block([[zero, m], [m.conj().T, zero]]), np.block([[d, zero], [zero, -d]])
+        return doubled_matrix(x.matrix), direct_sum(d, -d), doubled_matrix(eye)
     if not x.self_adjoint:
         raise ModeMismatchError("even localizer requires a self-adjoint element")
     x_plus, x_minus = _even_halves(T, x, policy)
-    return np.block([[x_plus, zero], [zero, -x_minus]]), np.block([[zero, d], [d.conj().T, zero]])
-
-
-def _shift(T: SpectralTriple, dim: int) -> np.ndarray:
-    """W: the swap [[0,I],[I,0]] (odd) or the grading diag(I,-I) (even), of size dim."""
-    half = dim // 2
-    if T.parity == "odd":
-        w = np.zeros((dim, dim), dtype=np.complex128)
-        w[:half, half:] = np.eye(half)
-        w[half:, :half] = np.eye(half)
-        return w
-    return np.diag(np.concatenate([np.ones(half), -np.ones(half)])).astype(np.complex128)
+    return direct_sum(x_plus, -x_minus), doubled_matrix(d), direct_sum(eye, -eye)
 
 
 def _check_point(kappa: float, s: float) -> None:
@@ -196,7 +185,7 @@ def build_reduced(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """The odd or even spectral localizer (half the generalized one at s=0)."""
-    c, k = _reduced_parts(T, x, policy)
+    c, k, _ = _reduced_parts(T, x, policy)
     return c + kappa * k
 
 
@@ -212,8 +201,8 @@ def build_generalized(
     The dense reference for :func:`localizer_halves`.
     """
     _check_point(kappa, s)
-    reduced = build_reduced(T, x, kappa, policy)
-    w = _shift(T, reduced.shape[0])
+    c, k, w = _reduced_parts(T, x, policy)
+    reduced = c + kappa * k
     return np.block([[reduced, s * w], [s * w, reduced]])
 
 
@@ -230,8 +219,8 @@ def localizer_halves(
     (one array twice, solved once by ``hermitian_spectrum``) at s = 0.
     """
     _check_point(kappa, s)
-    reduced = build_reduced(T, x, kappa, policy)
-    return _halves(reduced, _shift(T, reduced.shape[0]), s)
+    c, k, w = _reduced_parts(T, x, policy)
+    return _halves(c + kappa * k, w, s)
 
 
 @dataclass(frozen=True)
@@ -259,13 +248,6 @@ def valid_region(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> RegionDescription:
     """Sufficient constancy region 0 < kappa < min{s, delta-s}^2 / ||[D,x]||."""
-    return _certified_region(T, x, delta, policy)[0]
-
-
-def _certified_region(
-    T: SpectralTriple, x: OperatorElement, delta: float, policy: TolerancePolicy
-) -> tuple:
-    """``valid_region`` and the gap certificate it was read from."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     cert = delta_singular_check(x, delta, policy=policy)
@@ -277,7 +259,7 @@ def _certified_region(
     unbounded = norm <= policy.residual_tol(x.dim, scale)
     s_star = delta / 2.0
     kappa_star = 1.0 if unbounded else 0.5 * (s_star**2 / norm)
-    return RegionDescription(float(delta), norm, unbounded, s_star, kappa_star), cert
+    return RegionDescription(float(delta), norm, unbounded, s_star, kappa_star)
 
 
 def localizer_gap(x: OperatorElement, s: float) -> float:
@@ -351,7 +333,7 @@ def index(
     interior point of the constancy region and at the four corners of a
     shrunken sub-rectangle; all five values must agree.
     """
-    region, cert = _certified_region(T, x, delta, policy)
+    region = valid_region(T, x, delta, policy)
 
     if kappa is not None or s is not None:
         points = [(s if s is not None else 0.0, kappa if kappa is not None else region.kappa_star)]
@@ -372,8 +354,7 @@ def index(
 
     for s_i, kappa_i in points:
         _check_point(kappa_i, s_i)
-    c, k = _reduced_parts(T, x, policy)
-    w = _shift(T, c.shape[0])
+    c, k, w = _reduced_parts(T, x, policy)
     spectra = []
     for s_i, kappa_i in points:
         spectrum = hermitian_spectrum(*_halves(c + kappa_i * k, w, s_i), policy=policy)
@@ -393,8 +374,8 @@ def index(
         raise NotDivisibleBy4Error(f"signature {sig} is not divisible by 4")
 
     (s0, kappa0), spectrum = points[0], spectra[0]
-    # localizer_gap(x, 0) = sigma_min(x) = min|Sigma_x|, the same LAPACK output
-    g = float(np.min(np.abs(cert.sigma_x))) if s0 == 0 else localizer_gap(x, s0)
+    # localizer_gap(x, 0) = sigma_min(x) = min|Sigma_x|, memoized by valid_region's certificate
+    g = float(np.min(np.abs(x.doubled(policy).eigenvalues))) if s0 == 0 else localizer_gap(x, s0)
     report = LocalizerReport(
         parity=T.parity,
         kappa=kappa0,

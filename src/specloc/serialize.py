@@ -2,9 +2,10 @@
 
 Matrix JSON: ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with
 ``data`` row-major.  Matrix CSV: one row per line, cells separated by
-semicolons, each cell a ``re,im`` pair.  All report serialization sorts
-keys and leaves floats in ``repr`` form, so identical inputs produce
-byte-identical output.
+semicolons, each cell a ``re,im`` pair.  Readers raise ``ValueError``,
+never ``TypeError``, on JSON of the wrong structure.  All report
+serialization sorts keys and leaves floats in ``repr`` form, so identical
+inputs produce byte-identical output.
 """
 
 import json
@@ -15,7 +16,7 @@ import numpy as np
 from . import __version__
 from .gap import GapCertificate, OperatorElement, operator_element
 from .homotopy import HomotopyPath, PathCertificate
-from .linalg import DEFAULT_POLICY, TolerancePolicy, as_matrix
+from .linalg import TolerancePolicy, as_matrix
 from .localizer import LocalizerReport
 
 
@@ -25,9 +26,21 @@ def matrix_to_json(matrix) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
+_NUMBER = (int, float, str)  # int() and float() read numeric strings too
+
+
+def _expect(value, kind, what: str):
+    """``value`` if it is an instance of ``kind``, else ``ValueError``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} has the wrong JSON type {type(value).__name__}")
+    return value
+
+
 def matrix_from_json(payload: dict) -> np.ndarray:
-    rows, cols = int(payload["rows"]), int(payload["cols"])
-    data = payload["data"]
+    payload = _expect(payload, dict, "matrix")
+    rows = int(_expect(payload["rows"], _NUMBER, "matrix rows"))
+    cols = int(_expect(payload["cols"], _NUMBER, "matrix cols"))
+    data = _expect(payload["data"], list, "matrix data")
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols = {rows * cols}")
     try:
@@ -131,23 +144,23 @@ def path_to_json(path: HomotopyPath, delta: float) -> dict:
     }
 
 
-def path_from_json(
-    payload: dict, policy: TolerancePolicy = DEFAULT_POLICY
-) -> tuple[HomotopyPath, float]:
-    """Read a path file; a ``"mode"`` key left by older writers is ignored."""
+def path_from_json(payload: dict) -> tuple[HomotopyPath, float]:
+    """Read a path file, samples unflagged; a ``"mode"`` key left by older writers is ignored."""
+    payload = _expect(payload, dict, "path")
     samples = []
     params = []
-    for entry in payload["samples"]:
-        params.append(float(entry["t"]))
+    for entry in _expect(payload["samples"], list, "path samples"):
+        entry = _expect(entry, dict, "path sample")
+        params.append(float(_expect(entry["t"], _NUMBER, "sample t")))
         samples.append(
             operator_element(
                 matrix_from_json(entry["matrix"]),
-                block_size=int(entry.get("block_size", 1)),
-                policy=policy,
+                block_size=int(_expect(entry.get("block_size", 1), _NUMBER, "block_size")),
+                self_adjoint=False,
             )
         )
     path = HomotopyPath(tuple(samples), tuple(params))
-    return path, float(payload["delta"])
+    return path, float(_expect(payload["delta"], _NUMBER, "path delta"))
 
 
 def eigenvalues_to_csv(eigenvalues) -> str:

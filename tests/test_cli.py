@@ -3,10 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from specloc import bilateral_shift_truncation, circle_dirac, identity_element
+from specloc import (
+    bilateral_shift_truncation,
+    circle_dirac,
+    even_triple,
+    hermitian_spectrum,
+    identity_element,
+    index,
+    localizer_halves,
+    operator_element,
+)
 from specloc.cli import main
 from specloc.serialize import (
     dumps,
+    load_matrix,
     matrix_from_csv,
     matrix_from_json,
     matrix_to_csv,
@@ -39,6 +49,18 @@ def test_matrix_csv_round_trip():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     np.testing.assert_allclose(matrix_from_csv(matrix_to_csv(m)), m)
+
+
+def test_csv_matrix_file(capsys, shift_file, tmp_path):
+    x = bilateral_shift_truncation(5).matrix
+    csv = tmp_path / "shift.csv"
+    csv.write_text(matrix_to_csv(x))
+    np.testing.assert_array_equal(load_matrix(str(csv)), x)
+    reports = [
+        run(capsys, ["gap-check", "--matrix", path, "--delta", "0.5"])
+        for path in (str(csv), shift_file)
+    ]
+    assert reports[0] == reports[1] and reports[0][0] == 0
 
 
 def test_gap_check_verdict_true(capsys, shift_file):
@@ -126,6 +148,54 @@ def test_localizer_subcommand(capsys, tmp_path):
     assert len(report["report"]["eigenvalues"]) == 28
 
 
+def test_even_localizer_and_index_subcommands(capsys, tmp_path):
+    # x = I_3 (+) diag(1, -1, -1) commutes with the grading; its index is
+    # (sig x_+ - sig x_-) / 2 = (3 - (-1)) / 2 = 2
+    rng = np.random.default_rng(2)
+    d0 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    x = np.diag([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
+    dirac, matrix = tmp_path / "d0.json", tmp_path / "x.json"
+    dirac.write_text(dumps(matrix_to_json(d0)))
+    matrix.write_text(dumps(matrix_to_json(x)))
+    common = ["--matrix", str(matrix), "--dirac", str(dirac), "--parity", "even"]
+    triple, element = even_triple(d0), operator_element(x)
+
+    code, report = run(capsys, ["localizer", *common, "--kappa", "0.1", "--s", "0.2"])
+    expected = hermitian_spectrum(*localizer_halves(triple, element, 0.1, 0.2))
+    assert code == 0
+    assert report["report"]["eigenvalues"] == [float(v) for v in expected.eigenvalues]
+    assert report["report"]["signature"] == expected.signature == 8
+
+    code, report = run(capsys, ["index", *common, "--delta", "0.5"])
+    assert (code, report["report"]["parity"]) == (0, "even")
+    assert report["report"]["index"] == index(triple, element, 0.5)[0] == 2
+
+    # the flag is inferred, so a non-self-adjoint even element is refused
+    matrix.write_text(dumps(matrix_to_json(x + np.diag([0, 0.5j, 0, 0, 0, 0]))))
+    for argv in (["localizer", *common, "--kappa", "0.1"], ["index", *common, "--delta", "0.5"]):
+        code, report = run(capsys, argv)
+        assert (code, report["error"]) == (1, "mode_mismatch")
+
+
+def test_self_adjoint_flag_is_inferred_only_where_it_is_read(capsys, shift_file, tmp_path,
+                                                            solve_counts):
+    # gap-check solves Sigma_x only: no ||x - x*|| and no ||x|| for a flag
+    solve_counts.clear()
+    code, _ = run(capsys, ["gap-check", "--matrix", shift_file, "--delta", "0.5"])
+    assert (code, solve_counts["svd"]) == (0, 1)
+    # homotopy-verify: one SVD per sample and one per step
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    x = np.eye(4) + 0.3 * g / np.linalg.norm(g, 2)
+    samples = [{"t": t, "matrix": matrix_to_json((1 - t) * x + t * np.eye(4))}
+               for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    path_file = tmp_path / "path.json"
+    path_file.write_text(dumps({"delta": 0.0, "samples": samples}))
+    solve_counts.clear()
+    code, _ = run(capsys, ["homotopy-verify", "--path", str(path_file)])
+    assert (code, solve_counts["svd"]) == (0, 5 + 4)
+
+
 def test_localizer_singular_exit_2(capsys, tmp_path):
     dirac = tmp_path / "dirac.json"
     dirac.write_text(dumps(matrix_to_json(np.diag([-1.0, 0.0, 1.0]))))
@@ -209,8 +279,8 @@ def test_contract_subcommand(capsys, tmp_path):
 
 
 def test_contract_solves_each_sample_once(capsys, tmp_path, solve_counts):
-    # 2 SVDs infer the flag, one per sample certifies it, and the report's
-    # min_singular_value reads the samples' memoized spectra
+    # one SVD per sample certifies it, and the report's min_singular_value
+    # reads the samples' memoized spectra; no flag is inferred
     rng = np.random.default_rng(5)
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     x = np.eye(8) + 0.3 * g / np.linalg.norm(g, 2)
@@ -218,7 +288,7 @@ def test_contract_solves_each_sample_once(capsys, tmp_path, solve_counts):
     matrix.write_text(dumps(matrix_to_json(x)))
     solve_counts.clear()
     code, report = run(capsys, ["contract", "--matrix", str(matrix)])
-    assert code == 0 and solve_counts["svd"] == 2 + 33
+    assert code == 0 and solve_counts["svd"] == 33
     samples = [matrix_from_json(s["matrix"]) for s in report["report"]["samples"]]
     worst = min(np.linalg.svd(m, compute_uv=False)[-1] for m in samples)
     assert report["report"]["min_singular_value"] == worst
@@ -238,6 +308,29 @@ def test_machine_readable_error(capsys, tmp_path):
     code, report = run(capsys, ["gap-check", "--matrix", str(missing), "--delta", "0.5"])
     assert code == 1
     assert report["error"] == "parse_error"
+    # JSON of the wrong structure is a parse error, not a traceback
+    good = {"t": 0.0, "matrix": matrix_to_json(np.eye(2))}
+    cases = [
+        ("gap-check", [1, 2]),
+        ("gap-check", None),
+        ("gap-check", {"rows": 1, "cols": 1, "data": 5}),
+        ("gap-check", {"rows": None, "cols": 1, "data": [[1.0, 0.0]]}),
+        ("homotopy-verify", {"delta": 0.5, "samples": 5}),
+        ("homotopy-verify", {"delta": 0.5, "samples": [good, {"t": 1.0, "matrix": [1, 2]}]}),
+        ("homotopy-verify", {"delta": 0.5, "samples": [good, {**good, "t": None}]}),
+        ("homotopy-verify", [good]),
+        ("circle", []),
+        ("circle", {"m": "2", "N": 3}),
+        ("circle", {"m": 1, "N": 2.5}),
+        ("circle", {"m": 1, "N": 3, "kappa": "0.1"}),
+    ]
+    flags = {"gap-check": ["--matrix"], "homotopy-verify": ["--path"], "circle": ["--config"]}
+    for k, (command, payload) in enumerate(cases):
+        bad = tmp_path / f"bad-{k}.json"
+        bad.write_text(json.dumps(payload))
+        extra = ["--delta", "0.5"] if command == "gap-check" else []
+        code, report = run(capsys, [command, *flags[command], str(bad), *extra])
+        assert (code, report["error"]) == (1, "parse_error"), (command, payload)
 
 
 def test_module_error_code(capsys, tmp_path):

@@ -7,6 +7,7 @@ from specloc import (
     DEFAULT_POLICY,
     TolerancePolicy,
     direct_sum,
+    doubled_matrix,
     eig_hermitian,
     hermitian_spectrum,
     inertia_signature,
@@ -163,6 +164,24 @@ def test_direct_sum_norm_and_spectrum():
         np.sort(np.concatenate([eig_hermitian(ha), eig_hermitian(hb)])),
         atol=1e-12,
     )
+
+
+def test_doubled_matrix_layout_and_spectrum():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    for s in (0.0, 0.4):
+        d = doubled_matrix(a, s)
+        np.testing.assert_array_equal(d[:3, :3], s * np.eye(3))
+        np.testing.assert_array_equal(d[3:, 3:], s * np.eye(3))
+        np.testing.assert_array_equal(d[:3, 3:], a)
+        np.testing.assert_array_equal(d[3:, :3], a.conj().T)
+        # spectrum s + Sigma_a, Sigma_a = +-sigma_i(a)
+        sv = np.linalg.svd(a, compute_uv=False)
+        np.testing.assert_allclose(
+            eig_hermitian(d), np.sort(np.concatenate([s - sv, s + sv])), atol=1e-12
+        )
+    # the graded sum a (+) (-b)
+    np.testing.assert_array_equal(direct_sum(a, -a), np.kron(np.diag([1.0, -1.0]), a))
 
 
 def test_verify_similarity_reflexive_and_symmetric():

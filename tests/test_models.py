@@ -3,10 +3,12 @@ import pytest
 
 from specloc import (
     bilateral_shift_truncation,
+    build_reduced,
     circle_dirac,
     circle_unitary_truncation,
     commutator_norm,
     delta_singular_check,
+    hermitian_spectrum,
     max_delta,
     random_gapped,
     sigma_spectrum,
@@ -111,6 +113,18 @@ def test_winding_demo_solves_x_once(solve_counts):
     # gap bound sigma_min(x), one for ||[D, x]||, one for ||D0||, one eigensolve of R
     winding_demo(1, 25)
     assert (solve_counts["svd"], solve_counts["eigvalsh"]) == (3, 1)
+
+
+def test_winding_demo_at_positive_s(solve_counts):
+    # at s > 0 the reduced signature is a solve of its own: one eigensolve per
+    # localizer half, one of R
+    for m, N, kappa, s in ((1, 3, None, 0.25), (2, 5, 0.1, 0.2), (-1, 4, 0.3, 0.4)):
+        solve_counts.clear()
+        idx, report = winding_demo(m, N, kappa=kappa, s=s)
+        assert solve_counts["eigvalsh"] == 3
+        assert (idx, report.s, report.signature) == (m, s, 4 * m)
+        reduced = build_reduced(circle_dirac(N), circle_unitary_truncation(m, N), report.kappa)
+        assert report.reduced_signature == hermitian_spectrum(reduced).signature == 2 * m
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
