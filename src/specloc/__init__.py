@@ -16,7 +16,6 @@ from .linalg import (
     inertia_signature,
     is_self_adjoint,
     is_singular,
-    kron,
     min_singular_value,
     operator_norm,
     residual_ok,

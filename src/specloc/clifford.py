@@ -15,8 +15,8 @@ import numpy as np
 from .errors import DimensionMismatchError, ModeMismatchError, NotOddError, NotSelfAdjointError
 from .gap import OperatorElement, bordered
 from .linalg import (
-    DEFAULT_POLICY, TolerancePolicy, as_matrix, direct_sum, doubled_matrix, is_self_adjoint,
-    residual_ok, verify_similarity,
+    DEFAULT_POLICY, TolerancePolicy, _read_only, as_matrix, direct_sum, doubled_matrix,
+    is_self_adjoint, residual_ok, verify_similarity,
 )
 
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -26,11 +26,14 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 @dataclass(frozen=True)
 class CliffordRep:
-    p: int
     rep_dim: int
     generators: tuple
     grading: np.ndarray
     parity: str  # "even": diagonal grading; "odd": block-swap grading
+
+    def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(_read_only(g) for g in self.generators))
+        object.__setattr__(self, "grading", _read_only(self.grading))
 
 
 def _jordan_wigner(m: int):
@@ -51,27 +54,18 @@ def _jordan_wigner(m: int):
     return [perm @ g @ perm.T for g in gens], perm @ grading @ perm.T
 
 
-def _freeze(arrays):
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 def clifford_rep(p: int) -> CliffordRep:
     """Concrete representation of CCl_p with self-adjoint unitary generators."""
     if p < 1:
         raise ValueError("p must be at least 1")
     if p % 2 == 0:
         gens, grading = _jordan_wigner(p // 2)
-        _freeze(gens + [grading])
-        return CliffordRep(p, 2 ** (p // 2), tuple(gens), grading, "even")
+        return CliffordRep(2 ** (p // 2), gens, grading, "even")
     m = (p - 1) // 2
     base, base_grading = _jordan_wigner(m)
     base.append(base_grading)  # the volume element anticommutes with all others
     gens = [direct_sum(b, -b) for b in base]
-    grading = doubled_matrix(np.eye(2**m))
-    _freeze(gens + [grading])
-    return CliffordRep(p, 2 ** (m + 1), tuple(gens), grading, "odd")
+    return CliffordRep(2 ** (m + 1), gens, doubled_matrix(np.eye(2**m)), "odd")
 
 
 def graded_part(a, rep: CliffordRep, parity: int) -> np.ndarray:

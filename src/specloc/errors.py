@@ -45,22 +45,6 @@ class ShapeMismatchError(SpeclocError):
     code = "shape_mismatch"
 
 
-class GapViolationError(SpeclocError):
-    code = "gap_violation"
-
-    def __init__(self, sample_index, message=None):
-        self.sample_index = sample_index
-        super().__init__(message or f"gap violated at sample {sample_index}")
-
-
-class StepTooLargeError(SpeclocError):
-    code = "step_too_large"
-
-    def __init__(self, step_index, message=None):
-        self.step_index = step_index
-        super().__init__(message or f"step {step_index} exceeds the certification guard")
-
-
 class NotInvertibleError(SpeclocError):
     code = "not_invertible"
 

@@ -18,7 +18,9 @@ at dimension 2n.  That solve runs once per element and tolerance policy:
 :meth:`OperatorElement.doubled` memoizes it, so a path sample certified by
 ``contract_invertible`` is not solved again by ``verify_path``.  The memo
 is sound because an element's matrix is a private copy that numpy refuses
-to make writable, and the memoized spectrum is read-only the same way.
+to make writable, and the memoized spectrum is read-only the same way; a
+spectral triple's Dirac block and a Clifford representation's generators
+and grading are frozen by the same helper, ``linalg._read_only``.
 The bordered matrix itself is built only by the independent oracles:
 ``grid`` mode, :func:`s_gap` and ``clifford.verify_doubling``.
 """
@@ -33,6 +35,7 @@ from .linalg import (
     DEFAULT_POLICY,
     Spectrum,
     TolerancePolicy,
+    _read_only,
     as_matrix,
     doubled_matrix,
     doubled_spectrum,
@@ -41,13 +44,6 @@ from .linalg import (
 )
 
 MODES = ("spectrum", "grid")
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """A private copy of a that cannot be made writable: a view of a read-only base."""
-    base = a.copy()
-    base.setflags(write=False)
-    return base.view()
 
 
 @dataclass(frozen=True)
@@ -110,8 +106,8 @@ def operator_element(
 ) -> OperatorElement:
     """Wrap a matrix, inferring ambient dimension and (optionally) self-adjointness."""
     m = as_matrix(matrix)
-    if m.shape[0] % block_size:
-        raise ValueError(f"size {m.shape[0]} not divisible by block_size {block_size}")
+    if block_size < 1 or m.shape[0] % block_size:
+        raise ValueError(f"size {m.shape[0]} not divisible by positive block_size {block_size}")
     if self_adjoint is None:
         self_adjoint = is_self_adjoint(m, policy)
     return OperatorElement(m, block_size, m.shape[0] // block_size, bool(self_adjoint))

@@ -14,13 +14,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    GapViolationError,
     LevelTooSmallError,
     NoGapFoundError,
     NotGappedError,
     NotInvertibleError,
     ShapeMismatchError,
-    StepTooLargeError,
 )
 from .gap import (
     OperatorElement,
@@ -75,7 +73,6 @@ def verify_path(
     path: HomotopyPath,
     delta: float,
     policy: TolerancePolicy = DEFAULT_POLICY,
-    strict: bool = False,
 ) -> PathCertificate:
     """Certify that a sampled path stays delta-singular with controlled steps."""
     violations = []
@@ -88,8 +85,6 @@ def verify_path(
         guard = min(guard, 0.5 * float(np.min(np.abs(delta / 2.0 + cert.sigma_x))))
         if not cert.verdict:
             violations.append(("gap", k))
-            if strict:
-                raise GapViolationError(k)
 
     max_step = 0.0
     for k in range(len(path.samples) - 1):
@@ -97,8 +92,6 @@ def verify_path(
         max_step = max(max_step, step)
         if step >= guard:
             violations.append(("step", k))
-            if strict:
-                raise StepTooLargeError(k)
 
     return PathCertificate(
         not violations, float(delta), tuple(trace), guard, max_step, tuple(violations)

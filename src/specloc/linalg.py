@@ -27,6 +27,11 @@ through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
 The paper's two block forms are built only here: the doubling ``[[s, a],
 [a*, s]]`` by :func:`doubled_matrix` and the graded sum ``a (+) (-b)`` by
 :func:`direct_sum`.
+
+Every array an object keeps is frozen by ``_read_only``, a private copy
+that numpy refuses to make writable: an element's matrix and its memoized
+spectrum, a spectral triple's Dirac block, and the generators and grading
+of a Clifford representation.
 """
 
 import math
@@ -86,6 +91,13 @@ def as_matrix(matrix) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NonFiniteError("matrix contains NaN or Inf entries")
     return m
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A private copy of a that cannot be made writable: a view of a read-only base."""
+    base = a.copy()
+    base.setflags(write=False)
+    return base.view()
 
 
 class Spectrum(NamedTuple):
@@ -238,10 +250,6 @@ def direct_sum(a, b) -> np.ndarray:
     out[: a.shape[0], : a.shape[1]] = a
     out[a.shape[0] :, a.shape[1] :] = b
     return out
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def verify_similarity(a, b, p, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:

@@ -59,6 +59,7 @@ from .linalg import (
     DEFAULT_POLICY,
     Inertia,
     TolerancePolicy,
+    _read_only,
     as_matrix,
     direct_sum,
     doubled_matrix,
@@ -84,8 +85,7 @@ class SpectralTriple:
     D0: np.ndarray
 
     def __post_init__(self):
-        d0 = as_matrix(self.D0).copy()
-        d0.setflags(write=False)
+        d0 = _read_only(as_matrix(self.D0))
         object.__setattr__(self, "D0", d0)
         if self.parity not in ("odd", "even"):
             raise ValueError("parity must be 'odd' or 'even'")
@@ -230,8 +230,6 @@ class RegionDescription:
     delta: float
     commutator_norm: float
     unbounded: bool
-    s_star: float
-    kappa_star: float
 
     def kappa_max(self, s: float) -> float:
         if not 0 < s < self.delta:
@@ -257,9 +255,7 @@ def valid_region(
     # ||D_n|| = ||D0|| for both parities; ||x|| = max|Sigma_x|
     scale = operator_norm(T.D0) * float(np.abs(cert.sigma_x).max())
     unbounded = norm <= policy.residual_tol(x.dim, scale)
-    s_star = delta / 2.0
-    kappa_star = 1.0 if unbounded else 0.5 * (s_star**2 / norm)
-    return RegionDescription(float(delta), norm, unbounded, s_star, kappa_star)
+    return RegionDescription(float(delta), norm, unbounded)
 
 
 def localizer_gap(x: OperatorElement, s: float) -> float:
@@ -313,7 +309,6 @@ class LocalizerReport:
     gap_bound: float
     commutator_norm: float
     samples: tuple  # (s, kappa, signature) triples actually evaluated
-    tolerance_factor: float
     reduced_signature: int | None = None
 
 
@@ -334,9 +329,12 @@ def index(
     shrunken sub-rectangle; all five values must agree.
     """
     region = valid_region(T, x, delta, policy)
+    # the default point: the middle of the region, at half its largest kappa
+    s_star = delta / 2.0
+    kappa_star = 1.0 if region.unbounded else 0.5 * region.kappa_max(s_star)
 
     if kappa is not None or s is not None:
-        points = [(s if s is not None else 0.0, kappa if kappa is not None else region.kappa_star)]
+        points = [(s if s is not None else 0.0, kappa if kappa is not None else kappa_star)]
     else:
         s_lo, s_hi = delta / 4.0, 3.0 * delta / 4.0
         if region.unbounded:
@@ -345,7 +343,7 @@ def index(
             cap = region.kappa_max(s_lo)
             kappa_lo, kappa_hi = 0.2 * cap, 0.8 * cap
         points = [
-            (region.s_star, region.kappa_star),
+            (s_star, kappa_star),
             (s_lo, kappa_lo),
             (s_lo, kappa_hi),
             (s_hi, kappa_lo),
@@ -389,6 +387,5 @@ def index(
         gap_bound=g * g - kappa0 * region.commutator_norm,
         commutator_norm=region.commutator_norm,
         samples=tuple((s_i, k_i, sp.signature) for (s_i, k_i), sp in zip(points, spectra)),
-        tolerance_factor=policy.zero_threshold_factor,
     )
     return sig // 4, report

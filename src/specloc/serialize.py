@@ -3,7 +3,8 @@
 Matrix JSON: ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with
 ``data`` row-major.  Matrix CSV: one row per line, cells separated by
 semicolons, each cell a ``re,im`` pair.  Readers raise ``ValueError``,
-never ``TypeError``, on JSON of the wrong structure.  All report
+never ``TypeError``, on JSON of the wrong structure, on a JSON boolean
+where a number belongs, and on a size that is not an integer.  All report
 serialization sorts keys and leaves floats in ``repr`` form, so identical
 inputs produce byte-identical output.
 """
@@ -30,20 +31,30 @@ _NUMBER = (int, float, str)  # int() and float() read numeric strings too
 
 
 def _expect(value, kind, what: str):
-    """``value`` if it is an instance of ``kind``, else ``ValueError``."""
-    if not isinstance(value, kind):
+    """``value`` if it is an instance of ``kind`` and no JSON boolean, else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{what} has the wrong JSON type {type(value).__name__}")
     return value
 
 
+def _integer(value, what: str) -> int:
+    """An integral JSON number, or an integer string such as ``"3"``; ``2.7`` is refused."""
+    number = _expect(value, _NUMBER, what)
+    if isinstance(number, float) and not number.is_integer():
+        raise ValueError(f"{what} must be an integer, got {number!r}")
+    return int(number)
+
+
 def matrix_from_json(payload: dict) -> np.ndarray:
     payload = _expect(payload, dict, "matrix")
-    rows = int(_expect(payload["rows"], _NUMBER, "matrix rows"))
-    cols = int(_expect(payload["cols"], _NUMBER, "matrix cols"))
+    rows = _integer(payload["rows"], "matrix rows")
+    cols = _integer(payload["cols"], "matrix cols")
     data = _expect(payload["data"], list, "matrix data")
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols = {rows * cols}")
     try:
+        if any(isinstance(v, bool) for pair in data for v in pair):
+            raise ValueError("a JSON boolean is not a number")
         flat = np.array(
             [complex(float(re), float(im)) for re, im in data], dtype=np.complex128
         )
@@ -155,7 +166,7 @@ def path_from_json(payload: dict) -> tuple[HomotopyPath, float]:
         samples.append(
             operator_element(
                 matrix_from_json(entry["matrix"]),
-                block_size=int(_expect(entry.get("block_size", 1), _NUMBER, "block_size")),
+                block_size=_integer(entry.get("block_size", 1), "block_size"),
                 self_adjoint=False,
             )
         )

@@ -6,6 +6,7 @@ import pytest
 from specloc import (
     bilateral_shift_truncation,
     circle_dirac,
+    circle_unitary_truncation,
     even_triple,
     hermitian_spectrum,
     identity_element,
@@ -43,6 +44,12 @@ def test_matrix_json_round_trip():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     np.testing.assert_allclose(matrix_from_json(matrix_to_json(m)), m)
+
+
+def test_matrix_sizes_read_integer_strings_and_integral_floats():
+    # the refused sizes (fractions, booleans) are inputs of test_machine_readable_error
+    payload = {"rows": "1", "cols": 1.0, "data": [[1.0, 0.0]]}
+    assert matrix_from_json(payload).shape == (1, 1)
 
 
 def test_matrix_csv_round_trip():
@@ -100,6 +107,25 @@ def test_circle_with_plot(capsys, tmp_path):
     assert text.startswith("<svg") and "signature = 4" in text
     csv = (tmp_path / "fig1.csv").read_text().strip().splitlines()
     assert len(csv) == 28  # 4 * (2N+1)
+
+
+def test_localizer_and_index_plots(capsys, tmp_path):
+    # the SVG is written, and the CSV beside it holds the reported spectrum
+    dirac = tmp_path / "dirac.json"
+    dirac.write_text(dumps(matrix_to_json(circle_dirac(3).D0)))
+    matrix = tmp_path / "u.json"
+    matrix.write_text(dumps(matrix_to_json(circle_unitary_truncation(1, 3).matrix)))
+    pencil = ["--matrix", str(matrix), "--dirac", str(dirac)]
+    for name, argv in (
+        ("localizer", ["localizer", *pencil, "--kappa", "1", "--s", "0"]),
+        ("index", ["index", *pencil, "--delta", "1", "--kappa", "1", "--s", "0"]),
+    ):
+        svg = tmp_path / f"{name}.svg"
+        code, report = run(capsys, [*argv, "--plot", str(svg)])
+        assert code == 0 and svg.read_text().startswith("<svg")
+        eigs = [float(v) for v in (tmp_path / f"{name}.csv").read_text().split()]
+        assert eigs == report["report"]["eigenvalues"]
+        assert hermitian_spectrum(np.diag(eigs)).signature == report["report"]["signature"] == 4
 
 
 def test_circle_json_config(capsys, tmp_path):
@@ -239,6 +265,18 @@ def test_homotopy_verify(capsys, tmp_path):
     assert report["report"]["verdict"] is True
 
 
+def test_homotopy_verify_delta_flag_overrides_the_file(capsys, tmp_path):
+    # e has Sigma = {-1, 1}: gapped at the file's 0.5, not at the flag's 1.5
+    e = identity_element(2)
+    path_file = tmp_path / "path.json"
+    path_file.write_text(dumps(path_to_json(HomotopyPath((e, e), (0.0, 1.0)), 0.5)))
+    code, report = run(capsys, ["homotopy-verify", "--path", str(path_file)])
+    assert (code, report["report"]["delta"]) == (0, 0.5)
+    code, report = run(capsys, ["homotopy-verify", "--path", str(path_file), "--delta", "1.5"])
+    assert (code, report["report"]["delta"]) == (2, 1.5)
+    assert report["report"]["violations"] == [["gap", 0], ["gap", 1]]
+
+
 def test_homotopy_verify_failure_exit_2(capsys, tmp_path):
     e = identity_element(1).matrix
     samples = [
@@ -323,6 +361,17 @@ def test_machine_readable_error(capsys, tmp_path):
         ("circle", {"m": "2", "N": 3}),
         ("circle", {"m": 1, "N": 2.5}),
         ("circle", {"m": 1, "N": 3, "kappa": "0.1"}),
+        ("circle", {"model": "torus", "m": 1, "N": 3}),
+        ("circle", {"m": None, "N": None}),
+        # a block size below 1, a fractional size, a boolean for a number
+        ("homotopy-verify", {"delta": 0.5, "samples": [{**good, "block_size": 0}, good]}),
+        ("homotopy-verify", {"delta": 0.5, "samples": [{**good, "block_size": 2.7}, good]}),
+        ("homotopy-verify", {"delta": True, "samples": [good, {**good, "t": 1.0}]}),
+        ("homotopy-verify", {"delta": 0.5, "samples": [good, {**good, "t": True}]}),
+        ("gap-check", {"rows": 1.9, "cols": 1, "data": [[1.0, 0.0]]}),
+        ("gap-check", {"rows": True, "cols": 1, "data": [[1.0, 0.0]]}),
+        ("gap-check", {"rows": float("inf"), "cols": 1, "data": [[1.0, 0.0]]}),
+        ("gap-check", {"rows": 1, "cols": 1, "data": [[True, 0.0]]}),
     ]
     flags = {"gap-check": ["--matrix"], "homotopy-verify": ["--path"], "circle": ["--config"]}
     for k, (command, payload) in enumerate(cases):
@@ -331,6 +380,19 @@ def test_machine_readable_error(capsys, tmp_path):
         extra = ["--delta", "0.5"] if command == "gap-check" else []
         code, report = run(capsys, [command, *flags[command], str(bad), *extra])
         assert (code, report["error"]) == (1, "parse_error"), (command, payload)
+    # a block size of 0 by flag is refused before it divides the matrix size
+    matrix, dirac = tmp_path / "e.json", tmp_path / "d.json"
+    matrix.write_text(dumps(matrix_to_json(np.eye(3))))
+    dirac.write_text(dumps(matrix_to_json(np.diag([-1.0, 0.0, 1.0]))))
+    pencil = ["--matrix", str(matrix), "--dirac", str(dirac)]
+    for argv in (
+        ["gap-check", "--matrix", str(matrix), "--delta", "0.5"],
+        ["index", *pencil, "--delta", "0.5"],
+        ["localizer", *pencil, "--kappa", "1"],
+        ["contract", "--matrix", str(matrix)],
+    ):
+        code, report = run(capsys, [*argv, "--block-size", "0"])
+        assert (code, report["error"]) == (1, "parse_error"), argv
 
 
 def test_module_error_code(capsys, tmp_path):

@@ -3,7 +3,9 @@ import pytest
 
 from specloc import (
     bilateral_shift_truncation,
+    circle_dirac,
     clifford_rep,
+    even_triple,
     embed_low,
     graded_part,
     identity_element,
@@ -220,3 +222,17 @@ def test_verify_doubling_random(seed):
     assert verify_doubling(operator_element(a), 0.4)
     h = operator_element(a + a.conj().T, self_adjoint=True)
     assert verify_doubling(h, 0.4)
+
+
+def test_triple_and_clifford_arrays_cannot_be_made_writable():
+    # frozen like an element's matrix: a private copy numpy refuses to make writable
+    d0 = np.eye(2)
+    arrays = [circle_dirac(3).D0, even_triple(d0).D0]
+    for p in range(1, 9):
+        rep = clifford_rep(p)
+        arrays += [*rep.generators, rep.grading]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
+    d0[0, 0] = 5.0
+    assert arrays[1][0, 0] == 1.0

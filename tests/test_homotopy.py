@@ -25,7 +25,6 @@ from specloc import (
 )
 from specloc.errors import (
     DimensionMismatchError,
-    GapViolationError,
     LevelTooSmallError,
     NotGappedError,
     NotInvertibleError,
@@ -73,8 +72,6 @@ def test_linear_path_through_zero_fails():
     cert = verify_path(HomotopyPath(samples, params), 0.5)
     assert not cert.verdict
     assert any(kind == "gap" for kind, _ in cert.violations)
-    with pytest.raises(GapViolationError):
-        verify_path(HomotopyPath(samples, params), 0.5, strict=True)
 
 
 def test_big_step_fails_guard():

@@ -12,7 +12,6 @@ from specloc import (
     hermitian_spectrum,
     inertia_signature,
     is_singular,
-    kron,
     min_singular_value,
     operator_norm,
     verify_similarity,
@@ -148,7 +147,7 @@ def test_direct_sum_and_kron():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((3, 3))
     h = a + a.T
-    doubled = eig_hermitian(kron(np.eye(2), h))
+    doubled = eig_hermitian(np.kron(np.eye(2), h))
     np.testing.assert_allclose(doubled, np.sort(np.concatenate([eig_hermitian(h)] * 2)))
 
 
