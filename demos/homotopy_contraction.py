@@ -2,8 +2,11 @@
 """Certified homotopies, contraction paths, and class witnesses.
 
 A discrete path certificate needs two things: every sample gapped, and
-steps smaller than half the worst mid-gap (so eigenvalues cannot sneak
-across zero between samples).  Invertible elements of a full matrix
+each step h_k = ||x_{k+1} - x_k|| below the per-segment Weyl guard
+a_k = (g_k - tau_k) + (g_{k+1} - tau_{k+1}), where g_k is the mid-gap
+min|delta/2 + Sigma_{x_k}| and tau_k the sample's zero threshold.  Then
+bordered(y, delta/2) is invertible at every point y of every segment, so
+no eigenvalue crosses zero between samples.  Invertible elements of a full matrix
 algebra all contract onto a scalar, which is why the delta-gapped
 refinement is needed to see any classes at all; the refined classes are
 separated by the localizer index.

@@ -1,11 +1,25 @@
 """Certification of discrete homotopies, stabilization, contraction paths,
 and Grothendieck-class witnesses.
 
-A sampled path is certified when every sample is delta-singular *and*
-consecutive samples are closer than half the smallest mid-gap along the
-path; by Weyl's inequality the bordered spectra then cannot cross zero
-between samples, so the discrete certificate is meaningful for the
-underlying continuous path.
+A sampled path x_0, ..., x_m is certified at delta when
+
+* every sample passes its delta-gap test (``delta_singular_check``), and
+* each segment x_k -> x_{k+1} keeps ``bordered(y, delta/2)`` invertible.
+
+The second holds by Weyl's inequality, because ``bordered(y, delta/2)`` is
+1-Lipschitz in y.  Let g_k = min |delta/2 + Sigma_{x_k}| be the smallest
+absolute eigenvalue of ``bordered(x_k, delta/2)``, and tau_k the sample's
+doubled-spectrum zero threshold, the margin by which the computed g_k may
+be off.  The point y = x_k + t (x_{k+1} - x_k) lies within t h_k of x_k and
+(1 - t) h_k of x_{k+1}, where h_k = ||x_{k+1} - x_k||_2, so
+
+    h_k < a_k = (g_k - tau_k) + (g_{k+1} - tau_{k+1})
+
+leaves it closer to one end than that end's certified gap, for every t in
+[0, 1].  g_k and tau_k are read from the sample's memoized spectrum, so the
+guard solves nothing new.  h_k is compared through an upper bound,
+``linalg.operator_norm_bound``: sqrt(||Delta||_1 ||Delta||_inf) first, the
+SVD only when that does not decide.
 """
 
 from dataclasses import dataclass
@@ -29,7 +43,7 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     direct_sum,
-    operator_norm,
+    operator_norm_bound,
     residual_ok,
 )
 from . import localizer as _localizer
@@ -64,8 +78,9 @@ class PathCertificate:
     verdict: bool
     delta: float
     sample_trace: tuple  # (t, sample verdict, delta_max) per sample
-    step_guard: float
-    max_step: float
+    step_guard: float  # min_k a_k
+    max_step: float  # largest certified upper bound of a step h_k
+    step_margins: tuple  # a_k - (upper bound of h_k) per segment; <= 0 is a step violation
     violations: tuple  # ("gap"|"step", index)
 
 
@@ -74,27 +89,52 @@ def verify_path(
     delta: float,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> PathCertificate:
-    """Certify that a sampled path stays delta-singular with controlled steps."""
+    """Certify a sampled path at delta: every sample gapped, every segment guarded.
+
+    The verdict holds when every sample passes its delta-gap test and every
+    segment passes the Weyl guard ``h_k < a_k`` of the module docstring, so
+    ``bordered(y, delta/2)`` is invertible along each segment.  Each step is
+    bounded by ``operator_norm_bound(x_{k+1} - x_k, a_k)``, whose SVD runs
+    only when sqrt(||Delta||_1 ||Delta||_inf) is not below a_k.  The report's
+    ``step_guard`` is min_k a_k, ``max_step`` the largest step bound, and
+    ``step_margins`` holds a_k less the step bound, per segment.
+
+    The guard this replaced, ``h_k < 0.5 min_j g_j``, is at least 4 times
+    stricter and had no tau margin.  A step that passed it still passes
+    whenever both its endpoint gaps have g >= (4/3) tau: then g - tau >= g/4,
+    so a_k >= (g_k + g_{k+1})/4 >= 0.5 min_j g_j.  Only inside that band can
+    the tau margin turn an old pass into a step violation.  That is the sound
+    direction: there the old guard trusted a gap that rounding in g may
+    account for.
+    """
     violations = []
     trace = []
-    guard = np.inf
+    slack = []  # g_k - tau_k per sample
     for k, x in enumerate(path.samples):
         cert = delta_singular_check(x, delta, policy=policy)
         trace.append((path.parameters[k], cert.verdict, cert.delta_max))
-        # mid-gap guard: half the worst s-gap at s = delta/2, from eig(bordered) = s + Sigma_x
-        guard = min(guard, 0.5 * float(np.min(np.abs(delta / 2.0 + cert.sigma_x))))
+        # s-gap at s = delta/2, from eig(bordered) = s + Sigma_x, less the sample's tau
+        gap = float(np.min(np.abs(delta / 2.0 + cert.sigma_x)))
+        slack.append(gap - x.doubled(policy).tau)
         if not cert.verdict:
             violations.append(("gap", k))
 
-    max_step = 0.0
-    for k in range(len(path.samples) - 1):
-        step = operator_norm(path.samples[k + 1].matrix - path.samples[k].matrix)
-        max_step = max(max_step, step)
-        if step >= guard:
-            violations.append(("step", k))
+    guards = [a + b for a, b in zip(slack, slack[1:])]
+    steps = [
+        operator_norm_bound(path.samples[k + 1].matrix - path.samples[k].matrix, guard)
+        for k, guard in enumerate(guards)
+    ]
+    margins = tuple(guard - step for guard, step in zip(guards, steps))
+    violations.extend(("step", k) for k, margin in enumerate(margins) if margin <= 0)
 
     return PathCertificate(
-        not violations, float(delta), tuple(trace), guard, max_step, tuple(violations)
+        not violations,
+        float(delta),
+        tuple(trace),
+        min(guards),
+        max(steps),
+        margins,
+        tuple(violations),
     )
 
 
@@ -200,7 +240,7 @@ def equal_certified(
         raise ShapeMismatchError("path samples do not match the stabilized level")
     if not (
         residual_ok(path.samples[0].matrix - a.matrix, a.matrix, policy=policy)
-        and residual_ok(path.samples[-1].matrix - b.matrix, a.matrix, policy=policy)
+        and residual_ok(path.samples[-1].matrix - b.matrix, b.matrix, policy=policy)
     ):
         raise ShapeMismatchError("path endpoints do not match the witnesses")
     delta = min(w.delta, w2.delta)

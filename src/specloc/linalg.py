@@ -23,6 +23,9 @@ through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
   ``equal_certified``, ``reduce_periodic`` and :func:`verify_similarity`.
   ``valid_region``, ``gap_bound_check`` and CLI ``clifford-verify`` compare a
   number, not a matrix, with ``residual_tol``.
+* Step bounds, :func:`operator_norm_bound`: an upper bound of ``||M||_2``
+  checked against a limit, ``sqrt(||M||_1 ||M||_inf)`` before any SVD;
+  ``verify_path``'s per-segment guard.
 
 The paper's two block forms are built only here: the doubling ``[[s, a],
 [a*, s]]`` by :func:`doubled_matrix` and the graded sum ``a (+) (-b)`` by
@@ -206,6 +209,24 @@ def operator_norm(matrix) -> float:
     if not np.any(m):
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def operator_norm_bound(matrix, limit: float) -> float:
+    """An upper bound of ``||M||_2`` that decides ``< limit`` with an SVD only when it must.
+
+    The bound is ``sqrt(||M||_1 ||M||_inf) * (1 + 2n eps)``, which is at
+    least ``||M||_2`` (Hoelder); the factor covers the rounding of the
+    moduli, the row and column sums, the roots and the product.  It is 0.0
+    exactly for an all-zero M.  Only when it is not below ``limit`` is
+    ``operator_norm(M)`` returned instead: the SVD, or the ``NonFiniteError``
+    of a NaN or Inf entry.
+    """
+    moduli = np.abs(np.asarray(matrix, dtype=np.complex128))
+    one = float(moduli.sum(axis=0).max(initial=0.0))
+    inf = float(moduli.sum(axis=1).max(initial=0.0))
+    # two roots, so that the product of two tiny norms cannot underflow to 0
+    bound = math.sqrt(one) * math.sqrt(inf) * (1.0 + 2 * max(moduli.shape) * _EPS)
+    return bound if bound < limit else operator_norm(matrix)
 
 
 def min_singular_value(matrix) -> float:

@@ -141,6 +141,7 @@ def path_certificate_to_json(cert: PathCertificate) -> dict:
         ],
         "step_guard": float(cert.step_guard),
         "max_step": float(cert.max_step),
+        "step_margins": [float(m) for m in cert.step_margins],
         "violations": [[kind, int(i)] for kind, i in cert.violations],
     }
 
@@ -156,8 +157,14 @@ def path_to_json(path: HomotopyPath, delta: float) -> dict:
 
 
 def path_from_json(payload: dict) -> tuple[HomotopyPath, float]:
-    """Read a path file, samples unflagged; a ``"mode"`` key left by older writers is ignored."""
+    """Read a path file, samples unflagged; a ``"mode"`` key left by older writers is ignored.
+
+    A ``contract`` report envelope, as ``specloc contract --out`` writes it,
+    is read through its ``"report"``.
+    """
     payload = _expect(payload, dict, "path")
+    if payload.get("subcommand") == "contract":
+        payload = _expect(payload["report"], dict, "contract report")
     samples = []
     params = []
     for entry in _expect(payload["samples"], list, "path samples"):

@@ -209,7 +209,7 @@ def test_self_adjoint_flag_is_inferred_only_where_it_is_read(capsys, shift_file,
     solve_counts.clear()
     code, _ = run(capsys, ["gap-check", "--matrix", shift_file, "--delta", "0.5"])
     assert (code, solve_counts["svd"]) == (0, 1)
-    # homotopy-verify: one SVD per sample and one per step
+    # homotopy-verify: one SVD per sample; sqrt(||D||_1 ||D||_inf) decides every step
     rng = np.random.default_rng(6)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     x = np.eye(4) + 0.3 * g / np.linalg.norm(g, 2)
@@ -219,7 +219,7 @@ def test_self_adjoint_flag_is_inferred_only_where_it_is_read(capsys, shift_file,
     path_file.write_text(dumps({"delta": 0.0, "samples": samples}))
     solve_counts.clear()
     code, _ = run(capsys, ["homotopy-verify", "--path", str(path_file)])
-    assert (code, solve_counts["svd"]) == (0, 5 + 4)
+    assert (code, solve_counts["svd"]) == (0, 5)
 
 
 def test_localizer_singular_exit_2(capsys, tmp_path):
@@ -314,6 +314,24 @@ def test_contract_subcommand(capsys, tmp_path):
     assert len(report["report"]["samples"]) == 9
     assert "mode" not in report["report"]
     assert report["report"]["min_singular_value"] > 0.7
+
+
+def test_homotopy_verify_reads_the_file_contract_writes(capsys, tmp_path):
+    matrix = tmp_path / "x.json"
+    matrix.write_text(dumps(matrix_to_json(np.array([[2.0, 1.0], [0.0, 1.5j]]))))
+    out = tmp_path / "p.json"
+    code, _ = run(capsys, ["contract", "--matrix", str(matrix), "--steps", "9", "--out", str(out)])
+    assert code == 0
+    code, report = run(capsys, ["homotopy-verify", "--path", str(out)])
+    assert code == 0 and report["report"]["verdict"] is True
+    margins = report["report"]["step_margins"]
+    assert len(margins) == 8 and min(margins) > 0
+    # only a contract envelope is unwrapped: any other envelope is not a path
+    envelope = json.loads(out.read_text())
+    other = tmp_path / "other.json"
+    other.write_text(dumps({**envelope, "subcommand": "gap-check"}))
+    code, report = run(capsys, ["homotopy-verify", "--path", str(other)])
+    assert (code, report["error"]) == (1, "parse_error")
 
 
 def test_contract_solves_each_sample_once(capsys, tmp_path, solve_counts):

@@ -3,6 +3,7 @@ import pytest
 
 from specloc import (
     HomotopyPath,
+    OperatorElement,
     TolerancePolicy,
     bilateral_shift_truncation,
     circle_dirac,
@@ -81,6 +82,35 @@ def test_big_step_fails_guard():
     b = operator_element(u)  # both gapped, but far apart
     cert = verify_path(HomotopyPath((a, b), (0.0, 1.0)), 0.5)
     assert any(kind == "step" for kind, _ in cert.violations)
+
+
+def test_step_svd_runs_only_where_the_cheap_bound_does_not_decide(solve_counts):
+    # the test_big_step_fails_guard pair: sqrt(||D||_1 ||D||_inf) is not below
+    # a_0, so the one step SVD runs, and the exact step still breaks the guard
+    rng = np.random.default_rng(1)
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    a, b = identity_element(3), operator_element(u)
+    for x in (a, b):
+        x.doubled()
+    solve_counts.clear()
+    cert = verify_path(HomotopyPath((a, b), (0.0, 1.0)), 0.5)
+    assert solve_counts["svd"] == 1
+    assert cert.violations == (("step", 0),)
+    assert cert.max_step == np.linalg.norm(u - np.eye(3), 2)
+    assert cert.step_margins == (cert.step_guard - cert.max_step,)
+
+
+def test_refuted_segment_keeps_only_the_steps_next_to_zero():
+    # x -> -x through an exact 0: the gap at t = 1/2 fails, and only the two
+    # segments at that sample break the per-segment guard
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    x = np.eye(6) + 0.3 * g / np.linalg.norm(g, 2)
+    params = tuple(k / 8 for k in range(9))
+    samples = tuple(operator_element((1 - 2 * t) * x, self_adjoint=False) for t in params)
+    cert = verify_path(HomotopyPath(samples, params), 0.0)
+    assert cert.violations == (("gap", 4), ("step", 3), ("step", 4))
+    assert [k for k, m in enumerate(cert.step_margins) if m <= 0] == [3, 4]
 
 
 def test_path_shape_validation():
@@ -203,11 +233,11 @@ def test_verify_path_solves_no_contraction_sample_again(solve_counts):
     assert solve_counts["svd"] == 33  # one per sample, sample 0 included
     solve_counts.clear()
     assert verify_path(path, 0.0).verdict
-    assert solve_counts["svd"] == 32  # the step norms only
+    assert solve_counts["svd"] == 0  # sqrt(||D||_1 ||D||_inf) decides every step
     # the memo is keyed on the policy: another one solves every sample again
     solve_counts.clear()
     assert verify_path(path, 0.0, policy=TolerancePolicy(1000.0)).verdict
-    assert solve_counts["svd"] == 33 + 32
+    assert solve_counts["svd"] == 33
 
 
 def test_witness_equengance_via_constant_path():
@@ -217,6 +247,22 @@ def test_witness_equengance_via_constant_path():
     a = stabilize(e1.plus, level)
     path = constant_path(a, samples=3)
     assert equal_certified(e1, e2, path)
+
+
+def test_equal_certified_scales_the_end_residual_by_its_own_witness():
+    # an end point 4 ulp from 1e6 e matches w2 at w2's scale, whichever witness comes first
+    w = make_witness(identity_element(2), 0.5)
+    w2 = make_witness(OperatorElement(1e6 * np.eye(2), 1, 2, True), 0.5)
+    eps = np.finfo(float).eps
+    near = operator_element(1e6 * (1 + 4 * eps) * np.eye(2), self_adjoint=False)
+    forward = HomotopyPath((identity_element(2), near), (0.0, 1.0))
+    backward = HomotopyPath((near, identity_element(2)), (0.0, 1.0))
+    # (1 - t) e + t 1e6 e keeps every singular value >= 1: one segment certifies it
+    assert equal_certified(w, w2, forward)
+    assert equal_certified(w2, w, backward)
+    far = operator_element(1e6 * (1 + 1e-6) * np.eye(2), self_adjoint=False)
+    with pytest.raises(ShapeMismatchError):
+        equal_certified(w, w2, HomotopyPath((identity_element(2), far), (0.0, 1.0)))
 
 
 def test_witness_rejects_ungapped():

@@ -23,7 +23,7 @@ from specloc.errors import (
     NotSquareError,
     SingularConjugatorError,
 )
-from specloc.linalg import doubled_spectrum
+from specloc.linalg import _EPS, doubled_spectrum, operator_norm_bound
 
 
 def random_unitary(n, seed):
@@ -261,3 +261,27 @@ def test_operator_norm_of_zeros_takes_no_svd(monkeypatch):
     assert operator_norm(np.zeros((4, 4), dtype=np.complex128)) == 0.0
     with pytest.raises(NonFiniteError):
         operator_norm(np.array([[0.0, np.nan], [0.0, 0.0]]))
+
+
+def test_operator_norm_bound_takes_an_svd_only_when_the_cheap_bound_does_not_decide(solve_counts):
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    moduli = np.abs(m)
+    cheap = np.sqrt(moduli.sum(axis=0).max()) * np.sqrt(moduli.sum(axis=1).max())
+    cheap *= 1.0 + 2 * 5 * _EPS
+    exact = operator_norm(m)
+    assert exact < cheap
+    solve_counts.clear()
+    assert operator_norm_bound(m, 2.0 * cheap) == cheap  # decided: the bound itself
+    assert operator_norm_bound(np.zeros((5, 5)), 0.0) == 0.0  # exact first
+    assert solve_counts["svd"] == 0
+    assert operator_norm_bound(m, cheap) == exact  # not below the limit: the SVD
+    assert solve_counts["svd"] == 1
+    with pytest.raises(NonFiniteError):
+        operator_norm_bound(np.array([[0.0, np.inf], [0.0, 0.0]]), 1.0)
+
+
+def test_operator_norm_bound_does_not_underflow():
+    # ||M||_1 ||M||_inf = 1e-400 underflows; the two roots do not
+    m = np.full((2, 2), 1e-200)
+    assert operator_norm_bound(m, 1.0) >= 2e-200

@@ -6,7 +6,9 @@ split localizer (two half-size blocks, one at s = 0) is checked against
 the dense ``build_generalized`` assembly, and the gap certificate (one SVD
 of x) against the dense spectrum of ``bordered(x, 0)``.  ``is_singular`` is
 checked against the delta = 0 certificate, and ``residual_ok`` against its
-rule written out by hand.
+rule written out by hand.  The path certificate's per-segment step guard is
+checked against dense sampling of ``bordered(y, delta/2)`` along drawn
+segments, and its step report against the SVD norm of each step.
 """
 
 from unittest import mock
@@ -121,13 +123,111 @@ def test_is_self_adjoint_matches_norm_test(m):
     st.booleans(),
 )
 def test_path_guard_reads_shifted_sigma(d, n, samples, seed, gap, frac, sa):
-    # guard = 0.5 * min over samples of s_gap(x, delta / 2), from eig(bordered(x, s)) = s + Sigma_x
+    # step_guard = min_k a_k, with g_k = s_gap(x_k, delta / 2) read from
+    # eig(bordered(x, s)) = s + Sigma_x, and tau_k the sample's doubled tau
     delta = frac * gap
     xs = tuple(random_gapped(d, n, gap, self_adjoint=sa, seed=seed + k) for k in range(samples))
     params = tuple(k / (samples - 1) for k in range(samples))
     cert = verify_path(HomotopyPath(xs, params), delta)
-    expected = 0.5 * min(s_gap(x, delta / 2.0) for x in xs)
-    assert cert.step_guard == pytest.approx(expected, rel=1e-12, abs=0.0)
+    slack = [s_gap(x, delta / 2.0) - x.doubled().tau for x in xs]
+    expected = min(a + b for a, b in zip(slack, slack[1:]))
+    assert cert.step_guard == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+
+GRID = 64  # interior sampling points t = j / GRID per segment
+
+
+@st.composite
+def path_segment(draw):
+    """(x0, x1, delta): a random segment, a tight crossing, or a near-singular endpoint.
+
+    A tight crossing moves one singular value linearly from delta/2 + g0 to
+    delta/2 - g1, so h = g0 + g1 and Weyl's inequality is attained: the
+    bordered matrix is singular at t* = g0 / h, a point of the sampling
+    grid.  A near-singular endpoint puts a singular value within tau of
+    delta/2, with a step of order tau or none.
+    """
+    kind = draw(st.sampled_from(["random", "tight", "near"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    delta = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    if kind == "random":  # a shift of 3 keeps Sigma away from delta/2, so more steps pass
+        x0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        x0 += draw(st.sampled_from([0.0, 3.0])) * np.eye(n)
+        step = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        x1 = x0 + draw(st.sampled_from([1e-3, 0.1, 0.5, 2.0])) * step
+        return x0, x1, delta
+    rest = np.full(n - 1, 2.0 * delta + 1.0)  # singular values far from delta/2
+    if kind == "tight":
+        j = draw(st.integers(1, GRID - 1))
+        # delta/2 - g1 stays >= 0; at delta = 0 the value crosses 0 itself
+        unit = draw(st.sampled_from([1.0, 0.5, 0.25])) * (delta or 1.0) / (2 * GRID)
+        first = (delta / 2.0 + j * unit, delta / 2.0 - (GRID - j) * unit)
+        x0, x1 = (np.diag(np.concatenate([[v], rest])).astype(complex) for v in first)
+        return x0, x1, delta
+    x0 = np.diag(np.concatenate([[delta / 2.0], rest])).astype(complex)
+    tau = DEFAULT_POLICY.scaled_tol(2 * n, float(np.abs(np.diag(x0)).max()))
+    x0[0, 0] += draw(st.floats(0.0, 1.0)) * tau
+    x1 = x0 + draw(st.sampled_from([0.0, 0.01, 0.5])) * tau * rng.standard_normal((n, n))
+    return x0, x1, delta
+
+
+@SETTINGS
+@given(path_segment())
+def test_step_guard_keeps_every_interior_bordered_matrix_invertible(segment):
+    # Weyl: ||bordered(y, delta/2) - bordered(x_k, delta/2)|| = ||y - x_k||, so
+    # h < a_0 leaves every point y of the segment a gap above (tau_0 + tau_1)/2
+    x0, x1, delta = segment
+    xs = (operator_element(x0, self_adjoint=False), operator_element(x1, self_adjoint=False))
+    cert = verify_path(HomotopyPath(xs, (0.0, 1.0)), delta)
+    if ("step", 0) in cert.violations:
+        return  # refused: nothing is claimed about the segment
+    tolerance = 0.5 * min(x.doubled().tau for x in xs)
+    for j in range(GRID + 1):
+        t = j / GRID
+        y = operator_element((1.0 - t) * x0 + t * x1, self_adjoint=False)
+        assert np.min(np.abs(np.linalg.eigvalsh(bordered(y, delta / 2.0)))) > tolerance
+
+
+@st.composite
+def drawn_path(draw):
+    """A random walk of 2 to 6 samples, with steps from far below to far above the guard."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    samples = draw(st.integers(2, 6))
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+    xs = [x]
+    for _ in range(samples - 1):
+        step = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        xs.append(xs[-1] + draw(st.sampled_from([1e-3, 0.05, 0.5, 2.0])) * step)
+    params = tuple(k / (samples - 1) for k in range(samples))
+    path = HomotopyPath(tuple(operator_element(m, self_adjoint=False) for m in xs), params)
+    return path, draw(st.sampled_from([0.0, 0.1, 0.5]))
+
+
+@SETTINGS
+@given(drawn_path())
+def test_step_report_bounds_every_step_from_above(case):
+    # max_step >= max_k ||Delta_k||_2 and step_margins[k] <= a_k - ||Delta_k||_2,
+    # with ||.||_2 the SVD; a step violation is exactly a margin <= 0
+    path, delta = case
+    cert = verify_path(path, delta)
+    exact = [
+        np.linalg.norm(b.matrix - a.matrix, 2) for a, b in zip(path.samples, path.samples[1:])
+    ]
+    # a_k from the samples' memoized spectra, as verify_path reads them
+    slack = [
+        float(np.min(np.abs(delta / 2.0 + sigma_spectrum(x)))) - x.doubled().tau
+        for x in path.samples
+    ]
+    guards = [a + b for a, b in zip(slack, slack[1:])]
+    assert cert.max_step >= max(exact)
+    assert cert.step_guard == min(guards)
+    assert len(cert.step_margins) == len(exact)
+    for margin, guard, h in zip(cert.step_margins, guards, exact):
+        assert margin <= guard - h
+    steps = [("step", k) for k, margin in enumerate(cert.step_margins) if margin <= 0]
+    assert [v for v in cert.violations if v[0] == "step"] == steps
 
 
 @SETTINGS
