@@ -14,8 +14,7 @@ from specloc import (
     build_reduced,
     circle_dirac,
     circle_unitary_truncation,
-    eig_hermitian,
-    inertia_signature,
+    hermitian_spectrum,
     max_delta,
     valid_region,
     winding_demo,
@@ -31,8 +30,8 @@ print("gap of the truncated unitary: max_delta =", max_delta(x))
 
 # the reduced (odd) localizer at kappa = 1
 reduced = build_reduced(triple, x, kappa=1.0)
-inert, sig = inertia_signature(reduced)
-print(f"reduced localizer: inertia = {tuple(inert)}, signature = {sig}")
+spectrum = hermitian_spectrum(reduced)
+print(f"reduced localizer: inertia = {tuple(spectrum.inertia)}, signature = {spectrum.signature}")
 
 idx, report = winding_demo(1, 3, kappa=1.0, s=0.0)
 print(f"index = Sig/4 = {idx}   (generalized signature {report.signature})")
@@ -59,5 +58,4 @@ print(f"  kappa_max(s = 0.5) = {region.kappa_max(0.5)}")
 print("  in this small-coupling region the signature is constant (and zero:")
 print("  a fixed truncation only pairs nontrivially at finite kappa, here s = 0).")
 
-eigs = eig_hermitian(build_reduced(triple, x, kappa=1.0))
-print("\nreduced localizer spectrum:", np.round(eigs, 3))
+print("\nreduced localizer spectrum:", np.round(spectrum.eigenvalues, 3))

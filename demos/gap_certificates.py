@@ -13,10 +13,9 @@ from specloc import (
     bilateral_shift_truncation,
     bordered,
     delta_singular_check,
-    eig_hermitian,
+    hermitian_spectrum,
     max_delta,
     operator_element,
-    s_gap,
     sigma_spectrum,
 )
 
@@ -33,27 +32,34 @@ for delta in (0.5, 0.99, 1.01):
 
 # the bordered matrix shifts the spectrum to {s-1, s, s+1}
 for s in (0.1, 0.3):
-    eigs = np.unique(np.round(eig_hermitian(bordered(x, s)), 10))
+    eigs = np.unique(np.round(hermitian_spectrum(bordered(x, s)).eigenvalues, 10))
     print(f"bordered values at s = {s}: {eigs}")
 
-# the s-gap attains the min(s, delta-s) lower bound
-print("s-gaps:", [(s, round(s_gap(x, s), 12)) for s in (0.1, 0.3, 0.5, 0.7)])
 
-# --- both certification modes agree ---------------------------------------
+
+def bordered_gap(y, s):
+    """The bordered matrix's smallest absolute eigenvalue at shift s."""
+    return float(np.min(np.abs(hermitian_spectrum(bordered(y, s)).eigenvalues)))
+
+
+# the s-gap attains the min(s, delta-s) lower bound
+print("s-gaps:", [(s, round(bordered_gap(x, s), 12)) for s in (0.1, 0.3, 0.5, 0.7)])
+
+# --- the certificate's s-gaps are the bordered matrix's --------------------
 
 # a self-adjoint element: Sigma_x is read from the singular values of x, one
-# half-size solve, while grid mode probes the full bordered matrix at interior shifts
+# half-size solve, and eig(bordered(y, s)) = s + Sigma_x gives each s-gap
+# min|s + Sigma_x| without building the full bordered matrix
 rng = np.random.default_rng(0)
 h = rng.standard_normal((4, 4))
 y = operator_element(h + h.T)
 dm = max_delta(y)
 print("\nrandom self-adjoint element, max_delta =", round(dm, 6))
 for delta in (0.5 * dm, 1.5 * dm):
-    verdicts = {
-        mode: delta_singular_check(y, delta, mode=mode).verdict
-        for mode in ("spectrum", "grid")
-    }
-    print(f"delta = {delta:.6f}: {verdicts}")
+    cert = delta_singular_check(y, delta)
+    print(f"delta = {delta:.6f}: verdict = {cert.verdict}")
+    for s, g in cert.s_gaps[::4]:
+        print(f"  s = {s:.6f}: certificate {g:.12f}, bordered {bordered_gap(y, s):.12f}")
 
 # --- delta = 0 is plain invertibility --------------------------------------
 

@@ -11,9 +11,7 @@ from .linalg import (
     TolerancePolicy,
     direct_sum,
     doubled_matrix,
-    eig_hermitian,
     hermitian_spectrum,
-    inertia_signature,
     is_self_adjoint,
     is_singular,
     min_singular_value,
@@ -29,7 +27,6 @@ from .gap import (
     identity_element,
     max_delta,
     operator_element,
-    s_gap,
     sigma_spectrum,
 )
 from .clifford import (
@@ -57,7 +54,6 @@ from .localizer import (
     LocalizerReport,
     RegionDescription,
     SpectralTriple,
-    build_generalized,
     build_reduced,
     commutator_norm,
     even_triple,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import clifford as _clifford
 from .errors import SpeclocError
-from .gap import MODES, delta_singular_check, operator_element
+from .gap import delta_singular_check, operator_element
 from .homotopy import contract_invertible, verify_path
 from .linalg import TolerancePolicy, hermitian_spectrum, operator_norm
 from .localizer import (
@@ -87,9 +87,7 @@ def _load_triple(args, policy):
 
 def _cmd_gap_check(args, policy):
     x = _load_element(args, policy)
-    cert = delta_singular_check(
-        x, args.delta, mode=args.mode, grid_points=args.grid_points, policy=policy
-    )
+    cert = delta_singular_check(x, args.delta, policy=policy)
     return "gap-check", certificate_to_json(cert), 0 if cert.verdict else 2
 
 
@@ -224,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--block-size", type=int, default=1)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--mode", choices=MODES, default="spectrum")
-    p.add_argument("--grid-points", type=int, default=9)
     _add_shared(p)
     p.set_defaults(func=_cmd_gap_check)
 

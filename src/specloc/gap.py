@@ -21,12 +21,12 @@ is sound because an element's matrix is a private copy that numpy refuses
 to make writable, and the memoized spectrum is read-only the same way; a
 spectral triple's Dirac block and a Clifford representation's generators
 and grading are frozen by the same helper, ``linalg._read_only``.
-The bordered matrix itself is built only by the independent oracles:
-``grid`` mode, :func:`s_gap` and ``clifford.verify_doubling``.
+The bordered matrix itself is built only by ``clifford.verify_doubling``
+and by the dense references the tests compare against (``tests/oracles.py``).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,11 +39,8 @@ from .linalg import (
     as_matrix,
     doubled_matrix,
     doubled_spectrum,
-    eig_hermitian,
     is_self_adjoint,
 )
-
-MODES = ("spectrum", "grid")
 
 
 @dataclass(frozen=True)
@@ -130,8 +127,21 @@ class GapCertificate:
     queried_delta: float
     verdict: bool
     marginal: bool
-    s_gaps: tuple = field(default_factory=tuple)
-    mode: str = "spectrum"
+
+    @property
+    def s_gaps(self) -> tuple:
+        """``(s, min|s + Sigma_x|)`` at s = k*delta/10, k = 1..9; ``()`` at delta = 0.
+
+        Computed on access: ``eig(bordered(x, s)) = s + Sigma_x``, so each
+        value is the bordered matrix's smallest absolute eigenvalue.
+        """
+        delta = self.queried_delta
+        if delta == 0.0:
+            return ()
+        return tuple(
+            (s, float(np.min(np.abs(s + self.sigma_x))))
+            for s in (delta * i / 10.0 for i in range(1, 10))
+        )
 
 
 def bordered(x: OperatorElement, s: float) -> np.ndarray:
@@ -151,36 +161,20 @@ def max_delta(x: OperatorElement, policy: TolerancePolicy = DEFAULT_POLICY) -> f
     return delta_singular_check(x, 0.0, policy=policy).delta_max
 
 
-def s_gap(x: OperatorElement, s: float, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
-    """Smallest absolute eigenvalue of the bordered matrix at shift s."""
-    if s < 0:
-        raise ValueError("shift s must be nonnegative")
-    return float(np.min(np.abs(eig_hermitian(bordered(x, s), policy))))
-
-
 def delta_singular_check(
     x: OperatorElement,
     delta: float,
-    mode: str = "spectrum",
-    grid_points: int = 9,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> GapCertificate:
     """Certify (or refute) that x is delta-singular.
 
     Sigma_x = +-(singular values of x), from one SVD of x, tested against
     the doubled matrix's tau; an element flagged self-adjoint must be
-    Hermitian at that tau (``NotSelfAdjointError`` otherwise).
-
-    Modes:
-      * ``spectrum`` - the verdict is read from Sigma_x; exact.
-      * ``grid`` - independent oracle: per-sample eigensolves of the
-        bordered matrix on an interior grid of shifts, each checked
-        against the min{s, delta-s} lower bound for gapped elements.
+    Hermitian at that tau (``NotSelfAdjointError`` otherwise).  The
+    verdict is read from Sigma_x: no magnitude lies in (tau, delta - tau).
 
     ``delta = 0`` degenerates to invertibility of the doubled matrix.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     if not math.isfinite(delta) or delta < 0:
         raise ValueError("delta must be finite and nonnegative")
 
@@ -191,41 +185,14 @@ def delta_singular_check(
     nonzero = magnitudes[magnitudes > tau]
     dmax = float(nonzero.min()) if nonzero.size else math.inf
 
-    if mode == "grid":
-        if grid_points < 2:
-            raise ValueError("grid mode requires at least 2 sample points")
-        if delta <= 0:
-            raise ValueError("grid mode requires delta > 0")
-        samples = []
-        verdict = True
-        marginal = False
-        for i in range(1, grid_points + 1):
-            s = delta * i / (grid_points + 1)  # open interval: endpoints excluded
-            g = s_gap(x, s, policy)
-            bound = min(s, delta - s) - tau
-            samples.append((s, g))
-            if g < bound:
-                verdict = False
-            if abs(g - bound) <= tau:
-                marginal = True
-        return GapCertificate(
-            sigma, dmax, float(delta), verdict, marginal, tuple(samples), mode
-        )
-
     if delta == 0.0:
         smallest = float(magnitudes.min())
         verdict = smallest > tau
         marginal = tau < smallest <= 2 * tau
-        s_gaps = ()
     else:
         violating = (magnitudes > tau) & (magnitudes < delta - tau)
         verdict = not bool(np.any(violating))
         near_zero = (magnitudes > tau) & (magnitudes <= 2 * tau)
         near_delta = (magnitudes >= delta - tau) & (magnitudes < delta + tau)
         marginal = bool(np.any(near_zero) or np.any(near_delta))
-        # analytic per-shift gaps: eig(bordered(x, s)) = s + Sigma_x
-        s_gaps = tuple(
-            (s, float(np.min(np.abs(s + sigma))))
-            for s in (delta * i / 10.0 for i in range(1, 10))
-        )
-    return GapCertificate(sigma, dmax, float(delta), verdict, marginal, s_gaps, mode)
+    return GapCertificate(sigma, dmax, float(delta), verdict, marginal)

@@ -5,10 +5,10 @@ reads the spectrum it has just solved; residual tests compare two matrices
 through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
 (``residual_tol``).  One rule per question, with its callers:
 
-* Hermitian zero test, :func:`hermitian_spectrum` (and its views
-  :func:`eig_hermitian` and :func:`inertia_signature`): the merged spectrum of
-  size N of one matrix or a direct sum of blocks, ``|lambda| <= f * N * eps *
-  max|lambda|``; ``index``, ``winding_demo``, CLI ``localizer``.
+* Hermitian zero test, :func:`hermitian_spectrum`, whose ``Spectrum``
+  carries the eigenvalues, the inertia and the signature: the merged spectrum
+  of size N of one matrix or a direct sum of blocks, ``|lambda| <= f * N * eps
+  * max|lambda|``; ``index``, ``winding_demo``, CLI ``localizer``.
 * Doubled zero test, :func:`doubled_spectrum`: ``spec [[0, x], [x*, 0]] =
   +-sigma_i(x)`` from one singular-value solve of x, ``sigma <= f * 2n * eps *
   sigma_max``; gap certificates and ``contract_invertible`` (through
@@ -186,17 +186,6 @@ def doubled_spectrum(
     if self_adjoint:
         _require_adjoint((m,), spectrum.tau)
     return spectrum
-
-
-def eig_hermitian(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Ascending real eigenvalues of a (numerically) self-adjoint matrix."""
-    return hermitian_spectrum(matrix, policy=policy).eigenvalues
-
-
-def inertia_signature(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> tuple[Inertia, int]:
-    """Counts of eigenvalues above/at/below the zero threshold, and their signature."""
-    spectrum = hermitian_spectrum(matrix, policy=policy)
-    return spectrum.inertia, spectrum.signature
 
 
 def operator_norm(matrix) -> float:

@@ -31,8 +31,8 @@ sigma_x into sigma_z, so for either parity
 
 ``index``, ``gap_bound_check`` and the CLI read the spectrum of
 L(kappa, s) from the two half-size blocks (:func:`localizer_halves`),
-and at s = 0 from one solve of L_reduced; ``build_generalized``
-assembles the full matrix and is kept as the dense reference.
+and at s = 0 from one solve of L_reduced.  Only the dense reference the
+tests compare against (``tests/oracles.py``) assembles the full matrix.
 
 For a fixed finite truncation the region-certified signature is the
 small-coupling limit (zero for winding classes); integer indices of
@@ -189,23 +189,6 @@ def build_reduced(
     return c + kappa * k
 
 
-def build_generalized(
-    T: SpectralTriple,
-    x: OperatorElement,
-    kappa: float,
-    s: float,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-) -> np.ndarray:
-    """Shifted localizer I_2 (x) L_reduced + s * (sigma_x (x) W); see module docstring.
-
-    The dense reference for :func:`localizer_halves`.
-    """
-    _check_point(kappa, s)
-    c, k, w = _reduced_parts(T, x, policy)
-    reduced = c + kappa * k
-    return np.block([[reduced, s * w], [s * w, reduced]])
-
-
 def localizer_halves(
     T: SpectralTriple,
     x: OperatorElement,
@@ -213,7 +196,7 @@ def localizer_halves(
     s: float,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> tuple:
-    """Blocks of the direct sum unitarily equivalent to ``build_generalized``.
+    """Blocks of the direct sum unitarily equivalent to L(kappa, s).
 
     ``(L_reduced + s*W, L_reduced - s*W)``, and ``(L_reduced, L_reduced)``
     (one array twice, solved once by ``hermitian_spectrum``) at s = 0.

@@ -105,7 +105,6 @@ def certificate_to_json(cert: GapCertificate) -> dict:
         "verdict": bool(cert.verdict),
         "marginal": bool(cert.marginal),
         "s_gaps": [[float(s), float(g)] for s, g in cert.s_gaps],
-        "mode": cert.mode,
     }
 
 

@@ -9,19 +9,17 @@ from specloc import (
     HomotopyPath,
     bilateral_shift_truncation,
     bordered,
-    build_generalized,
     build_reduced,
     circle_dirac,
     circle_unitary_truncation,
     clifford_rep,
     contract_invertible,
     delta_singular_check,
-    eig_hermitian,
     embed_low,
     gap_bound_check,
+    hermitian_spectrum,
     identity_element,
     index,
-    inertia_signature,
     max_delta,
     odd_triple,
     operator_element,
@@ -34,10 +32,11 @@ from specloc import (
     winding_demo,
 )
 
+from oracles import build_generalized, grid_check
+
 
 def signature_of(matrix):
-    _, sig = inertia_signature(matrix)
-    return sig
+    return hermitian_spectrum(matrix).signature
 
 
 def test_criterion_1_fig1_reproduction():
@@ -63,7 +62,7 @@ def test_criterion_3_toeplitz_bordered_spectrum():
     for n in range(3, 9):
         x = bilateral_shift_truncation(n)
         for s in (0.1, 0.3, 0.5):
-            eigs = eig_hermitian(bordered(x, s))
+            eigs = hermitian_spectrum(bordered(x, s)).eigenvalues
             expected = np.sort([s - 1.0] * (n - 1) + [s, s] + [s + 1.0] * (n - 1))
             np.testing.assert_allclose(eigs, expected, atol=1e-10)
             assert set(np.round(expected, 12)) == {
@@ -88,7 +87,8 @@ def test_criterion_4_unit_localizer_spectrum():
                     for pm in (1, -1)
                 ]
             )
-            np.testing.assert_allclose(eig_hermitian(loc), expected, atol=1e-10)
+            eigs = hermitian_spectrum(loc).eigenvalues
+            np.testing.assert_allclose(eigs, expected, atol=1e-10)
             assert signature_of(loc) == 0
     print("ACCEPTANCE 4 (unit localizer spectrum, 3x3 grid): PASS "
           "[eigenvalues match +-sqrt((1+-'s)^2 + k^2 l^2) to 1e-10, Sig=0]")
@@ -134,11 +134,11 @@ def test_criterion_6_mode_agreement():
         if abs(factor - 1.0) < 0.05:
             factor = 1.2
         delta = dmax * factor
-        spectrum = delta_singular_check(x, delta, mode="spectrum").verdict
-        grid = delta_singular_check(x, delta, mode="grid", grid_points=9).verdict
+        spectrum = delta_singular_check(x, delta).verdict
+        grid = grid_check(x, delta, grid_points=9).verdict
         assert spectrum == grid, (trial, delta, dmax)
         agreements += 1
-    print(f"ACCEPTANCE 6 (spectrum/grid mode agreement): PASS [{agreements}/100]")
+    print(f"ACCEPTANCE 6 (certificate/bordered grid agreement): PASS [{agreements}/100]")
 
 
 def test_criterion_7_clifford_suite():
@@ -236,7 +236,7 @@ def test_criterion_8_invariance_suite():
         )
         red = build_reduced(trip, x, kappa)
         gen = build_generalized(trip, x, kappa, 0.0)
-        red_eigs = eig_hermitian(red)
+        red_eigs = hermitian_spectrum(red).eigenvalues
         if np.min(np.abs(red_eigs)) > 1e-10:
             assert signature_of(gen) == 2 * signature_of(red)
     print("ACCEPTANCE 8 (invariance suite): PASS "

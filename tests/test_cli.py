@@ -85,13 +85,19 @@ def test_gap_check_verdict_false_exit_2(capsys, shift_file):
     assert report["report"]["verdict"] is False
 
 
-def test_gap_check_grid_mode(capsys, shift_file):
-    code, report = run(
-        capsys,
-        ["gap-check", "--matrix", shift_file, "--delta", "0.5", "--mode", "grid"],
-    )
+def test_gap_check_report_keys_and_no_mode_flags(capsys, shift_file):
+    # one certification route: the report carries no "mode", and the former
+    # --mode and --grid-points flags are usage errors
+    code, report = run(capsys, ["gap-check", "--matrix", shift_file, "--delta", "0.5"])
     assert code == 0
+    keys = {"sigma_x", "delta_max", "delta", "verdict", "marginal", "s_gaps"}
+    assert set(report["report"]) == keys
     assert len(report["report"]["s_gaps"]) == 9
+    for flag in (["--mode", "grid"], ["--grid-points", "9"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["gap-check", "--matrix", shift_file, "--delta", "0.5", *flag])
+        assert exc.value.code == 64
+        assert capsys.readouterr().out == ""
 
 
 def test_circle_with_plot(capsys, tmp_path):

@@ -14,17 +14,20 @@ from specloc import (
     TolerancePolicy,
     bilateral_shift_truncation,
     bordered,
+    circle_dirac,
     delta_singular_check,
-    eig_hermitian,
+    hermitian_spectrum,
     identity_element,
+    index,
     is_self_adjoint,
     max_delta,
     operator_element,
-    s_gap,
     sigma_spectrum,
     verify_path,
 )
 from specloc.errors import NotSelfAdjointError
+
+from oracles import grid_check, s_gap
 
 
 def random_element(seed, n=4, self_adjoint=False):
@@ -48,9 +51,8 @@ def test_bordered_zero_element():
 def test_bordered_shift_spectrum():
     # eigenvalues shift to -1+s, s, 1+s
     x = bilateral_shift_truncation(3)
-    np.testing.assert_allclose(
-        eig_hermitian(bordered(x, 0.3)), [-0.7, -0.7, 0.3, 0.3, 1.3, 1.3], atol=1e-10
-    )
+    eigs = hermitian_spectrum(bordered(x, 0.3)).eigenvalues
+    np.testing.assert_allclose(eigs, [-0.7, -0.7, 0.3, 0.3, 1.3, 1.3], atol=1e-10)
 
 
 def test_sigma_unit():
@@ -122,7 +124,7 @@ def test_element_flagged_self_adjoint_must_be_hermitian():
     x = bilateral_shift_truncation(3)
     for certify in (
         lambda y: delta_singular_check(y, 0.5),
-        lambda y: delta_singular_check(y, 0.5, mode="grid"),
+        lambda y: grid_check(y, 0.5),
         sigma_spectrum,
         lambda y: verify_path(HomotopyPath((y, y), (0.0, 1.0)), 0.5),
     ):
@@ -132,21 +134,35 @@ def test_element_flagged_self_adjoint_must_be_hermitian():
 
 def test_self_adjoint_certificate_builds_no_bordered_matrix(monkeypatch):
     # Sigma_x comes from the singular values of x for every element, self-adjoint
-    # or not; only grid mode builds the bordered matrix, at its interior shifts
-    import specloc.gap as gap
+    # or not, and no product path builds the bordered matrix: only the test
+    # oracles do.  bordered is replaced in every module that binds it.
+    import oracles
+    import specloc
 
     calls = []
-    original = gap.bordered
-    monkeypatch.setattr(gap, "bordered", lambda y, s: calls.append(s) or original(y, s))
+    original = specloc.gap.bordered
+
+    def recorded(y, s):
+        calls.append(s)
+        return original(y, s)
+
+    for module in (specloc, specloc.gap, specloc.clifford, oracles):
+        monkeypatch.setattr(module, "bordered", recorded)
     for x in (operator_element(np.diag([2.0, -3.0])), bilateral_shift_truncation(3)):
         sigma_spectrum(x)
         max_delta(x)
         delta_singular_check(x, 0.0)
-        delta_singular_check(x, 0.5)
+        cert = delta_singular_check(x, 0.5)
+        assert len(cert.s_gaps) == 9
+        verify_path(HomotopyPath((x, x), (0.0, 1.0)), 0.5)
         assert calls == []
-        delta_singular_check(x, 0.5, mode="grid", grid_points=3)
+        # the oracle reaches the replaced function, so the check above can fail
+        grid_check(x, 0.5, grid_points=3)
         assert calls == [0.125, 0.25, 0.375]
         calls.clear()
+    idx, report = index(circle_dirac(2), identity_element(5), 0.8)
+    assert idx == 0 and len(report.samples) == 5
+    assert calls == []
 
 
 def test_certificate_takes_one_svd_of_x(solve_counts):
@@ -184,19 +200,11 @@ def test_flag_is_tested_at_the_doubled_dimension():
                 delta_singular_check(element, 0.4)
 
 
-def test_grid_mode_requirements():
-    x = bilateral_shift_truncation(3)
-    with pytest.raises(ValueError):
-        delta_singular_check(x, 0.5, mode="grid", grid_points=1)
-    with pytest.raises(ValueError):
-        delta_singular_check(x, 0.0, mode="grid")
-
-
 def test_grid_mode_detects_violation():
     x = bilateral_shift_truncation(4)
-    cert = delta_singular_check(x, 1.2, mode="grid", grid_points=9)
-    assert not cert.verdict
-    assert len(cert.s_gaps) == 9
+    check = grid_check(x, 1.2, grid_points=9)
+    assert not check.verdict
+    assert len(check.s_gaps) == 9
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11])
@@ -207,8 +215,8 @@ def test_mode_agreement(seed):
     dmax = max_delta(x)
     for factor in (0.4, 0.8, 1.3):
         delta = dmax * factor
-        spectrum = delta_singular_check(x, delta, mode="spectrum").verdict
-        grid = delta_singular_check(x, delta, mode="grid", grid_points=9).verdict
+        spectrum = delta_singular_check(x, delta).verdict
+        grid = grid_check(x, delta, grid_points=9).verdict
         assert spectrum == grid == (factor < 1.0)
 
 
@@ -225,10 +233,12 @@ def test_gap_bound_property(seed):
 def test_self_adjoint_similarity():
     # spectrum of bordered(x, s) is {s + lam} U {s - lam} over lam in spec(x)
     x = random_element(13, n=4, self_adjoint=True)
-    eigs = eig_hermitian(x.matrix)
+    eigs = hermitian_spectrum(x.matrix).eigenvalues
     s = 0.37
     expected = np.sort(np.concatenate([s + eigs, s - eigs]))
-    np.testing.assert_allclose(eig_hermitian(bordered(x, s)), expected, atol=1e-12)
+    np.testing.assert_allclose(
+        hermitian_spectrum(bordered(x, s)).eigenvalues, expected, atol=1e-12
+    )
 
 
 def test_unitary_scaling_invariance():
@@ -252,6 +262,35 @@ def test_s_gap_values():
     assert s_gap(z, 0.1) == pytest.approx(0.1, abs=1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["general", "hermitian", "shift"]),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.5]),
+)
+def test_s_gaps_match_the_bordered_matrix(kind, n, seed, frac):
+    # each s_gaps entry min|s + Sigma_x| is the bordered matrix's smallest
+    # absolute eigenvalue at that shift, within the certificate's tau
+    if kind == "shift":
+        x = bilateral_shift_truncation(n + 1)  # singular, and gapped up to 1
+    else:
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "hermitian":
+            m = (m + m.conj().T) / 2
+        x = OperatorElement(m, 1, n, kind == "hermitian")
+    delta = frac * max(float(np.linalg.norm(x.matrix, 2)), 1.0)
+    cert = delta_singular_check(x, delta)
+    if delta == 0.0:
+        assert cert.s_gaps == ()
+        return
+    tau = x.doubled().tau
+    assert [s for s, _ in cert.s_gaps] == [delta * i / 10.0 for i in range(1, 10)]
+    for s, gap in cert.s_gaps:
+        assert abs(gap - s_gap(x, s)) <= tau
+
+
 def test_max_delta_values():
     assert max_delta(bilateral_shift_truncation(5)) == pytest.approx(1.0)
     assert max_delta(identity_element(3)) == pytest.approx(1.0)
@@ -262,8 +301,8 @@ def test_max_delta_values():
 def _same_certificate(a, b):
     return (
         np.array_equal(a.sigma_x, b.sigma_x)
-        and (a.delta_max, a.queried_delta, a.verdict, a.marginal, a.s_gaps, a.mode)
-        == (b.delta_max, b.queried_delta, b.verdict, b.marginal, b.s_gaps, b.mode)
+        and (a.delta_max, a.queried_delta, a.verdict, a.marginal, a.s_gaps)
+        == (b.delta_max, b.queried_delta, b.verdict, b.marginal, b.s_gaps)
     )
 
 
@@ -276,7 +315,6 @@ def _same_certificate(a, b):
         st.tuples(
             st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, 1.5]),
             st.sampled_from([1.0, 16.0, 1000.0]),
-            st.sampled_from(["spectrum", "grid"]),
         ),
         min_size=1,
         max_size=6,
@@ -291,15 +329,11 @@ def test_memoized_certificate_equals_a_fresh_elements(n, seed, column_scale, que
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m[:, 0] *= column_scale
     x = operator_element(m)
-    for frac, factor, mode in queries:
+    for frac, factor in queries:
         policy = TolerancePolicy(factor)
         delta = frac * float(np.linalg.norm(m, 2))
-        if mode == "grid" and delta == 0.0:
-            continue
-        cert = delta_singular_check(x, delta, mode=mode, policy=policy)
-        fresh = delta_singular_check(
-            OperatorElement(m, 1, n, x.self_adjoint), delta, mode=mode, policy=policy
-        )
+        cert = delta_singular_check(x, delta, policy=policy)
+        fresh = delta_singular_check(OperatorElement(m, 1, n, x.self_adjoint), delta, policy=policy)
         assert _same_certificate(cert, fresh)
 
 

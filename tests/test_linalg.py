@@ -8,9 +8,7 @@ from specloc import (
     TolerancePolicy,
     direct_sum,
     doubled_matrix,
-    eig_hermitian,
     hermitian_spectrum,
-    inertia_signature,
     is_singular,
     min_singular_value,
     operator_norm,
@@ -34,11 +32,13 @@ def random_unitary(n, seed):
 
 
 def test_eig_hermitian_diagonal():
-    np.testing.assert_allclose(eig_hermitian(np.diag([3.0, 1.0, 2.0])), [1, 2, 3])
+    eigs = hermitian_spectrum(np.diag([3.0, 1.0, 2.0])).eigenvalues
+    np.testing.assert_allclose(eigs, [1, 2, 3])
 
 
 def test_eig_hermitian_pauli_x():
-    np.testing.assert_allclose(eig_hermitian(np.array([[0, 1], [1, 0]])), [-1, 1])
+    eigs = hermitian_spectrum(np.array([[0, 1], [1, 0]])).eigenvalues
+    np.testing.assert_allclose(eigs, [-1, 1])
 
 
 def test_doubled_spectrum_is_plus_minus_singular_values_at_the_doubled_tau():
@@ -57,36 +57,39 @@ def test_eig_hermitian_bordered_shift():
     s = 0.3
     m = np.block([[s * np.eye(3), j3], [j3.T, s * np.eye(3)]])
     np.testing.assert_allclose(
-        eig_hermitian(m), [-0.7, -0.7, 0.3, 0.3, 1.3, 1.3], atol=1e-10
+        hermitian_spectrum(m).eigenvalues, [-0.7, -0.7, 0.3, 0.3, 1.3, 1.3], atol=1e-10
     )
 
 
 def test_eig_hermitian_rejects_non_square():
     with pytest.raises(NotSquareError):
-        eig_hermitian(np.zeros((2, 3)))
+        hermitian_spectrum(np.zeros((2, 3)))
 
 
 def test_eig_hermitian_rejects_asymmetric():
     with pytest.raises(NotSelfAdjointError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        hermitian_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_eig_hermitian_symmetrizes_roundoff():
     m = np.array([[1.0, 0.5 + 1e-17j], [0.5, 2.0]])
-    np.testing.assert_allclose(eig_hermitian(m), eig_hermitian((m + m.conj().T) / 2))
+    np.testing.assert_allclose(
+        hermitian_spectrum(m).eigenvalues,
+        hermitian_spectrum((m + m.conj().T) / 2).eigenvalues,
+    )
 
 
 def test_eig_hermitian_rejects_nan():
     with pytest.raises(NonFiniteError):
-        eig_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        hermitian_spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_eig_hermitian_deterministic():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = a + a.conj().T
-    first = eig_hermitian(h)
-    second = eig_hermitian(h.copy())
+    first = hermitian_spectrum(h).eigenvalues
+    second = hermitian_spectrum(h.copy()).eigenvalues
     assert first.tobytes() == second.tobytes()
 
 
@@ -97,16 +100,17 @@ def test_eig_hermitian_unitary_invariance(seed):
     h = a + a.conj().T
     u = random_unitary(5, seed + 100)
     np.testing.assert_allclose(
-        eig_hermitian(u @ h @ u.conj().T), eig_hermitian(h), atol=1e-12
+        hermitian_spectrum(u @ h @ u.conj().T).eigenvalues,
+        hermitian_spectrum(h).eigenvalues,
+        atol=1e-12,
     )
 
 
 def test_inertia_signature_basics():
-    inert, sig = inertia_signature(np.diag([2.0, -1.0]))
-    assert (inert.n_plus, inert.n_zero, inert.n_minus) == (1, 0, 1)
-    assert sig == 0
-    _, sig = inertia_signature(np.diag([1.0, 1.0, -1.0]))
-    assert sig == 1
+    spectrum = hermitian_spectrum(np.diag([2.0, -1.0]))
+    assert spectrum.inertia == (1, 0, 1)
+    assert spectrum.signature == 0
+    assert hermitian_spectrum(np.diag([1.0, 1.0, -1.0])).signature == 1
 
 
 @pytest.mark.parametrize("seed", [4, 5])
@@ -114,17 +118,16 @@ def test_inertia_counts_and_negation(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((7, 7))
     h = a + a.T
-    inert, sig = inertia_signature(h)
-    assert inert.n_plus + inert.n_zero + inert.n_minus == 7
-    _, neg_sig = inertia_signature(-h)
-    assert sig == -neg_sig
+    spectrum = hermitian_spectrum(h)
+    assert sum(spectrum.inertia) == 7
+    assert spectrum.signature == -hermitian_spectrum(-h).signature
 
 
 def test_inertia_counts_a_singular_matrix_in_n_zero():
     # a singular verdict is spelled inertia.n_zero > 0
-    inert, sig = inertia_signature(np.diag([1.0, 0.0]))
-    assert (inert.n_plus, inert.n_zero, inert.n_minus) == (1, 1, 0)
-    assert sig == 1
+    spectrum = hermitian_spectrum(np.diag([1.0, 0.0]))
+    assert spectrum.inertia == (1, 1, 0)
+    assert spectrum.signature == 1
 
 
 def test_operator_norm_values():
@@ -147,8 +150,9 @@ def test_direct_sum_and_kron():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((3, 3))
     h = a + a.T
-    doubled = eig_hermitian(np.kron(np.eye(2), h))
-    np.testing.assert_allclose(doubled, np.sort(np.concatenate([eig_hermitian(h)] * 2)))
+    doubled = hermitian_spectrum(np.kron(np.eye(2), h)).eigenvalues
+    single = hermitian_spectrum(h).eigenvalues
+    np.testing.assert_allclose(doubled, np.sort(np.concatenate([single] * 2)))
 
 
 def test_direct_sum_norm_and_spectrum():
@@ -159,8 +163,8 @@ def test_direct_sum_norm_and_spectrum():
     s = direct_sum(ha, hb)
     assert operator_norm(s) == pytest.approx(max(operator_norm(ha), operator_norm(hb)))
     np.testing.assert_allclose(
-        eig_hermitian(s),
-        np.sort(np.concatenate([eig_hermitian(ha), eig_hermitian(hb)])),
+        hermitian_spectrum(s).eigenvalues,
+        hermitian_spectrum(ha, hb).eigenvalues,
         atol=1e-12,
     )
 
@@ -177,7 +181,9 @@ def test_doubled_matrix_layout_and_spectrum():
         # spectrum s + Sigma_a, Sigma_a = +-sigma_i(a)
         sv = np.linalg.svd(a, compute_uv=False)
         np.testing.assert_allclose(
-            eig_hermitian(d), np.sort(np.concatenate([s - sv, s + sv])), atol=1e-12
+            hermitian_spectrum(d).eigenvalues,
+            np.sort(np.concatenate([s - sv, s + sv])),
+            atol=1e-12,
         )
     # the graded sum a (+) (-b)
     np.testing.assert_array_equal(direct_sum(a, -a), np.kron(np.diag([1.0, -1.0]), a))

@@ -3,12 +3,13 @@
 The oracle is ``np.linalg.eigvalsh`` of the symmetrized matrix, with the
 zero threshold ``TolerancePolicy.tau`` (an SVD-based operator norm).  The
 split localizer (two half-size blocks, one at s = 0) is checked against
-the dense ``build_generalized`` assembly, and the gap certificate (one SVD
-of x) against the dense spectrum of ``bordered(x, 0)``.  ``is_singular`` is
-checked against the delta = 0 certificate, and ``residual_ok`` against its
-rule written out by hand.  The path certificate's per-segment step guard is
-checked against dense sampling of ``bordered(y, delta/2)`` along drawn
-segments, and its step report against the SVD norm of each step.
+the dense ``build_generalized`` assembly of ``tests/oracles.py``, and the
+gap certificate (one SVD of x) against the dense spectrum of
+``bordered(x, 0)``.  ``is_singular`` is checked against the delta = 0
+certificate, and ``residual_ok`` against its rule written out by hand.
+The path certificate's per-segment step guard is checked against dense
+sampling of ``bordered(y, delta/2)`` along drawn segments, and its step
+report against the SVD norm of each step.
 """
 
 from unittest import mock
@@ -23,13 +24,11 @@ from specloc import (
     HomotopyPath,
     OperatorElement,
     SpectralTriple,
-    build_generalized,
     bordered,
     build_reduced,
     contract_invertible,
     delta_singular_check,
     direct_sum,
-    eig_hermitian,
     even_triple,
     gap_bound_check,
     hermitian_spectrum,
@@ -41,7 +40,6 @@ from specloc import (
     operator_norm,
     random_gapped,
     residual_ok,
-    s_gap,
     sigma_spectrum,
     verify_path,
 )
@@ -51,6 +49,8 @@ from specloc.errors import (
     NotInvertibleError,
     NotSelfAdjointError,
 )
+
+from oracles import build_generalized, s_gap
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -389,7 +389,7 @@ def test_bordered_spectrum_is_shifted_sigma(d, n, seed, s, sa):
     x = random_gapped(d, n, 0.5, self_adjoint=sa, seed=seed)
     sigma = sigma_spectrum(x)
     np.testing.assert_allclose(sigma, np.linalg.eigvalsh(bordered(x, 0.0)), rtol=0.0, atol=1e-12)
-    shifted = eig_hermitian(bordered(x, s))
+    shifted = hermitian_spectrum(bordered(x, s)).eigenvalues
     np.testing.assert_allclose(shifted, s + sigma, rtol=0.0, atol=1e-12 * max(1.0, abs(s)))
 
 
