@@ -35,6 +35,7 @@ from .linalg import (
     DEFAULT_POLICY,
     Spectrum,
     TolerancePolicy,
+    _ArrayValue,
     _read_only,
     as_matrix,
     doubled_matrix,
@@ -43,8 +44,8 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class OperatorElement:
+@dataclass(frozen=True, eq=False)
+class OperatorElement(_ArrayValue):
     """A matrix over M_n(E) with its block metadata.
 
     ``matrix`` has size (ambient_dim * block_size); element blocks are
@@ -120,8 +121,8 @@ def identity_element(ambient_dim: int, block_size: int = 1) -> OperatorElement:
     )
 
 
-@dataclass(frozen=True)
-class GapCertificate:
+@dataclass(frozen=True, eq=False)
+class GapCertificate(_ArrayValue):
     sigma_x: np.ndarray
     delta_max: float
     queried_delta: float

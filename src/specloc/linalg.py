@@ -27,6 +27,11 @@ through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
   checked against a limit, ``sqrt(||M||_1 ||M||_inf)`` before any SVD;
   ``verify_path``'s per-segment guard.
 
+The Hermitian and doubled spectra and the norms are solved in real arithmetic
+exactly when the solved matrix is real (``_real_if_exact``); the zero rules
+do not change, since LAPACK's real and complex solvers are both backward
+stable within the same tau.
+
 The paper's two block forms are built only here: the doubling ``[[s, a],
 [a*, s]]`` by :func:`doubled_matrix` and the graded sum ``a (+) (-b)`` by
 :func:`direct_sum`.
@@ -34,11 +39,12 @@ The paper's two block forms are built only here: the doubling ``[[s, a],
 Every array an object keeps is frozen by ``_read_only``, a private copy
 that numpy refuses to make writable: an element's matrix and its memoized
 spectrum, a spectral triple's Dirac block, and the generators and grading
-of a Clifford representation.
+of a Clifford representation.  Elements, certificates and triples compare
+and hash by value through ``_ArrayValue``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -96,11 +102,49 @@ def as_matrix(matrix) -> np.ndarray:
     return m
 
 
+def _real_if_exact(m: np.ndarray) -> np.ndarray:
+    """``m.real`` when the imaginary part of m is exactly zero, else m unchanged.
+
+    A nonzero imaginary entry in the first column decides "complex" without
+    scanning the rest, so a complex input pays only that column.
+    """
+    if not np.iscomplexobj(m) or m[..., :1].imag.any() or m.imag.any():
+        return m
+    return m.real
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """A private copy of a that cannot be made writable: a view of a read-only base."""
     base = a.copy()
     base.setflags(write=False)
     return base.view()
+
+
+class _ArrayValue:
+    """Value equality for a frozen dataclass with array fields, declared ``eq=False``.
+
+    ``==`` compares array fields with ``np.array_equal`` and every other
+    field with ``==``.  The hash reads only the shapes of the arrays and the
+    other fields, so equal arrays whose bits differ (``-0.0`` and ``0.0``)
+    cannot hash apart.  A memo kept outside the fields takes no part.
+    """
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._values(), other._values())
+        )
+
+    def __hash__(self):
+        return hash(
+            (self.__class__,)
+            + tuple(v.shape if isinstance(v, np.ndarray) else v for v in self._values())
+        )
 
 
 class Spectrum(NamedTuple):
@@ -159,7 +203,10 @@ def hermitian_spectrum(*blocks, policy: TolerancePolicy = DEFAULT_POLICY) -> Spe
         if m.shape[0] != m.shape[1]:
             raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
     distinct = {id(m): m for m in mats}
-    solved = {key: np.linalg.eigvalsh((m + m.conj().T) / 2.0) for key, m in distinct.items()}
+    solved = {
+        key: np.linalg.eigvalsh(_real_if_exact((m + m.conj().T) / 2.0))
+        for key, m in distinct.items()
+    }
     parts = [solved[id(m)] for m in mats]
     eigs = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
     spectrum = _read_spectrum(eigs, policy)
@@ -181,7 +228,7 @@ def doubled_spectrum(
     m = as_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
-    sv = np.linalg.svd(m, compute_uv=False)
+    sv = np.linalg.svd(_real_if_exact(m), compute_uv=False)
     spectrum = _read_spectrum(np.concatenate([-sv, sv[::-1]]), policy)
     if self_adjoint:
         _require_adjoint((m,), spectrum.tau)
@@ -197,7 +244,7 @@ def operator_norm(matrix) -> float:
         raise NonFiniteError("matrix contains NaN or Inf entries")
     if not np.any(m):
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.norm(_real_if_exact(m), 2))
 
 
 def operator_norm_bound(matrix, limit: float) -> float:
@@ -221,7 +268,7 @@ def operator_norm_bound(matrix, limit: float) -> float:
 def min_singular_value(matrix) -> float:
     """Smallest singular value."""
     m = as_matrix(matrix)
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
+    return float(np.linalg.svd(_real_if_exact(m), compute_uv=False)[-1])
 
 
 def is_singular(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:

@@ -59,6 +59,7 @@ from .linalg import (
     DEFAULT_POLICY,
     Inertia,
     TolerancePolicy,
+    _ArrayValue,
     _read_only,
     as_matrix,
     direct_sum,
@@ -71,8 +72,8 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class SpectralTriple:
+@dataclass(frozen=True, eq=False)
+class SpectralTriple(_ArrayValue):
     """Finite spectral triple data: parity and Dirac block.
 
     Odd: D0 is the self-adjoint Dirac matrix itself.  Even: D0 is the

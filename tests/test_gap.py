@@ -298,14 +298,6 @@ def test_max_delta_values():
     assert max_delta(x) == pytest.approx(2.0)
 
 
-def _same_certificate(a, b):
-    return (
-        np.array_equal(a.sigma_x, b.sigma_x)
-        and (a.delta_max, a.queried_delta, a.verdict, a.marginal, a.s_gaps)
-        == (b.delta_max, b.queried_delta, b.verdict, b.marginal, b.s_gaps)
-    )
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 6),
@@ -334,7 +326,43 @@ def test_memoized_certificate_equals_a_fresh_elements(n, seed, column_scale, que
         delta = frac * float(np.linalg.norm(m, 2))
         cert = delta_singular_check(x, delta, policy=policy)
         fresh = delta_singular_check(OperatorElement(m, 1, n, x.self_adjoint), delta, policy=policy)
-        assert _same_certificate(cert, fresh)
+        assert cert == fresh and cert.s_gaps == fresh.s_gaps
+
+
+def test_elements_and_certificates_compare_by_value():
+    x, y = bilateral_shift_truncation(3), bilateral_shift_truncation(3)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    cx, cy = delta_singular_check(x, 0.5), delta_singular_check(y, 0.5)
+    assert cx == cy and hash(cx) == hash(cy) and len({cx, cy}) == 1
+    # the memo of x is filled, a fresh twin's is not: neither == nor hash sees it
+    twin = bilateral_shift_truncation(3)
+    assert "_doubled" in vars(x) and "_doubled" not in vars(twin)
+    assert x == twin and hash(x) == hash(twin)
+    assert pickle.loads(pickle.dumps(x)) == x == copy.deepcopy(x)
+
+
+def test_elements_and_certificates_that_differ_are_unequal():
+    x = bilateral_shift_truncation(3)
+    assert x != bilateral_shift_truncation(4)
+    assert x != OperatorElement(2 * x.matrix, 1, 3)
+    assert x != OperatorElement(x.matrix, 3, 1)
+    assert x != OperatorElement(x.matrix, 1, 3, self_adjoint=True)
+    assert x != x.matrix.tolist() and x.__eq__(x.matrix) is NotImplemented
+    cert = delta_singular_check(x, 0.5)
+    assert cert != delta_singular_check(x, 0.4)
+    assert cert != delta_singular_check(identity_element(3), 0.5)
+    assert cert != dataclasses.replace(cert, marginal=not cert.marginal)
+
+
+def test_negative_zero_entries_are_equal_and_hash_alike():
+    # np.array_equal(-0.0, 0.0) holds, so the hash must not read the bits
+    x = OperatorElement(np.array([[0.0, 1.0], [-0.0, 2.0]]), 1, 2)
+    y = OperatorElement(np.array([[-0.0, 1.0], [0.0, 2.0]]), 1, 2)
+    assert x.matrix.tobytes() != y.matrix.tobytes()
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    a = dataclasses.replace(delta_singular_check(x, 0.5), sigma_x=np.array([-0.0, 0.0, 1.0]))
+    b = dataclasses.replace(a, sigma_x=np.array([0.0, -0.0, 1.0]))
+    assert a == b and hash(a) == hash(b)
 
 
 def test_memo_is_no_dataclass_field():

@@ -13,6 +13,7 @@ from specloc import (
     min_singular_value,
     operator_norm,
     verify_similarity,
+    winding_demo,
 )
 from specloc.errors import (
     DimensionMismatchError,
@@ -291,3 +292,52 @@ def test_operator_norm_bound_does_not_underflow():
     # ||M||_1 ||M||_inf = 1e-400 underflows; the two roots do not
     m = np.full((2, 2), 1e-200)
     assert operator_norm_bound(m, 1.0) >= 2e-200
+
+
+def _real_and_last_column_complex(n=4):
+    # a real symmetric matrix, and a copy whose only nonzero imaginary entry
+    # is 1e-300 at (1, n-1): its first column, and the first column of its
+    # symmetrized block, are real
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((n, n))
+    real = a + a.T
+    tiny = real.astype(np.complex128)
+    tiny[1, n - 1] += 1e-300j
+    return real, tiny
+
+
+def _solve_all_four(m):
+    # real or complex arithmetic, the eigenvalues are float64 and the norms floats
+    assert hermitian_spectrum(m).eigenvalues.dtype == np.float64
+    assert doubled_spectrum(m).eigenvalues.dtype == np.float64
+    assert type(operator_norm(m)) is float and type(min_singular_value(m)) is float
+
+
+def test_real_input_reaches_lapack_as_float64(solve_dtypes):
+    real, _ = _real_and_last_column_complex()
+    for m in (real, real.astype(np.complex128)):
+        solve_dtypes.clear()
+        _solve_all_four(m)
+        assert [name for name, _ in solve_dtypes] == ["eigvalsh", "svd", "svd", "svd"]
+        assert {dtype for _, dtype in solve_dtypes} == {np.dtype(np.float64)}
+
+
+def test_any_nonzero_imaginary_entry_keeps_complex_arithmetic(solve_dtypes):
+    # the first column alone never decides "real": an imaginary part of 1e-300
+    # in the last column is found by the full scan
+    _, tiny = _real_and_last_column_complex()
+    first_column = np.diag([1.0, 2.0, 3.0, 4.0]).astype(np.complex128)
+    first_column[2, 0], first_column[0, 2] = 1e-300j, -1e-300j
+    for m in (tiny, first_column):
+        solve_dtypes.clear()
+        _solve_all_four(m)
+        assert {dtype for _, dtype in solve_dtypes} == {np.dtype(np.complex128)}
+
+
+def test_winding_demo_solves_in_real_arithmetic(solve_counts, solve_dtypes):
+    # the flagship is real end to end: one eigensolve of R and three SVDs
+    # (x, [D, x], D0), every one of them on a float64 matrix
+    idx, _ = winding_demo(2, 25)
+    assert idx == 2
+    assert (solve_counts["eigvalsh"], solve_counts["svd"]) == (1, 3)
+    assert {dtype for _, dtype in solve_dtypes} == {np.dtype(np.float64)}

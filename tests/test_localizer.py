@@ -42,6 +42,17 @@ def unit_spectrum(dirac_eigs, kappa, s):
     return np.sort(vals)
 
 
+def test_triples_compare_by_value():
+    t, u = circle_dirac(2), circle_dirac(2)
+    assert t == u and hash(t) == hash(u) and len({t, u}) == 1
+    assert t != circle_dirac(3)
+    assert t != SpectralTriple("even", t.D0)
+    assert t != SpectralTriple("odd", -t.D0) and t.__eq__(t.D0) is NotImplemented
+    zero = SpectralTriple("odd", np.zeros((2, 2)))
+    negative_zero = SpectralTriple("odd", -np.zeros((2, 2)))
+    assert zero == negative_zero and hash(zero) == hash(negative_zero)
+
+
 def test_odd_triple_requires_self_adjoint():
     with pytest.raises(NotSelfAdjointError):
         odd_triple(np.array([[0.0, 1.0], [0.0, 0.0]]))

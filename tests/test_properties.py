@@ -2,6 +2,10 @@
 
 The oracle is ``np.linalg.eigvalsh`` of the symmetrized matrix, with the
 zero threshold ``TolerancePolicy.tau`` (an SVD-based operator norm).  The
+kernels solve an exactly real matrix in real arithmetic: the exact tests
+call the oracle in the same arithmetic (``as_solved``), and drawn real
+symmetric and real square matrices are checked within tau of a complex
+solve (``eigvalsh`` and ``svd`` of the matrix cast to complex).  The
 split localizer (two half-size blocks, one at s = 0) is checked against
 the dense ``build_generalized`` assembly of ``tests/oracles.py``, and the
 gap certificate (one SVD of x) against the dense spectrum of
@@ -36,6 +40,7 @@ from specloc import (
     is_self_adjoint,
     is_singular,
     localizer_halves,
+    min_singular_value,
     operator_element,
     operator_norm,
     random_gapped,
@@ -49,20 +54,27 @@ from specloc.errors import (
     NotInvertibleError,
     NotSelfAdjointError,
 )
+from specloc.linalg import doubled_spectrum
 
 from oracles import build_generalized, s_gap
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
-@st.composite
-def hermitian(draw):
-    """Seeded random Hermitian matrix, possibly rank-deficient, at a drawn scale."""
+def draw_size_rng_scale_rank(draw):
     n = draw(st.integers(1, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([1e-6, 1e-2, 1.0, 3.0, 1e4]))
-    rank = draw(st.integers(0, n))
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return n, rng, scale, draw(st.integers(0, n))
+
+
+@st.composite
+def hermitian(draw, real=False):
+    """Seeded random Hermitian matrix, real symmetric if ``real``, possibly rank-deficient."""
+    n, rng, scale, rank = draw_size_rng_scale_rank(draw)
+    a = rng.standard_normal((n, n))
+    if not real:
+        a = a + 1j * rng.standard_normal((n, n))
     q, _ = np.linalg.qr(a)
     eigs = scale * np.concatenate([rng.standard_normal(rank), np.zeros(n - rank)])
     h = (q * eigs) @ q.conj().T
@@ -79,31 +91,76 @@ def perturbed(draw):
     return h + size * (operator_norm(h) or 1.0) * a
 
 
-def oracle_inertia(m):
-    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    tau = DEFAULT_POLICY.tau(m)
+@st.composite
+def real_square(draw):
+    """Seeded random real square matrix of drawn rank (0 included) at a drawn scale."""
+    n, rng, scale, rank = draw_size_rng_scale_rank(draw)
+    return scale * (rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n)))
+
+
+def as_solved(m):
+    """m.real when m has no nonzero imaginary entry: the matrix the kernels hand to LAPACK."""
+    return m.real if not np.any(np.imag(m)) else m
+
+
+def counted_inertia(eigs, tau):
     n_plus = int(np.count_nonzero(eigs > tau))
     n_minus = int(np.count_nonzero(eigs < -tau))
-    return eigs, tau, (n_plus, len(eigs) - n_plus - n_minus, n_minus)
+    return n_plus, len(eigs) - n_plus - n_minus, n_minus
+
+
+def oracle_inertia(m):
+    eigs = np.linalg.eigvalsh(as_solved((m + m.conj().T) / 2.0))
+    tau = DEFAULT_POLICY.tau(m)
+    return eigs, tau, counted_inertia(eigs, tau)
+
+
+def assert_within_tau_of_complex_solve(spectrum, eigs):
+    """``spectrum`` lies within its tau of the ascending ``eigs`` of a complex solve.
+
+    The inertia, each read against its own spectrum's tau, agrees wherever
+    no eigenvalue of either lies within 1e-12 tau of +-tau.
+    """
+    assert np.max(np.abs(spectrum.eigenvalues - eigs), initial=0.0) <= spectrum.tau
+    tau = DEFAULT_POLICY.scaled_tol(len(eigs), float(np.abs(eigs).max(initial=0.0)))
+    if not any(
+        np.any(np.abs(np.abs(e) - t) <= 1e-12 * t)
+        for e, t in ((spectrum.eigenvalues, spectrum.tau), (eigs, tau))
+    ):
+        assert tuple(spectrum.inertia) == counted_inertia(eigs, tau)
 
 
 @SETTINGS
-@given(hermitian())
+@given(st.one_of(hermitian(), hermitian(real=True)))
 def test_kernel_eigenvalues_equal_eigvalsh_on_hermitian_input(h):
-    assert np.array_equal(hermitian_spectrum(h).eigenvalues, np.linalg.eigvalsh(h))
+    spectrum = hermitian_spectrum(h)
+    assert np.array_equal(spectrum.eigenvalues, np.linalg.eigvalsh(as_solved(h)))
+    assert_within_tau_of_complex_solve(spectrum, np.linalg.eigvalsh(h.astype(np.complex128)))
 
 
 @SETTINGS
-@given(st.one_of(hermitian(), perturbed()))
+@given(st.one_of(hermitian(), hermitian(real=True), perturbed()))
 def test_kernel_tau_and_inertia_match_oracle(m):
     assume(is_self_adjoint(m))
     spectrum = hermitian_spectrum(m)
     eigs, tau, counts = oracle_inertia(m)
     np.testing.assert_array_equal(spectrum.eigenvalues, eigs)
+    symmetrized = ((m + m.conj().T) / 2.0).astype(np.complex128)
+    assert_within_tau_of_complex_solve(spectrum, np.linalg.eigvalsh(symmetrized))
     assert spectrum.tau == pytest.approx(tau, rel=1e-12, abs=0.0)
     assume(not np.any(np.abs(np.abs(eigs) - tau) <= 1e-12 * tau))
     assert tuple(spectrum.inertia) == counts
     assert spectrum.signature == counts[0] - counts[2]
+
+
+@SETTINGS
+@given(st.one_of(real_square(), hermitian(real=True)))
+def test_real_doubled_spectrum_and_norms_within_tau_of_the_complex_svd(x):
+    sv = np.linalg.svd(x.astype(np.complex128), compute_uv=False)
+    assert_within_tau_of_complex_solve(doubled_spectrum(x), np.concatenate([-sv, sv[::-1]]))
+    tau = DEFAULT_POLICY.scaled_tol(x.shape[0], float(sv[0]))
+    assert abs(operator_norm(x) - sv[0]) <= tau
+    assert abs(min_singular_value(x) - sv[-1]) <= tau
 
 
 @SETTINGS
