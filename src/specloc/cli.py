@@ -7,9 +7,15 @@ eigenvalue scatter plus a CSV eigenvalue dump next to it.
 
 Exit codes: 0 success, 2 verdict-false or singular localizer, 1 errors,
 64 usage errors.
+
+``main`` may be called any number of times in one process; the parser is
+built on the first call and reused.  What may change between calls is read
+per call: ``SPECLOC_TOL_FACTOR`` in ``_policy``, the help width when help is
+formatted, and every argument into a fresh namespace.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -214,7 +220,9 @@ def _add_shared(sub):
                      help="write an SVG eigenvalue scatter (plus CSV dump) here")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built on the first call and shared by every later one."""
     parser = _Parser(prog="specloc")
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import DimensionMismatchError, ModeMismatchError, NotOddError, NotSelfAdjointError
 from .gap import OperatorElement, bordered
 from .linalg import (
-    DEFAULT_POLICY, TolerancePolicy, _read_only, as_matrix, direct_sum, doubled_matrix,
-    is_self_adjoint, residual_ok, verify_similarity,
+    DEFAULT_POLICY, TolerancePolicy, _ArrayValue, _read_only, as_matrix, direct_sum,
+    doubled_matrix, is_self_adjoint, residual_ok, verify_similarity,
 )
 
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -24,8 +24,8 @@ _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class CliffordRep:
+@dataclass(frozen=True, eq=False)
+class CliffordRep(_ArrayValue):
     rep_dim: int
     generators: tuple
     grading: np.ndarray

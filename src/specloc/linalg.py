@@ -39,8 +39,9 @@ The paper's two block forms are built only here: the doubling ``[[s, a],
 Every array an object keeps is frozen by ``_read_only``, a private copy
 that numpy refuses to make writable: an element's matrix and its memoized
 spectrum, a spectral triple's Dirac block, and the generators and grading
-of a Clifford representation.  Elements, certificates and triples compare
-and hash by value through ``_ArrayValue``.
+of a Clifford representation.  Elements, certificates, triples, Clifford
+representations and localizer reports compare and hash by value through
+``_ArrayValue``.
 """
 
 import math
@@ -120,13 +121,32 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return base.view()
 
 
+def _same_value(a, b) -> bool:
+    """``np.array_equal`` for arrays, element by element for tuples, else ``==``."""
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same_value, a, b))
+    return a == b
+
+
+def _hash_key(v):
+    """What ``_ArrayValue`` hashes of a field: an array's shape, a tuple's keys, else v."""
+    if isinstance(v, np.ndarray):
+        return v.shape
+    if isinstance(v, tuple):
+        return tuple(map(_hash_key, v))
+    return v
+
+
 class _ArrayValue:
     """Value equality for a frozen dataclass with array fields, declared ``eq=False``.
 
-    ``==`` compares array fields with ``np.array_equal`` and every other
-    field with ``==``.  The hash reads only the shapes of the arrays and the
-    other fields, so equal arrays whose bits differ (``-0.0`` and ``0.0``)
-    cannot hash apart.  A memo kept outside the fields takes no part.
+    ``==`` compares array fields with ``np.array_equal``, tuple fields (of
+    arrays, say) element by element, and every other field with ``==``.
+    The hash reads only the shapes of the arrays and the other values, so
+    equal arrays whose bits differ (``-0.0`` and ``0.0``) cannot hash apart.
+    A memo kept outside the fields takes no part.
     """
 
     def _values(self) -> tuple:
@@ -135,16 +155,10 @@ class _ArrayValue:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(
-            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-            for a, b in zip(self._values(), other._values())
-        )
+        return _same_value(self._values(), other._values())
 
     def __hash__(self):
-        return hash(
-            (self.__class__,)
-            + tuple(v.shape if isinstance(v, np.ndarray) else v for v in self._values())
-        )
+        return hash((self.__class__,) + _hash_key(self._values()))
 
 
 class Spectrum(NamedTuple):
@@ -189,10 +203,11 @@ def hermitian_spectrum(*blocks, policy: TolerancePolicy = DEFAULT_POLICY) -> Spe
     """Spectrum of the direct sum of (numerically) self-adjoint ``blocks``, with its inertia.
 
     One matrix is the one-block case.  Each distinct block (by identity)
-    is symmetrized and solved once, and the eigenvalues are merged in
-    ascending order.  The zero test reads the merged spectrum of size N:
+    is solved once, as it is when ``B == B*`` exactly and symmetrized
+    otherwise, and the eigenvalues are merged in ascending order.  The zero
+    test reads the merged spectrum of size N:
     ``|lambda| <= tau = f * N * eps * max|lambda|``.  Only then is each
-    distinct block's asymmetry tested against that tau: up to it, the
+    inexact block's asymmetry tested against that tau: up to it, the
     asymmetry is symmetrized away silently; beyond it,
     ``NotSelfAdjointError`` is raised.
     """
@@ -203,14 +218,16 @@ def hermitian_spectrum(*blocks, policy: TolerancePolicy = DEFAULT_POLICY) -> Spe
         if m.shape[0] != m.shape[1]:
             raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
     distinct = {id(m): m for m in mats}
+    # every localizer block is exactly Hermitian; (B + B*) / 2 would equal it bit for bit
+    inexact = {key: m for key, m in distinct.items() if not np.array_equal(m, m.conj().T)}
     solved = {
-        key: np.linalg.eigvalsh(_real_if_exact((m + m.conj().T) / 2.0))
+        key: np.linalg.eigvalsh(_real_if_exact((m + m.conj().T) / 2.0 if key in inexact else m))
         for key, m in distinct.items()
     }
     parts = [solved[id(m)] for m in mats]
     eigs = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
     spectrum = _read_spectrum(eigs, policy)
-    _require_adjoint(distinct.values(), spectrum.tau)
+    _require_adjoint(inexact.values(), spectrum.tau)
     return spectrum
 
 

@@ -248,7 +248,10 @@ def localizer_gap(x: OperatorElement, s: float) -> float:
     This is the quantity that lower-bounds the shifted localizer; it
     equals the bordered s-gap whenever x is normal (in particular
     self-adjoint) and is never larger than it.  At s = 0 both matrices are x,
-    so one SVD suffices.
+    so one SVD suffices.  At s = 0, and for self-adjoint x (eigenvalues
+    lambda_i, so the minimum is ``min_i ||lambda_i| - s|``), it is
+    ``min|s + Sigma_x|``, which ``index`` reads from the element's memoized
+    certificate instead of calling this.
     """
     if s == 0:
         return min_singular_value(x.matrix)
@@ -279,8 +282,8 @@ def gap_bound_check(
     return GapBoundReport(min_eig_sq >= bound - tol, min_eig_sq, bound)
 
 
-@dataclass(frozen=True)
-class LocalizerReport:
+@dataclass(frozen=True, eq=False)
+class LocalizerReport(_ArrayValue):
     parity: str
     kappa: float
     s: float
@@ -356,8 +359,12 @@ def index(
         raise NotDivisibleBy4Error(f"signature {sig} is not divisible by 4")
 
     (s0, kappa0), spectrum = points[0], spectra[0]
-    # localizer_gap(x, 0) = sigma_min(x) = min|Sigma_x|, memoized by valid_region's certificate
-    g = float(np.min(np.abs(x.doubled(policy).eigenvalues))) if s0 == 0 else localizer_gap(x, s0)
+    # localizer_gap(x, s0) = min|s0 + Sigma_x| at s0 = 0 or for self-adjoint x, read from the
+    # certificate valid_region memoized (and whose adjoint test held at the doubled tau)
+    if s0 == 0 or x.self_adjoint:
+        g = float(np.min(np.abs(s0 + x.doubled(policy).eigenvalues)))
+    else:
+        g = localizer_gap(x, s0)
     report = LocalizerReport(
         parity=T.parity,
         kappa=kappa0,

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import specloc
 from specloc import (
     bilateral_shift_truncation,
     circle_dirac,
@@ -14,7 +18,7 @@ from specloc import (
     localizer_halves,
     operator_element,
 )
-from specloc.cli import main
+from specloc.cli import build_parser, main
 from specloc.serialize import (
     dumps,
     load_matrix,
@@ -443,11 +447,15 @@ def test_tol_factor_env(capsys, shift_file, monkeypatch):
     code, report = run(capsys, ["gap-check", "--matrix", shift_file, "--delta", "0.5"])
     assert code == 0
     assert report["tolerance_factor"] == 32.0
+    # the parser outlives a call; the variable is read again by the next one
+    monkeypatch.setenv("SPECLOC_TOL_FACTOR", "8")
+    code, report = run(capsys, ["gap-check", "--matrix", shift_file, "--delta", "0.5"])
+    assert report["tolerance_factor"] == 8.0
     code, report = run(
         capsys,
-        ["gap-check", "--matrix", shift_file, "--delta", "0.5", "--tol-factor", "8"],
+        ["gap-check", "--matrix", shift_file, "--delta", "0.5", "--tol-factor", "4"],
     )
-    assert report["tolerance_factor"] == 8.0
+    assert report["tolerance_factor"] == 4.0
 
 
 @pytest.mark.parametrize("factor", ["inf", "nan", "-1"])
@@ -468,3 +476,53 @@ def test_homotopy_verify_rejects_a_nan_parameter(capsys, tmp_path):
     assert "NaN" in path_file.read_text()
     code, report = run(capsys, ["homotopy-verify", "--path", str(path_file)])
     assert (code, report["error"]) == (1, "shape_mismatch")
+
+
+def _call(capsys, argv):
+    """Exit code, stdout and stderr of one ``main`` call, usage errors and help included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_main_calls_match_a_freshly_built_parser(capsys, shift_file, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    matrix, dirac = tmp_path / "x.json", tmp_path / "dirac.json"
+    matrix.write_text(dumps(matrix_to_json(circle_unitary_truncation(2, 3).matrix)))
+    dirac.write_text(dumps(matrix_to_json(circle_dirac(3).D0)))
+    sequence = [
+        (["gap-check", "--matrix", shift_file, "--delta", "0.5"], 0),
+        (["gap-check", "--matrix"], 64),
+        (["--help"], 0),
+        (["gap-check", "--matrix", str(bad), "--delta", "0.5"], 1),
+        (["circle", "--m", "1", "--N", "3", "--kappa", "1"], 0),
+        (["index", "--matrix", str(matrix), "--dirac", str(dirac),
+          "--delta", "1", "--kappa", "0.1", "--s", "0"], 0),
+    ]
+    build_parser.cache_clear()
+    shared = [_call(capsys, argv) for argv, _ in sequence]
+    assert [code for code, _, _ in shared] == [code for _, code in sequence]
+    assert "parse_error" in shared[3][1] and "usage:" in shared[2][1]
+    for (argv, _), result in zip(sequence, shared):
+        build_parser.cache_clear()
+        assert _call(capsys, argv) == result, argv
+
+
+def test_the_parser_is_built_once_per_process(capsys, shift_file):
+    build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["gap-check", "--matrix", shift_file, "--delta", "0.5"]) == 0
+    with pytest.raises(SystemExit):
+        main(["gap-check", "--matrix"])
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    # importing the CLI builds nothing; the first call does
+    probe = "import specloc.cli as c; print(c.build_parser.cache_info().currsize)"
+    src = os.path.dirname(os.path.dirname(specloc.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -236,3 +238,14 @@ def test_triple_and_clifford_arrays_cannot_be_made_writable():
             a.setflags(write=True)
     d0[0, 0] = 5.0
     assert arrays[1][0, 0] == 1.0
+
+
+def test_clifford_reps_compare_and_hash_by_value():
+    # generators are a tuple of arrays: compared element by element, hashed by their shapes
+    a, b = clifford_rep(2), clifford_rep(2)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != clifford_rep(3) and a != clifford_rep(4)
+    flipped = dataclasses.replace(a, generators=(a.generators[1], a.generators[0]))
+    assert flipped != a and hash(flipped) == hash(a)
+    assert a != dataclasses.replace(a, generators=a.generators[:1])
+    assert a != dataclasses.replace(a, grading=-a.grading)

@@ -259,6 +259,23 @@ def test_kernel_tests_adjointness_at_the_solved_tau(monkeypatch):
         hermitian_spectrum(ha + 1e3 * tau * np.diag([1j, 0, 0, 0]), hb)
 
 
+def test_exactly_hermitian_blocks_are_solved_as_they_are(monkeypatch):
+    # B == B* exactly: B itself reaches eigvalsh, and (B + B*) / 2 would give the same bits
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    h = a + a.conj().T
+    noisy = h + 1e-17j * np.eye(5)
+    received = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: received.append(m) or original(m))
+    spectrum = hermitian_spectrum(h, noisy)
+    assert received[0] is h and received[1] is not noisy
+    np.testing.assert_array_equal(original(h), original((h + h.conj().T) / 2.0))
+    np.testing.assert_array_equal(
+        spectrum.eigenvalues, np.sort(np.concatenate([original(h), original(received[1])]))
+    )
+
+
 def test_operator_norm_of_zeros_takes_no_svd(monkeypatch):
     def no_svd(*args, **kwargs):
         raise AssertionError("SVD taken")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,36 @@ def test_localizer_gap_takes_one_svd_at_s_zero(monkeypatch):
     assert len(calls) == 1
     localizer_gap(x, 0.2)
     assert len(calls) == 3
+
+
+def test_index_reads_the_self_adjoint_localizer_gap_from_the_certificate(monkeypatch):
+    # for Hermitian x, min over +- of sigma_min(x -+ s) = min_i ||lambda_i| - s| = min|s + Sigma_x|
+    import specloc.localizer as loc
+
+    calls = []
+    original = loc.min_singular_value
+    monkeypatch.setattr(loc, "min_singular_value", lambda m: calls.append(1) or original(m))
+    rng = np.random.default_rng(12)
+    triple = odd_triple(np.diag(rng.uniform(-2, 2, 4)))
+    for seed in range(4):
+        x = random_gapped(4, 1, 0.4, self_adjoint=True, seed=seed)
+        _, report = index(triple, x, 0.4)
+        assert report.s > 0 and calls == []
+        g = localizer_gap(x, report.s)
+        expected = g * g - report.kappa * report.commutator_norm
+        assert report.gap_bound == pytest.approx(expected, abs=x.doubled().tau)
+        calls.clear()
+
+
+def test_localizer_reports_compare_and_hash_by_value():
+    args = (circle_dirac(3), circle_unitary_truncation(2, 3), 1.0)
+    _, a = index(*args, kappa=0.1, s=0.0)
+    _, b = index(*args, kappa=0.1, s=0.0)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    _, c = index(*args, kappa=0.2, s=0.0)
+    assert a != c
+    assert a != dataclasses.replace(a, eigenvalues=a.eigenvalues + 1.0)
+    assert hash(dataclasses.replace(a, eigenvalues=a.eigenvalues + 1.0)) == hash(a)
 
 
 def test_index_circle_values():
