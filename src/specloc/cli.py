@@ -2,8 +2,11 @@
 
 One verb per module capability: ``gap-check``, ``localizer``, ``index``,
 ``circle``, ``clifford-verify``, ``homotopy-verify``, ``contract``.
-Reports are JSON (stdout or --out); --plot additionally writes an SVG
-eigenvalue scatter plus a CSV eigenvalue dump next to it.
+Every subcommand takes --tol-factor and --out: reports are JSON, on stdout
+or in the --out file.  ``localizer``, ``index`` and ``circle``, the three
+that solve a localizer spectrum, also take --plot, which writes an SVG
+eigenvalue scatter plus a CSV eigenvalue dump next to it.  Each input has
+one route: a flag, or the file a flag names.
 
 Exit codes: 0 success, 2 verdict-false or singular localizer, 1 errors,
 64 usage errors.
@@ -60,8 +63,8 @@ class _Parser(argparse.ArgumentParser):
 def _policy(args) -> TolerancePolicy:
     factor = args.tol_factor
     if factor is None:
-        factor = float(os.environ.get("SPECLOC_TOL_FACTOR", 16.0))
-    return TolerancePolicy(factor)
+        factor = os.environ.get("SPECLOC_TOL_FACTOR")
+    return TolerancePolicy() if factor is None else TolerancePolicy(float(factor))
 
 
 def _emit_plot(plot_path: str, eigenvalues, signature: int, title: str):
@@ -133,34 +136,11 @@ def _cmd_index(args, policy):
 
 
 def _cmd_circle(args, policy):
-    m, N, kappa, s = args.m, args.N, args.kappa, args.s
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ValueError("model config must be a JSON object")
-        if config.get("model", "circle") != "circle":
-            raise ValueError(f"unsupported model {config.get('model')!r}")
-        m = config["m"] if m is None else m
-        N = config["N"] if N is None else N
-        kappa = config.get("kappa") if kappa is None else kappa
-        s = config.get("s") if s is None else s
-    if m is None or N is None:
-        raise ValueError("m and N must be given by flag or config file")
-    # config values must have the types the flags parse to
-    if type(m) is not int or type(N) is not int:
-        raise ValueError(f"m and N must be integers, got {m!r} and {N!r}")
-    if any(v is not None and type(v) not in (int, float) for v in (kappa, s)):
-        raise ValueError(f"kappa and s must be numbers, got {kappa!r} and {s!r}")
-    idx, report = winding_demo(m, N, kappa=kappa, s=s, policy=policy)
+    _, report = winding_demo(args.m, args.N, kappa=args.kappa, s=args.s, policy=policy)
     if args.plot:
-        _emit_plot(
-            args.plot,
-            report.eigenvalues,
-            report.signature,
-            f"circle m={m}, N={N}, kappa={report.kappa}",
-        )
-    return "circle", {**localizer_report_to_json(report), "m": m, "N": N}, 0
+        title = f"circle m={args.m}, N={args.N}, kappa={report.kappa}"
+        _emit_plot(args.plot, report.eigenvalues, report.signature, title)
+    return "circle", {**localizer_report_to_json(report), "m": args.m, "N": args.N}, 0
 
 
 def _cmd_clifford_verify(args, policy):
@@ -211,13 +191,15 @@ def _cmd_contract(args, policy):
     return "contract", report, 0
 
 
-def _add_shared(sub):
-    sub.add_argument("--tol-factor", type=float, default=None,
-                     help="zero-threshold factor (default: SPECLOC_TOL_FACTOR or 16)")
+def _add_shared(sub, plot=False):
+    sub.add_argument(
+        "--tol-factor", type=float, default=None,
+        help="zero-threshold factor (default: SPECLOC_TOL_FACTOR or the policy default)",
+    )
     sub.add_argument("--out", default=None, help="write the JSON report here")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--plot", default=None,
-                     help="write an SVG eigenvalue scatter (plus CSV dump) here")
+    if plot:
+        sub.add_argument("--plot", default=None,
+                         help="write an SVG eigenvalue scatter (plus CSV dump) here")
 
 
 @functools.cache
@@ -226,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="specloc")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("gap-check", parents=[], help="delta-singularity certificate")
+    p = subs.add_parser("gap-check", help="delta-singularity certificate")
     p.add_argument("--matrix", required=True)
     p.add_argument("--block-size", type=int, default=1)
     p.add_argument("--delta", type=float, required=True)
@@ -239,9 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity", choices=["odd", "even"], default="odd")
     p.add_argument("--block-size", type=int, default=1)
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--reduced", action="store_true")
-    _add_shared(p)
+    point = p.add_mutually_exclusive_group()
+    point.add_argument("--s", type=float, default=0.0)
+    point.add_argument("--reduced", action="store_true")
+    _add_shared(p, plot=True)
     p.set_defaults(func=_cmd_localizer)
 
     p = subs.add_parser("index", help="quarter-signature index of a gapped element")
@@ -252,17 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--s", type=float, default=None)
-    _add_shared(p)
+    _add_shared(p, plot=True)
     p.set_defaults(func=_cmd_index)
 
     p = subs.add_parser("circle", help="winding-number demo on the truncated circle")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--N", type=int, required=True)
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--s", type=float, default=None)
-    p.add_argument("--config", default=None,
-                   help='JSON model config {"model": "circle", "N": ..., "m": ...}')
-    _add_shared(p)
+    _add_shared(p, plot=True)
     p.set_defaults(func=_cmd_circle)
 
     p = subs.add_parser("clifford-verify", help="verify Clifford matrix-model relations")
@@ -292,7 +273,7 @@ def main(argv=None) -> int:
     try:
         policy = _policy(args)
         subcommand, report, exit_code = args.func(args, policy)
-        text = dumps({**report_envelope(subcommand, report, policy), "seed": args.seed})
+        text = dumps(report_envelope(subcommand, report, policy))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -242,19 +242,19 @@ def valid_region(
     return RegionDescription(float(delta), norm, unbounded)
 
 
-def localizer_gap(x: OperatorElement, s: float) -> float:
+def localizer_gap(x: OperatorElement, s: float, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
     """min over +- of the smallest singular value of x -+ s*e.
 
     This is the quantity that lower-bounds the shifted localizer; it
     equals the bordered s-gap whenever x is normal (in particular
-    self-adjoint) and is never larger than it.  At s = 0 both matrices are x,
-    so one SVD suffices.  At s = 0, and for self-adjoint x (eigenvalues
-    lambda_i, so the minimum is ``min_i ||lambda_i| - s|``), it is
-    ``min|s + Sigma_x|``, which ``index`` reads from the element's memoized
-    certificate instead of calling this.
+    self-adjoint) and is never larger than it.  At s = 0 both matrices are
+    x, and for self-adjoint x (eigenvalues lambda_i) the minimum is
+    ``min_i ||lambda_i| - s|``; in both cases it is ``min|s + Sigma_x|``,
+    read from the element's memoized certificate ``x.doubled(policy)``.
+    Otherwise it takes one SVD of each of x -+ s*e.
     """
-    if s == 0:
-        return min_singular_value(x.matrix)
+    if s == 0 or x.self_adjoint:
+        return float(np.min(np.abs(s + x.doubled(policy).eigenvalues)))
     eye = np.eye(x.dim)
     return min(min_singular_value(x.matrix - s * eye), min_singular_value(x.matrix + s * eye))
 
@@ -276,7 +276,7 @@ def gap_bound_check(
     """Verify min eig(L^2) >= g_loc^2 - kappa*||[D,x]|| - tau."""
     eigs = hermitian_spectrum(*localizer_halves(T, x, kappa, s, policy), policy=policy).eigenvalues
     min_eig_sq = float(np.min(eigs**2))
-    g = localizer_gap(x, s)
+    g = localizer_gap(x, s, policy)
     bound = g * g - kappa * commutator_norm(T, x)
     tol = policy.residual_tol(len(eigs), float(np.max(eigs**2)))
     return GapBoundReport(min_eig_sq >= bound - tol, min_eig_sq, bound)
@@ -359,12 +359,7 @@ def index(
         raise NotDivisibleBy4Error(f"signature {sig} is not divisible by 4")
 
     (s0, kappa0), spectrum = points[0], spectra[0]
-    # localizer_gap(x, s0) = min|s0 + Sigma_x| at s0 = 0 or for self-adjoint x, read from the
-    # certificate valid_region memoized (and whose adjoint test held at the doubled tau)
-    if s0 == 0 or x.self_adjoint:
-        g = float(np.min(np.abs(s0 + x.doubled(policy).eigenvalues)))
-    else:
-        g = localizer_gap(x, s0)
+    g = localizer_gap(x, s0, policy)
     report = LocalizerReport(
         parity=T.parity,
         kappa=kappa0,

@@ -19,6 +19,7 @@ from specloc import (
     operator_element,
 )
 from specloc.cli import build_parser, main
+from specloc.linalg import TolerancePolicy
 from specloc.serialize import (
     dumps,
     load_matrix,
@@ -60,6 +61,8 @@ def test_matrix_csv_round_trip():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     np.testing.assert_allclose(matrix_from_csv(matrix_to_csv(m)), m)
+    with pytest.raises(ValueError, match="ragged"):
+        matrix_from_csv("1.0,0.0;2.0,0.0\n3.0,0.0\n")
 
 
 def test_csv_matrix_file(capsys, shift_file, tmp_path):
@@ -81,6 +84,7 @@ def test_gap_check_verdict_true(capsys, shift_file):
     assert report["report"]["delta_max"] == 1.0
     assert report["version"]
     assert report["tolerance_factor"] == 16.0
+    assert set(report) == {"subcommand", "version", "tolerance_factor", "report"}
 
 
 def test_gap_check_verdict_false_exit_2(capsys, shift_file):
@@ -136,18 +140,6 @@ def test_localizer_and_index_plots(capsys, tmp_path):
         eigs = [float(v) for v in (tmp_path / f"{name}.csv").read_text().split()]
         assert eigs == report["report"]["eigenvalues"]
         assert hermitian_spectrum(np.diag(eigs)).signature == report["report"]["signature"] == 4
-
-
-def test_circle_json_config(capsys, tmp_path):
-    config = tmp_path / "model.json"
-    config.write_text(json.dumps({"model": "circle", "m": 2, "N": 3, "kappa": 0.1}))
-    code, report = run(capsys, ["circle", "--config", str(config)])
-    assert code == 0
-    assert report["report"]["index"] == 2
-    # flags override the config
-    code, report = run(capsys, ["circle", "--config", str(config), "--m", "1",
-                                "--kappa", "1"])
-    assert report["report"]["index"] == 1
 
 
 def test_index_subcommand(capsys, tmp_path):
@@ -381,16 +373,11 @@ def test_machine_readable_error(capsys, tmp_path):
         ("gap-check", None),
         ("gap-check", {"rows": 1, "cols": 1, "data": 5}),
         ("gap-check", {"rows": None, "cols": 1, "data": [[1.0, 0.0]]}),
+        ("gap-check", {"rows": 2, "cols": 1, "data": [[1.0, 0.0]]}),
         ("homotopy-verify", {"delta": 0.5, "samples": 5}),
         ("homotopy-verify", {"delta": 0.5, "samples": [good, {"t": 1.0, "matrix": [1, 2]}]}),
         ("homotopy-verify", {"delta": 0.5, "samples": [good, {**good, "t": None}]}),
         ("homotopy-verify", [good]),
-        ("circle", []),
-        ("circle", {"m": "2", "N": 3}),
-        ("circle", {"m": 1, "N": 2.5}),
-        ("circle", {"m": 1, "N": 3, "kappa": "0.1"}),
-        ("circle", {"model": "torus", "m": 1, "N": 3}),
-        ("circle", {"m": None, "N": None}),
         # a block size below 1, a fractional size, a boolean for a number
         ("homotopy-verify", {"delta": 0.5, "samples": [{**good, "block_size": 0}, good]}),
         ("homotopy-verify", {"delta": 0.5, "samples": [{**good, "block_size": 2.7}, good]}),
@@ -401,7 +388,7 @@ def test_machine_readable_error(capsys, tmp_path):
         ("gap-check", {"rows": float("inf"), "cols": 1, "data": [[1.0, 0.0]]}),
         ("gap-check", {"rows": 1, "cols": 1, "data": [[True, 0.0]]}),
     ]
-    flags = {"gap-check": ["--matrix"], "homotopy-verify": ["--path"], "circle": ["--config"]}
+    flags = {"gap-check": ["--matrix"], "homotopy-verify": ["--path"]}
     for k, (command, payload) in enumerate(cases):
         bad = tmp_path / f"bad-{k}.json"
         bad.write_text(json.dumps(payload))
@@ -432,14 +419,50 @@ def test_module_error_code(capsys, tmp_path):
 
 
 def test_usage_error_exit_64(capsys):
-    for argv in (
+    gap = ["gap-check", "--matrix", "x.json", "--delta", "0.5"]
+    cases = [
         ["gap-check", "--matrix"],
-        ["gap-check", "--matrix", "x.json", "--delta", "0.5", "--mode", "self-adjoint"],
+        [*gap, "--mode", "self-adjoint"],
         ["homotopy-verify", "--path", "path.json", "--mode", "sa"],
-    ):
+        # circle reads m and N from its flags only, and both are required
+        ["circle", "--config", "model.json"],
+        ["circle", "--m", "1"],
+        ["circle", "--N", "3"],
+        # --plot belongs to the three commands that solve a localizer spectrum
+        [*gap, "--plot", "x.svg"],
+        ["clifford-verify", "--p", "4", "--plot", "x.svg"],
+        ["homotopy-verify", "--path", "path.json", "--plot", "x.svg"],
+        ["contract", "--matrix", "x.json", "--plot", "x.svg"],
+        # the reduced localizer has no shift
+        ["localizer", "--matrix", "x.json", "--dirac", "d.json", "--kappa", "1",
+         "--reduced", "--s", "0.3"],
+    ]
+    # no subcommand takes a seed
+    cases += [[*argv, "--seed", "1"] for argv in (
+        gap,
+        ["localizer", "--matrix", "x.json", "--dirac", "d.json", "--kappa", "1"],
+        ["index", "--matrix", "x.json", "--dirac", "d.json", "--delta", "1"],
+        ["circle", "--m", "1", "--N", "3"],
+        ["clifford-verify", "--p", "4"],
+        ["homotopy-verify", "--path", "path.json"],
+        ["contract", "--matrix", "x.json"],
+    )]
+    for argv in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 64
+        assert exc.value.code == 64, argv
+        assert capsys.readouterr().out == "", argv
+
+
+def test_every_subcommand_takes_the_shared_flags_and_three_take_plot():
+    flags = {}
+    for action in build_parser()._subparsers._group_actions:
+        for name, sub in action.choices.items():
+            flags[name] = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+    assert sum(map(len, flags.values())) == 44
+    for name, options in flags.items():
+        assert {"--tol-factor", "--out"} <= options and "--seed" not in options
+        assert ("--plot" in options) == (name in ("localizer", "index", "circle")), name
 
 
 def test_tol_factor_env(capsys, shift_file, monkeypatch):
@@ -456,6 +479,13 @@ def test_tol_factor_env(capsys, shift_file, monkeypatch):
         ["gap-check", "--matrix", shift_file, "--delta", "0.5", "--tol-factor", "4"],
     )
     assert report["tolerance_factor"] == 4.0
+    # unset, the policy's own default applies; set but empty, it is a parse error
+    monkeypatch.delenv("SPECLOC_TOL_FACTOR")
+    code, report = run(capsys, ["gap-check", "--matrix", shift_file, "--delta", "0.5"])
+    assert report["tolerance_factor"] == TolerancePolicy().zero_threshold_factor
+    monkeypatch.setenv("SPECLOC_TOL_FACTOR", "")
+    code, report = run(capsys, ["gap-check", "--matrix", shift_file, "--delta", "0.5"])
+    assert (code, report["error"]) == (1, "parse_error")
 
 
 @pytest.mark.parametrize("factor", ["inf", "nan", "-1"])

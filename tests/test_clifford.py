@@ -43,6 +43,8 @@ def test_p1_exact_form():
     assert rep.rep_dim == 2 and rep.parity == "odd"
     np.testing.assert_allclose(rep.generators[0], np.diag([1.0, -1.0]))
     np.testing.assert_allclose(rep.grading, [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="at least 1"):
+        clifford_rep(0)
 
 
 def test_p2_exact_form():
@@ -98,6 +100,8 @@ def test_graded_parts_match_block_structure():
 def test_graded_part_dimension_check():
     with pytest.raises(DimensionMismatchError):
         graded_part(np.eye(3), clifford_rep(2), 0)
+    with pytest.raises(ValueError, match="parity"):
+        graded_part(np.eye(2), clifford_rep(2), 2)
 
 
 def test_embed_low_unit():
@@ -126,6 +130,8 @@ def test_embed_low_doubles_sigma():
 def test_embed_low_v0_needs_self_adjoint():
     with pytest.raises(ModeMismatchError):
         embed_low(bilateral_shift_truncation(3), "V0")
+    with pytest.raises(ValueError, match="target"):
+        embed_low(identity_element(1), "V2")
 
 
 def test_round_trips():
@@ -158,6 +164,12 @@ def test_reduce_rejects_non_odd():
     bad = identity_element(4)  # commutes with any grading
     with pytest.raises(NotOddError):
         reduce_periodic(bad, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        reduce_periodic(bad, -1)
+    # an odd size has no grading; size 2 is not a multiple of CCl_3's rep_dim 4
+    for y, p in ((identity_element(3), 0), (identity_element(2), 2)):
+        with pytest.raises(DimensionMismatchError):
+            reduce_periodic(y, p)
 
 
 def test_reduce_rejects_off_algebra():
@@ -166,6 +178,10 @@ def test_reduce_rejects_off_algebra():
     y = operator_element(np.block([[np.zeros((2, 2)), b], [b, np.zeros((2, 2))]]))
     with pytest.raises(NotOddError):
         reduce_periodic(y, 0)
+    # sigma_y anticommutes with the swap grading sigma_x but is no diag(a, -a)
+    sigma_y = operator_element(np.array([[0.0, 1j], [-1j, 0.0]]))
+    with pytest.raises(NotOddError, match="represented algebra"):
+        reduce_periodic(sigma_y, 0)
 
 
 def test_reduce_rejects_non_self_adjoint_odd_input():

@@ -25,7 +25,7 @@ from specloc import (
     sigma_spectrum,
     verify_path,
 )
-from specloc.errors import NotSelfAdjointError
+from specloc.errors import NonFiniteError, NotSelfAdjointError
 
 from oracles import grid_check, s_gap
 
@@ -41,6 +41,8 @@ def random_element(seed, n=4, self_adjoint=False):
 def test_bordered_unit():
     e = identity_element(1)
     np.testing.assert_allclose(bordered(e, 0.0), [[0, 1], [1, 0]])
+    with pytest.raises(NonFiniteError):
+        bordered(e, np.inf)
 
 
 def test_bordered_zero_element():
@@ -89,6 +91,9 @@ def test_delta_check_shift():
     x = bilateral_shift_truncation(5)
     assert delta_singular_check(x, 0.5).verdict
     assert not delta_singular_check(x, 1.2).verdict
+    for delta in (-1.0, np.inf):
+        with pytest.raises(ValueError, match="delta"):
+            delta_singular_check(x, delta)
 
 
 def test_delta_check_zero_element():
@@ -130,6 +135,12 @@ def test_element_flagged_self_adjoint_must_be_hermitian():
     ):
         with pytest.raises(NotSelfAdjointError):
             certify(OperatorElement(x.matrix, 1, 3, self_adjoint=True))
+
+
+def test_element_matrix_must_match_its_block_metadata():
+    for args in ((np.zeros((2, 3)),), (np.eye(2), 0, 2), (np.eye(2), 2, 0), (np.eye(4), 2, 3)):
+        with pytest.raises(ValueError):
+            OperatorElement(*args)
 
 
 def test_self_adjoint_certificate_builds_no_bordered_matrix(monkeypatch):

@@ -118,6 +118,8 @@ def test_path_shape_validation():
     with pytest.raises(ShapeMismatchError):
         HomotopyPath((a, identity_element(3)), (0.0, 1.0))
     with pytest.raises(ShapeMismatchError):
+        HomotopyPath((a,), (0.0,))
+    with pytest.raises(ShapeMismatchError):
         HomotopyPath((a, a), (0.0, 0.5))
     with pytest.raises(ShapeMismatchError):
         HomotopyPath((a, a, a), (0.0, np.nan, 1.0))
@@ -200,6 +202,8 @@ def test_contract_mixed_phases():
 def test_contract_rejects_singular():
     with pytest.raises(NotInvertibleError):
         contract_invertible(bilateral_shift_truncation(3))
+    with pytest.raises(ValueError, match="steps"):
+        contract_invertible(identity_element(2), steps=1)
 
 
 def test_contract_rejects_what_the_delta_zero_certificate_refutes():

@@ -65,6 +65,8 @@ def test_eig_hermitian_bordered_shift():
 def test_eig_hermitian_rejects_non_square():
     with pytest.raises(NotSquareError):
         hermitian_spectrum(np.zeros((2, 3)))
+    with pytest.raises(TypeError, match="at least one block"):
+        hermitian_spectrum()
 
 
 def test_eig_hermitian_rejects_asymmetric():

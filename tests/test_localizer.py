@@ -15,17 +15,20 @@ from specloc import (
     identity_element,
     index,
     localizer_gap,
+    localizer_halves,
     odd_triple,
     operator_element,
     random_gapped,
     valid_region,
 )
 from specloc.errors import (
+    DimensionMismatchError,
     ModeMismatchError,
     NotGappedError,
     NotSelfAdjointError,
     SingularLocalizerError,
 )
+from specloc.linalg import min_singular_value
 
 from oracles import build_generalized, s_gap
 
@@ -60,6 +63,13 @@ def test_odd_triple_requires_self_adjoint():
         odd_triple(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_triple_needs_a_parity_and_a_square_dirac_block():
+    with pytest.raises(ValueError, match="parity"):
+        SpectralTriple("graded", np.eye(2))
+    with pytest.raises(DimensionMismatchError):
+        SpectralTriple("even", np.zeros((2, 3)))
+
+
 def test_commutator_norm_unit_and_circle():
     triple = circle_dirac(3)
     assert commutator_norm(triple, identity_element(7)) == pytest.approx(0.0, abs=1e-14)
@@ -78,6 +88,13 @@ def test_generalized_unit_spectrum():
             atol=1e-12,
         )
         assert signature_of(loc) == 0
+
+
+def test_localizer_point_needs_positive_kappa_and_finite_nonnegative_s():
+    triple, e = circle_dirac(2), identity_element(5)
+    for kappa, s in [(0.0, 0.3), (-1.0, 0.3), (0.5, -0.1), (0.5, np.inf)]:
+        with pytest.raises(ValueError):
+            localizer_halves(triple, e, kappa, s)
 
 
 def test_generalized_reduces_at_s_zero():
@@ -140,6 +157,8 @@ def test_valid_region_circle():
     assert region.kappa_max(0.05) < region.kappa_max(0.5)
     assert region.kappa_max(0.95) < region.kappa_max(0.5)
     assert not region.unbounded
+    # outside 0 < s < delta there is no certified kappa
+    assert region.kappa_max(0.0) == region.kappa_max(1.0) == region.kappa_max(-0.1) == 0.0
 
 
 def test_valid_region_unit_unbounded():
@@ -147,12 +166,16 @@ def test_valid_region_unit_unbounded():
     region = valid_region(triple, identity_element(5), 0.8)
     assert region.unbounded
     assert region.kappa_max(0.4) == np.inf
+    assert region.kappa_max(0.8) == 0.0
 
 
 def test_valid_region_rejects_ungapped():
     triple = circle_dirac(3)
     with pytest.raises(NotGappedError):
         valid_region(triple, circle_unitary_truncation(1, 3), 1.5)
+    for delta in (0.0, -1.0):
+        with pytest.raises(ValueError, match="delta"):
+            valid_region(triple, circle_unitary_truncation(1, 3), delta)
 
 
 def test_gap_bound_unit_and_circle():
@@ -180,17 +203,33 @@ def test_localizer_gap_matches_s_gap_for_self_adjoint():
         assert localizer_gap(x, s) == pytest.approx(s_gap(x, s), abs=1e-12)
 
 
-def test_localizer_gap_takes_one_svd_at_s_zero(monkeypatch):
-    import specloc.localizer as loc
-
-    calls = []
-    original = loc.min_singular_value
-    monkeypatch.setattr(loc, "min_singular_value", lambda m: calls.append(1) or original(m))
+def test_localizer_gap_takes_one_svd_at_s_zero(solve_counts):
+    # at s = 0 it is min|Sigma_x|, from the element's memoized certificate;
+    # at s > 0 a non-self-adjoint x takes one SVD of each of x -+ s*e
     x = random_gapped(4, 1, 0.4, seed=5)
-    assert localizer_gap(x, 0.0) == original(x.matrix)
-    assert len(calls) == 1
+    solve_counts.clear()
+    g = localizer_gap(x, 0.0)
+    assert localizer_gap(x, 0.0) == g and solve_counts["svd"] == 1
+    assert g == min_singular_value(x.matrix)
+    solve_counts.clear()
     localizer_gap(x, 0.2)
-    assert len(calls) == 3
+    assert solve_counts["svd"] == 2
+
+
+def test_gap_bound_check_reads_a_self_adjoint_gap_from_the_certificate(solve_counts):
+    # one SVD for ||[D, x]||, and one for Sigma_x until the element is certified
+    rng = np.random.default_rng(12)
+    triple = odd_triple(np.diag(rng.uniform(-2, 2, 4)))
+    x = random_gapped(4, 1, 0.4, self_adjoint=True)
+    solve_counts.clear()
+    report = gap_bound_check(triple, x, 0.01, 0.2)
+    assert report.passed and solve_counts["svd"] == 2
+    solve_counts.clear()
+    assert gap_bound_check(triple, x, 0.01, 0.2) == report
+    assert solve_counts["svd"] == 1
+    g = localizer_gap(x, 0.2)
+    assert g == pytest.approx(s_gap(x, 0.2), abs=1e-12)
+    assert report.bound == g * g - 0.01 * commutator_norm(triple, x)
 
 
 def test_index_reads_the_self_adjoint_localizer_gap_from_the_certificate(monkeypatch):
@@ -261,6 +300,9 @@ def test_index_rejects_ungapped():
     triple = circle_dirac(3)
     with pytest.raises(NotGappedError):
         index(triple, circle_unitary_truncation(1, 3), 1.2)
+    # a size-5 element has no level over a 3-dimensional ambient space
+    with pytest.raises(DimensionMismatchError, match="ambient"):
+        index(circle_dirac(1), identity_element(5), 0.5)
 
 
 def test_index_rejects_signature_not_divisible_by_4():

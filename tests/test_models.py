@@ -26,6 +26,8 @@ def test_circle_dirac_small():
     eigs = np.sort(np.real(np.diag(d3)))
     np.testing.assert_allclose(eigs, -eigs[::-1])
     assert 0.0 in eigs
+    with pytest.raises(ValueError, match="N must"):
+        circle_dirac(0)
 
 
 def test_truncation_m1_entries():
@@ -60,6 +62,8 @@ def test_bilateral_shift_exact():
     np.testing.assert_allclose(x.matrix, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert delta_singular_check(x, 0.99).verdict
     assert not delta_singular_check(x, 1.01).verdict
+    with pytest.raises(ValueError, match="n must"):
+        bilateral_shift_truncation(1)
 
 
 @pytest.mark.parametrize("self_adjoint", [False, True])
