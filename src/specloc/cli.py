@@ -192,6 +192,8 @@ def _cmd_contract(args, policy):
 
 
 def _add_shared(sub, plot=False):
+    # the subcommand's own parser reports the arguments it does not take (see main)
+    sub.set_defaults(parser=sub)
     sub.add_argument(
         "--tol-factor", type=float, default=None,
         help="zero-threshold factor (default: SPECLOC_TOL_FACTOR or the policy default)",
@@ -268,8 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # parse_args would report these as "specloc: error: ..."; name the subcommand
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         policy = _policy(args)
         subcommand, report, exit_code = args.func(args, policy)

@@ -34,6 +34,25 @@ L(kappa, s) from the two half-size blocks (:func:`localizer_halves`),
 and at s = 0 from one solve of L_reduced.  Only the dense reference the
 tests compare against (``tests/oracles.py``) assembles the full matrix.
 
+Default-region ``index`` solves the centre (kappa*, s*) and certifies each
+corner q of its sub-rectangle from that spectrum by Weyl's inequality, the
+one-ended form of ``verify_path``'s guard.  Along the straight spoke from
+the centre to q each half C + kappa*K +- s*W moves by at most
+
+    h = ||K|| |kappa_q - kappa*| + ||W|| |s_q - s*|,   ||W|| = 1, ||K|| = ||D0||,
+
+for both parities, so every eigenvalue of either half moves by at most h.
+Let g* be the centre's smallest |eigenvalue| and tau* the zero threshold of
+its merged spectrum, the margin by which the computed g* may be off.  When
+h < g* - tau*, no eigenvalue reaches 0 anywhere on the spoke: L(q) is
+invertible and its signature is the centre's.  ||D0|| enters through its
+Hoelder bound (``linalg.operator_norm_bound``, no SVD), and the guard also
+pays for the rounding of the assembled halves at both ends
+(:func:`_spoke_guard`).  Weyl's inequality is about Hermitian matrices, so
+the guard certifies only when C and K are exactly Hermitian; a corner it
+does not certify is solved and compared.  A certified corner is proved
+more strongly than a solved one: the whole spoke, not just its endpoint.
+
 For a fixed finite truncation the region-certified signature is the
 small-coupling limit (zero for winding classes); integer indices of
 truncated symbols are obtained at explicit (kappa, s), typically s = 0,
@@ -59,6 +78,7 @@ from .linalg import (
     DEFAULT_POLICY,
     Inertia,
     TolerancePolicy,
+    _EPS,
     _ArrayValue,
     _read_only,
     as_matrix,
@@ -68,6 +88,7 @@ from .linalg import (
     is_self_adjoint,
     min_singular_value,
     operator_norm,
+    operator_norm_bound,
     residual_ok,
 )
 
@@ -282,6 +303,48 @@ def gap_bound_check(
     return GapBoundReport(min_eig_sq >= bound - tol, min_eig_sq, bound)
 
 
+def _spoke_guard(c: np.ndarray, k: np.ndarray, d0: np.ndarray, centre: tuple, spectrum):
+    """``corner -> bool``: True when Weyl's inequality carries ``spectrum`` to ``corner``.
+
+    ``spectrum`` is the merged spectrum of the halves assembled at
+    ``centre``, an ``(s, kappa)`` point, from ``(C, K)`` of
+    :func:`_reduced_parts`.  A True answer proves that the exact halves
+    C + kappa*K +- s*W, and the assembled ones a solve would read, are
+    invertible at every point of the segment from ``centre`` to the corner
+    (ends included), with the centre's inertia.  With C and K not exactly
+    Hermitian every answer is False.
+    """
+    if not all(np.array_equal(m, m.conj().T) for m in (c, k)):
+        return lambda corner: False
+    # Hoelder bounds, never an SVD (limit inf): ||K||_2 = ||D0||_2 and
+    # || |K| ||_2 = || |D0| ||_2 for both parities, and || |M| ||_2 <=
+    # sqrt(||M||_1 ||M||_inf) bounds the moduli of C as well
+    norm_c = operator_norm_bound(c, math.inf)
+    norm_k = operator_norm_bound(d0, math.inf)
+
+    def assembly(s, kappa):
+        # fl(c + kappa*k +- s*w) is within gamma_3 (|c| + kappa|k| + s|w|) of the
+        # exact half, entrywise (one product, two sums; s*w is exact since w's
+        # entries are 0 and +-1), so in norm within 4 eps (||C|| + kappa||K|| + s)
+        return 4 * _EPS * (norm_c + kappa * norm_k + s)
+
+    s0, kappa0 = centre
+    # g* - tau* > 0 since the centre has no zero eigenvalue
+    radius = float(np.min(np.abs(spectrum.eigenvalues))) - spectrum.tau
+
+    def reaches(corner):
+        s1, kappa1 = corner
+        # Weyl: an exact half on the spoke is within h of the exact centre,
+        # which is within assembly(centre) of the solved one, whose eigenvalues
+        # are within tau* of the computed ones; the assembled corner is within
+        # assembly(corner) more.  The factor covers the roundings of the
+        # differences, products and sums on both sides of the comparison.
+        h = norm_k * abs(kappa1 - kappa0) + abs(s1 - s0)
+        return (h + assembly(s0, kappa0) + assembly(s1, kappa1)) * (1 + 16 * _EPS) < radius
+
+    return reaches
+
+
 @dataclass(frozen=True, eq=False)
 class LocalizerReport(_ArrayValue):
     parity: str
@@ -295,7 +358,7 @@ class LocalizerReport(_ArrayValue):
     min_abs_eig: float
     gap_bound: float
     commutator_norm: float
-    samples: tuple  # (s, kappa, signature) triples actually evaluated
+    samples: tuple  # (s, kappa, signature): certified, by a solve or from the centre's spectrum
     reduced_signature: int | None = None
 
 
@@ -311,9 +374,12 @@ def index(
 
     With explicit (kappa, s), e.g. the kappa = 1, s = 0 regime of the
     circle demo, the localizer is evaluated there, with invertibility
-    checked directly.  Otherwise the signature is sampled at the default
-    interior point of the constancy region and at the four corners of a
-    shrunken sub-rectangle; all five values must agree.
+    checked directly.  Otherwise the signature is read at the default
+    interior point of the constancy region, solved, and at the four corners
+    of a shrunken sub-rectangle; all five values must agree.  A corner
+    within Weyl's reach of the centre (:func:`_spoke_guard`) takes the
+    centre's signature without a solve; any other corner is solved.
+    ``samples`` lists all five points either way.
     """
     region = valid_region(T, x, delta, policy)
     # the default point: the middle of the region, at half its largest kappa
@@ -340,16 +406,26 @@ def index(
     for s_i, kappa_i in points:
         _check_point(kappa_i, s_i)
     c, k, w = _reduced_parts(T, x, policy)
-    spectra = []
-    for s_i, kappa_i in points:
+
+    def solve(s_i, kappa_i):
         spectrum = hermitian_spectrum(*_halves(c + kappa_i * k, w, s_i), policy=policy)
         if spectrum.inertia.n_zero > 0:
             raise SingularLocalizerError(
                 f"localizer singular at (kappa={kappa_i}, s={s_i}): |eig| down to "
                 f"{np.min(np.abs(spectrum.eigenvalues)):.3e}"
             )
-        spectra.append(spectrum)
-    signatures = {spectrum.signature for spectrum in spectra}
+        return spectrum
+
+    (s0, kappa0), corners = points[0], points[1:]
+    spectrum = solve(s0, kappa0)
+    sample_signatures = [spectrum.signature]
+    if corners:
+        reaches = _spoke_guard(c, k, T.D0, points[0], spectrum)
+        sample_signatures += [
+            spectrum.signature if reaches(corner) else solve(*corner).signature
+            for corner in corners
+        ]
+    signatures = set(sample_signatures)
     if len(signatures) != 1:
         raise InconsistentSignatureError(
             f"signature varies over the sampled region: {sorted(signatures)}"
@@ -358,7 +434,6 @@ def index(
     if sig % 4:
         raise NotDivisibleBy4Error(f"signature {sig} is not divisible by 4")
 
-    (s0, kappa0), spectrum = points[0], spectra[0]
     g = localizer_gap(x, s0, policy)
     report = LocalizerReport(
         parity=T.parity,
@@ -372,6 +447,6 @@ def index(
         min_abs_eig=float(np.min(np.abs(spectrum.eigenvalues))),
         gap_bound=g * g - kappa0 * region.commutator_norm,
         commutator_norm=region.commutator_norm,
-        samples=tuple((s_i, k_i, sp.signature) for (s_i, k_i), sp in zip(points, spectra)),
+        samples=tuple((s_i, k_i, sig_i) for (s_i, k_i), sig_i in zip(points, sample_signatures)),
     )
     return sig // 4, report

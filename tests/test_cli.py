@@ -451,7 +451,12 @@ def test_usage_error_exit_64(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 64, argv
-        assert capsys.readouterr().out == "", argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        if argv[-2:] == ["--seed", "1"]:
+            # reported by the subcommand's parser, which names itself
+            message = f"specloc {argv[0]}: error: unrecognized arguments: --seed 1"
+            assert message in captured.err, argv
 
 
 def test_every_subcommand_takes_the_shared_flags_and_three_take_plot():

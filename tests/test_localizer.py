@@ -23,6 +23,7 @@ from specloc import (
 )
 from specloc.errors import (
     DimensionMismatchError,
+    InconsistentSignatureError,
     ModeMismatchError,
     NotGappedError,
     NotSelfAdjointError,
@@ -280,13 +281,53 @@ def test_index_unit_region_mode():
     assert {sig for _, _, sig in report.samples} == {0}
 
 
-def test_index_region_mode_random():
+def _even_gapped(rows, seed):
+    """An even triple and a gapped self-adjoint element x_+ (+) x_- on it (level 1)."""
+    rng = np.random.default_rng(seed)
+    triple = even_triple(rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows)))
+    xp, xm = (random_gapped(rows, 1, 0.5, self_adjoint=True, seed=seed + j).matrix for j in (1, 2))
+    zero = np.zeros((rows, rows))
+    return triple, operator_element(np.block([[xp, zero], [zero, xm]]), self_adjoint=True)
+
+
+def test_index_region_mode_random(solve_counts):
+    # every corner is within Weyl's reach of the centre: one point, two halves;
+    # each sample's signature is that of the dense localizer at its point
     rng = np.random.default_rng(5)
-    triple = odd_triple(np.diag(rng.uniform(-2, 2, 4)))
+    odd = (odd_triple(np.diag(rng.uniform(-2, 2, 4))), random_gapped(4, 1, 0.5, seed=6))
+    indices = []
+    for triple, x in (odd, _even_gapped(3, 8)):
+        solve_counts.clear()
+        idx, report = index(triple, x, 0.5)
+        assert solve_counts["eigvalsh"] == 2
+        assert report.signature == 4 * idx and len(report.samples) == 5
+        for s, kappa, sig in report.samples:
+            assert signature_of(build_generalized(triple, x, kappa, s)) == sig
+        indices.append(idx)
+    assert indices[0] == 0  # the small-coupling limit of an invertible odd element
+
+
+def test_index_solves_corners_out_of_reach_and_reports_their_disagreement(solve_counts):
+    # the centre's smallest |eigenvalue| (0.31) is shorter than every spoke
+    # (h >= ||D0|| |kappa_q - kappa*| + |s_q - s*| = 3 * 0.075 + 0.25): the
+    # corners are solved, and some of their signatures differ from the centre's
+    with pytest.raises(InconsistentSignatureError):
+        index(circle_dirac(3), circle_unitary_truncation(1, 3), 1.0)
+    assert solve_counts["eigvalsh"] > 2
+
+
+def test_index_solves_every_corner_when_the_localizer_is_not_exactly_hermitian(solve_counts):
+    # Weyl's inequality is about Hermitian matrices: a Dirac block Hermitian only
+    # within tau makes every half inexact, so no corner is certified
+    rng = np.random.default_rng(5)
+    dirac = np.diag(rng.uniform(-2, 2, 4)).astype(complex)
+    dirac[0, 1] = 1e-16
     x = random_gapped(4, 1, 0.5, seed=6)
-    idx, report = index(triple, x, 0.5)
-    assert idx == 0
-    assert report.signature % 4 == 0
+    solve_counts.clear()
+    _, report = index(odd_triple(dirac), x, 0.5)
+    assert solve_counts["eigvalsh"] == 10
+    _, exact = index(odd_triple(np.diag(np.diag(dirac))), x, 0.5)
+    assert [sig for *_, sig in report.samples] == [sig for *_, sig in exact.samples]
 
 
 def test_index_rejects_singular_localizer():

@@ -13,7 +13,9 @@ gap certificate (one SVD of x) against the dense spectrum of
 certificate, and ``residual_ok`` against its rule written out by hand.
 The path certificate's per-segment step guard is checked against dense
 sampling of ``bordered(y, delta/2)`` along drawn segments, and its step
-report against the SVD norm of each step.
+report against the SVD norm of each step.  Default-region ``index``'s spoke
+guard is checked the same way, against dense sampling of the assembled
+localizer along drawn spokes, and its samples against a solve of each point.
 """
 
 from unittest import mock
@@ -37,6 +39,7 @@ from specloc import (
     gap_bound_check,
     hermitian_spectrum,
     identity_element,
+    index,
     is_self_adjoint,
     is_singular,
     localizer_halves,
@@ -49,12 +52,15 @@ from specloc import (
     verify_path,
 )
 from specloc.errors import (
+    InconsistentSignatureError,
     ModeMismatchError,
     NoGapFoundError,
+    NotDivisibleBy4Error,
     NotInvertibleError,
     NotSelfAdjointError,
 )
 from specloc.linalg import doubled_spectrum
+from specloc.localizer import _reduced_parts, _spoke_guard
 
 from oracles import build_generalized, s_gap
 
@@ -436,6 +442,107 @@ def test_square_bound_holds_and_reads_the_split_spectrum(case):
     oracle = hermitian_spectrum(build_generalized(triple, x, kappa, s)).eigenvalues
     scale = float(np.max(oracle**2))
     assert report.min_eig_sq == pytest.approx(float(np.min(oracle**2)), rel=0.0, abs=1e-12 * scale)
+
+
+def _gapped_input(draw, rng, delta):
+    """(triple, x): a delta-gapped odd element, self-adjoint or not, or an even one."""
+    rows = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 2))
+    if draw(st.sampled_from(["odd", "even"])) == "odd":
+        a = rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows))
+        dirac = draw(st.sampled_from([1.0, 3.0])) * (a + a.conj().T) / 2.0
+        x = random_gapped(rows, n, delta, self_adjoint=draw(st.booleans()),
+                          seed=int(rng.integers(2**31)))
+        return SpectralTriple("odd", dirac), x
+    d = 2 * rows
+    blocks = np.zeros((n, d, n, d), dtype=np.complex128)
+    for sl in (slice(0, rows), slice(rows, d)):
+        half = random_gapped(rows, n, delta, self_adjoint=True, seed=int(rng.integers(2**31)))
+        blocks[:, sl, :, sl] = half.matrix.reshape(n, rows, n, rows)
+    d0 = rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows))
+    return even_triple(d0), OperatorElement(blocks.reshape(n * d, n * d), n, d, True)
+
+
+@st.composite
+def spoke(draw):
+    """(triple, x, centre, corner): an element and a segment of the (s, kappa) plane.
+
+    "random": a gapped odd or even element, with both ends drawn in a box that
+    covers the constancy region and reaches past it.  "tight": the unit
+    element over a Dirac block with a zero eigenvalue (odd) or a zero
+    singular value (even), so one eigenvalue pair of the minus half is
+    +-(1 - s), and a spoke in s alone moves it at the rate Weyl allows.  The
+    corner stops a drawn multiple of the centre's tau* short of s = 1, or it
+    passes s = 1 at a point of the sampling grid, before twice the centre's
+    smallest |eigenvalue| 1 - s*.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.sampled_from(["random", "tight"])) == "random":
+        triple, x = _gapped_input(draw, rng, draw(st.sampled_from([0.2, 0.5])))
+        centre, corner = (
+            (draw(st.floats(0.0, 1.0)), draw(st.floats(1e-3, 2.0))) for _ in range(2)
+        )
+        return triple, x, centre, corner
+    rows = draw(st.integers(1, 3))
+    lam = np.concatenate([[0.0], rng.integers(-2, 3, rows - 1)])
+    if draw(st.sampled_from(["odd", "even"])) == "odd":
+        triple = SpectralTriple("odd", np.diag(lam).astype(np.complex128))
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows)))
+        triple = even_triple(q @ np.diag(lam))
+    x = identity_element(triple.ambient_dim, draw(st.integers(1, 2)))
+    s0, kappa = draw(st.sampled_from([0.25, 0.5, 0.75])), draw(st.floats(1e-2, 2.0))
+    if draw(st.booleans()):
+        tau = hermitian_spectrum(*localizer_halves(triple, x, kappa, s0)).tau
+        s1 = 1.0 - draw(st.sampled_from([0.5, 1.5, 3.0])) * tau
+    else:
+        s1 = s0 + GRID / draw(st.integers(GRID // 2 + 1, GRID - 1)) * (1.0 - s0)
+    return triple, x, (s0, kappa), (s1, kappa)
+
+
+@SETTINGS
+@given(spoke())
+def test_a_certified_spoke_keeps_the_centre_signature_at_every_point(case):
+    # Weyl: the guard leaves every point of the spoke, corner included, with
+    # the centre's signature and no eigenvalue within the centre's tau* of 0
+    triple, x, centre, corner = case
+    c, k, _ = _reduced_parts(triple, x, DEFAULT_POLICY)
+    spectrum = hermitian_spectrum(*localizer_halves(triple, x, centre[1], centre[0]))
+    if spectrum.inertia.n_zero > 0:
+        return  # a singular centre is refused before any corner
+    if not _spoke_guard(c, k, triple.D0, centre, spectrum)(corner):
+        return  # out of reach: the corner is solved
+    for j in range(1, GRID + 1):
+        t = j / GRID
+        s, kappa = ((1.0 - t) * a + t * b for a, b in zip(centre, corner))
+        dense = hermitian_spectrum(build_generalized(triple, x, kappa, s))
+        assert dense.signature == spectrum.signature
+        assert np.min(np.abs(dense.eigenvalues)) > spectrum.tau
+
+
+@st.composite
+def index_input(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    delta = draw(st.sampled_from([0.2, 0.5]))
+    triple, x = _gapped_input(draw, rng, delta)
+    return triple, x, delta * draw(st.sampled_from([0.5, 1.0]))
+
+
+@SETTINGS
+@given(index_input())
+def test_default_region_samples_are_the_signatures_of_a_solve(case):
+    # each of the five samples, certified from the centre or solved, is what a
+    # solve of the split localizer at its point reads, and the dense oracle too
+    triple, x, delta = case
+    try:
+        _, report = index(triple, x, delta)
+    except (InconsistentSignatureError, NotDivisibleBy4Error):
+        return  # the solved corners disagree: no sample is reported
+    assert len(report.samples) == 5
+    for s, kappa, sig in report.samples:
+        split = hermitian_spectrum(*localizer_halves(triple, x, kappa, s))
+        assert split.inertia.n_zero == 0 and split.signature == sig
+        assert hermitian_spectrum(build_generalized(triple, x, kappa, s)).signature == sig
 
 
 @SETTINGS
