@@ -25,16 +25,23 @@ through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
   number, not a matrix, with ``residual_tol``.
 * Step bounds, :func:`operator_norm_bound`: an upper bound of ``||M||_2``
   checked against a limit, ``sqrt(||M||_1 ||M||_inf)`` before any SVD;
-  ``verify_path``'s per-segment guard.
+  ``verify_path``'s per-segment guard, ``||D0||`` in ``valid_region`` and
+  default-region ``index``'s spoke guard.
 
-The Hermitian and doubled spectra and the norms are solved in real arithmetic
-exactly when the solved matrix is real (``_real_if_exact``); the zero rules
-do not change, since LAPACK's real and complex solvers are both backward
-stable within the same tau.
+Real arithmetic starts at assembly.  The solves, norms and block forms
+here keep a real (float64) input real (``as_matrix`` alone makes every
+matrix complex, for the element and triple constructors), and the localizer assembles its blocks in the field
+of (x, D0): float64 when their imaginary parts are exactly zero
+(``_common_field``), so a real problem reaches LAPACK as float64 without a
+complex copy.  A complex128 matrix whose imaginary part is exactly zero is
+still solved in real arithmetic (``_real_if_exact``, at the four solves).
+The zero rules do not change, since LAPACK's real and complex solvers are
+both backward stable within the same tau.
 
 The paper's two block forms are built only here: the doubling ``[[s, a],
 [a*, s]]`` by :func:`doubled_matrix` and the graded sum ``a (+) (-b)`` by
-:func:`direct_sum`.
+:func:`direct_sum`, which also amplifies (``I_n (x) a``).  Each returns
+float64 when every input's dtype is real and complex128 otherwise.
 
 Every array an object keeps is frozen by ``_read_only``, a private copy
 that numpy refuses to make writable: an element's matrix and its memoized
@@ -93,14 +100,37 @@ class Inertia(NamedTuple):
     n_minus: int
 
 
-def as_matrix(matrix) -> np.ndarray:
-    """Coerce to a complex 2-d array, rejecting NaN/Inf entries."""
-    m = np.asarray(matrix, dtype=np.complex128)
+def _checked(m: np.ndarray) -> np.ndarray:
+    """m itself, once it is 2-d and free of NaN/Inf entries."""
     if m.ndim != 2:
         raise NotSquareError(f"expected a 2-d array, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NonFiniteError("matrix contains NaN or Inf entries")
     return m
+
+
+def as_matrix(matrix) -> np.ndarray:
+    """Coerce to a complex 2-d array, rejecting NaN/Inf entries."""
+    return _checked(np.asarray(matrix, dtype=np.complex128))
+
+
+def _in_field(matrix) -> np.ndarray:
+    """``np.asarray(matrix)`` as float64 when its dtype is real, else as complex128.
+
+    No copy is made of a float64 or complex128 array.
+    """
+    m = np.asarray(matrix)
+    return m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
+
+
+def _as_field_matrix(matrix) -> np.ndarray:
+    """``as_matrix`` that keeps a real dtype real (:func:`_in_field`)."""
+    return _checked(_in_field(matrix))
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """``m*``: the transpose, a view, of a real m; the conjugate transpose otherwise."""
+    return m.conj().T if np.iscomplexobj(m) else m.T
 
 
 def _real_if_exact(m: np.ndarray) -> np.ndarray:
@@ -112,6 +142,18 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
     if not np.iscomplexobj(m) or m[..., :1].imag.any() or m.imag.any():
         return m
     return m.real
+
+
+def _common_field(*matrices) -> tuple:
+    """The matrices in the smallest field that holds them all exactly.
+
+    Contiguous float64 copies of their real parts when every imaginary part
+    is exactly zero (:func:`_real_if_exact`), else the matrices unchanged.
+    """
+    real = [_real_if_exact(m) for m in matrices]
+    if any(np.iscomplexobj(m) for m in real):
+        return matrices
+    return tuple(np.ascontiguousarray(m, dtype=np.float64) for m in real)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -175,10 +217,10 @@ class Spectrum(NamedTuple):
 
 def is_self_adjoint(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """``M == M*`` exactly (no solve), or ``||M - M*||_2 <= policy.tau(M)`` (up to two SVDs)."""
-    m = as_matrix(matrix)
+    m = _as_field_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         return False
-    return np.array_equal(m, m.conj().T) or operator_norm(m - m.conj().T) <= policy.tau(m)
+    return np.array_equal(m, _adjoint(m)) or operator_norm(m - _adjoint(m)) <= policy.tau(m)
 
 
 def _require_adjoint(blocks, tau: float) -> None:
@@ -187,7 +229,7 @@ def _require_adjoint(blocks, tau: float) -> None:
     Exact first: no norm is taken of a block with ``B == B*``.
     """
     for b in blocks:
-        if not np.array_equal(b, b.conj().T) and operator_norm(b - b.conj().T) > tau:
+        if not np.array_equal(b, _adjoint(b)) and operator_norm(b - _adjoint(b)) > tau:
             raise NotSelfAdjointError(f"asymmetry exceeds tolerance {tau:.3e}")
 
 
@@ -213,15 +255,15 @@ def hermitian_spectrum(*blocks, policy: TolerancePolicy = DEFAULT_POLICY) -> Spe
     """
     if not blocks:
         raise TypeError("hermitian_spectrum needs at least one block")
-    mats = [as_matrix(b) for b in blocks]
+    mats = [_as_field_matrix(b) for b in blocks]
     for m in mats:
         if m.shape[0] != m.shape[1]:
             raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
     distinct = {id(m): m for m in mats}
     # every localizer block is exactly Hermitian; (B + B*) / 2 would equal it bit for bit
-    inexact = {key: m for key, m in distinct.items() if not np.array_equal(m, m.conj().T)}
+    inexact = {key: m for key, m in distinct.items() if not np.array_equal(m, _adjoint(m))}
     solved = {
-        key: np.linalg.eigvalsh(_real_if_exact((m + m.conj().T) / 2.0 if key in inexact else m))
+        key: np.linalg.eigvalsh(_real_if_exact((m + _adjoint(m)) / 2.0 if key in inexact else m))
         for key, m in distinct.items()
     }
     parts = [solved[id(m)] for m in mats]
@@ -242,7 +284,7 @@ def doubled_spectrum(
     ``self_adjoint`` the adjoint test of x runs against that tau (exact
     first, then one SVD of ``x - x*``) and raises ``NotSelfAdjointError``.
     """
-    m = as_matrix(matrix)
+    m = _as_field_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
     sv = np.linalg.svd(_real_if_exact(m), compute_uv=False)
@@ -253,8 +295,8 @@ def doubled_spectrum(
 
 
 def operator_norm(matrix) -> float:
-    """Largest singular value; 0.0 for an all-zero matrix without an SVD."""
-    m = np.asarray(matrix, dtype=np.complex128)
+    """Largest singular value; 0.0 for an empty or all-zero matrix without an SVD."""
+    m = _in_field(matrix)
     if m.size == 0:
         return 0.0
     if not np.all(np.isfinite(m)):
@@ -274,7 +316,7 @@ def operator_norm_bound(matrix, limit: float) -> float:
     ``operator_norm(M)`` returned instead: the SVD, or the ``NonFiniteError``
     of a NaN or Inf entry.
     """
-    moduli = np.abs(np.asarray(matrix, dtype=np.complex128))
+    moduli = np.abs(_in_field(matrix))
     one = float(moduli.sum(axis=0).max(initial=0.0))
     inf = float(moduli.sum(axis=1).max(initial=0.0))
     # two roots, so that the product of two tiny norms cannot underflow to 0
@@ -284,7 +326,7 @@ def operator_norm_bound(matrix, limit: float) -> float:
 
 def min_singular_value(matrix) -> float:
     """Smallest singular value."""
-    m = as_matrix(matrix)
+    m = _as_field_matrix(matrix)
     return float(np.linalg.svd(_real_if_exact(m), compute_uv=False)[-1])
 
 
@@ -302,7 +344,7 @@ def residual_ok(residual, *refs, policy: TolerancePolicy = DEFAULT_POLICY) -> bo
 
     Exact first: an all-zero R passes without taking any norm.
     """
-    r = as_matrix(residual)
+    r = _as_field_matrix(residual)
     if not np.any(r):
         return True
     scale = max((operator_norm(a) for a in refs), default=0.0)
@@ -310,19 +352,33 @@ def residual_ok(residual, *refs, policy: TolerancePolicy = DEFAULT_POLICY) -> bo
 
 
 def doubled_matrix(a, s: float = 0.0) -> np.ndarray:
-    """The doubling ``[[s*I, a], [a*, s*I]]`` of a square a; its spectrum is ``s + Sigma_a``."""
-    a = as_matrix(a)
-    eye = s * np.eye(a.shape[0])
-    return np.block([[eye, a], [a.conj().T, eye]])
+    """The doubling ``[[s*I, a], [a*, s*I]]`` of a square a; its spectrum is ``s + Sigma_a``.
+
+    float64 when a's dtype is real, complex128 otherwise.
+    """
+    a = _as_field_matrix(a)
+    n = a.shape[0]
+    out = np.zeros((2 * n, 2 * n), dtype=a.dtype)
+    out[:n, n:] = a
+    out[n:, :n] = _adjoint(a)
+    if s:
+        np.fill_diagonal(out, s)
+    return out
 
 
-def direct_sum(a, b) -> np.ndarray:
-    """``a (+) b``; the graded sum of the paper is ``direct_sum(a, -b)``."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.complex128)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
+def direct_sum(a, *rest) -> np.ndarray:
+    """``a (+) b (+) ...``; the graded sum of the paper is ``direct_sum(a, -b)``.
+
+    float64 when every block's dtype is real, complex128 otherwise.
+    ``direct_sum(*[a] * n)`` is the amplification ``I_n (x) a``.
+    """
+    blocks = [_as_field_matrix(b) for b in (a, *rest)]
+    rows, cols = (sum(b.shape[i] for b in blocks) for i in (0, 1))
+    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
     return out
 
 

@@ -9,10 +9,14 @@ and the generalized (shifted) localizer used for delta-gapped elements is
 
     L(kappa, s) = I_2 (x) L_reduced + s * (sigma_x (x) W),
 
-with W the swap [[0,I],[I,0]] = doubled_matrix(I) in the odd case and
-the grading diag(I,-I) = direct_sum(I, -I) in the even case.  W comes
-from ``_reduced_parts``, with L_reduced's parts, all built from the two
-block forms of :mod:`specloc.linalg`.  This assembly satisfies, exactly:
+with W the swap [[0,I],[I,0]] in the odd case and the grading
+diag(I,-I) in the even case, a signed permutation either way.
+``_reduced_parts`` builds L_reduced's parts C and K, L_reduced = C + kappa*K,
+from the block forms of :mod:`specloc.linalg` (``doubled_matrix``,
+``direct_sum``), in the field of (x, D0): float64 when the imaginary parts
+of x and D0 are exactly zero, complex128 otherwise.  W is never assembled:
+at s = 0 it does not enter, and at s != 0 each half adds +-s at W's +-1
+entries alone.  This assembly satisfies, exactly:
 
   * L(kappa, 0) = L_reduced (+) L_reduced;
   * for x = e the eigenvalues are +-sqrt((1 +-' s)^2 + kappa^2 lambda^2)
@@ -80,6 +84,8 @@ from .linalg import (
     TolerancePolicy,
     _EPS,
     _ArrayValue,
+    _adjoint,
+    _common_field,
     _read_only,
     as_matrix,
     direct_sum,
@@ -118,15 +124,6 @@ class SpectralTriple(_ArrayValue):
     def ambient_dim(self) -> int:
         return self.D0.shape[0] * (2 if self.parity == "even" else 1)
 
-    def amplified_D0(self, n: int) -> np.ndarray:
-        """n-fold amplification, element blocks outer."""
-        return np.kron(np.eye(n), self.D0)
-
-    def assembled_dirac(self, n: int = 1) -> np.ndarray:
-        if self.parity == "odd":
-            return self.amplified_D0(n)
-        return np.kron(np.eye(n), doubled_matrix(self.D0))
-
 
 def odd_triple(D, policy: TolerancePolicy = DEFAULT_POLICY) -> SpectralTriple:
     d = as_matrix(D)
@@ -147,12 +144,9 @@ def _level(T: SpectralTriple, x: OperatorElement) -> int:
     return x.dim // T.ambient_dim
 
 
-def _even_halves(T: SpectralTriple, x: OperatorElement, policy: TolerancePolicy):
-    """Split an even element into its grading compressions x_+ and x_-."""
-    n = _level(T, x)
-    h = T.D0.shape[0]
+def _even_halves(m: np.ndarray, n: int, h: int, policy: TolerancePolicy):
+    """Split an even element's matrix m at level n, D0 of size h, into x_+ and x_-."""
     d = 2 * h
-    m = x.matrix
     blocks = m.reshape(n, d, n, d)
     # gamma x - x gamma for gamma = I_n (x) diag(I, -I): +-2 times the
     # grading-off-diagonal blocks, zero elsewhere
@@ -167,23 +161,30 @@ def _even_halves(T: SpectralTriple, x: OperatorElement, policy: TolerancePolicy)
 
 
 def commutator_norm(T: SpectralTriple, x: OperatorElement) -> float:
-    """||[D, x]|| with D assembled per parity and amplified blockwise."""
+    """||[D_n, x]||, formed blockwise in the field of (x, D0).
+
+    D_n = I_n (x) D is block diagonal, so the (a, b) block of [D_n, x] is
+    [D, x_ab]: n^2 products of the size of D, never one of D_n.
+    """
     n = _level(T, x)
-    dirac = T.assembled_dirac(n)
-    return operator_norm(dirac @ x.matrix - x.matrix @ dirac)
+    m, d0 = _common_field(x.matrix, T.D0)
+    dirac = d0 if T.parity == "odd" else doubled_matrix(d0)
+    h = dirac.shape[0]
+    blocks = m.reshape(n, h, n, h).transpose(0, 2, 1, 3)  # blocks[a, b] = x_ab
+    commutator = dirac @ blocks - blocks @ dirac
+    return operator_norm(commutator.transpose(0, 2, 1, 3).reshape(m.shape))
 
 
 def _reduced_parts(T: SpectralTriple, x: OperatorElement, policy: TolerancePolicy):
-    """(C, K, W): L_reduced(kappa) = C + kappa*K and the shift W; the element's checks run here."""
+    """(C, K): L_reduced(kappa) = C + kappa*K in the field of (x, D0); the element's checks run here."""
     n = _level(T, x)
-    d = T.amplified_D0(n)
-    eye = np.eye(d.shape[0])
+    m, d0 = _common_field(x.matrix, T.D0)
     if T.parity == "odd":
-        return doubled_matrix(x.matrix), direct_sum(d, -d), doubled_matrix(eye)
+        return doubled_matrix(m), direct_sum(*[d0] * n, *[-d0] * n)
     if not x.self_adjoint:
         raise ModeMismatchError("even localizer requires a self-adjoint element")
-    x_plus, x_minus = _even_halves(T, x, policy)
-    return direct_sum(x_plus, -x_minus), doubled_matrix(d), direct_sum(eye, -eye)
+    x_plus, x_minus = _even_halves(m, n, d0.shape[0], policy)
+    return direct_sum(x_plus, -x_minus), doubled_matrix(direct_sum(*[d0] * n))
 
 
 def _check_point(kappa: float, s: float) -> None:
@@ -193,11 +194,29 @@ def _check_point(kappa: float, s: float) -> None:
         raise ValueError("s must be finite and nonnegative")
 
 
-def _halves(reduced: np.ndarray, w: np.ndarray, s: float) -> tuple:
-    """Blocks of (L_reduced + s*W) (+) (L_reduced - s*W); one distinct block at s = 0."""
+def _shifted(reduced: np.ndarray, parity: str, s: float) -> np.ndarray:
+    """L_reduced + s*W, with s added at W's +-1 entries only.
+
+    Adding -s where W is +1 rounds as subtracting s*1 does, so the halves
+    at +-s equal C + kappa*K +- s*W entry for entry.
+    """
+    half = reduced.copy()
+    n = half.shape[0] // 2
+    i = np.arange(n)
+    if parity == "odd":  # W = [[0, I], [I, 0]]
+        half[i, i + n] += s
+        half[i + n, i] += s
+    else:  # W = diag(I, -I)
+        half[i, i] += s
+        half[i + n, i + n] -= s
+    return half
+
+
+def _halves(reduced: np.ndarray, parity: str, s: float) -> tuple:
+    """Blocks of (L_reduced + s*W) (+) (L_reduced - s*W); one distinct block, and no W, at s = 0."""
     if s == 0:
         return reduced, reduced
-    return reduced + s * w, reduced - s * w
+    return _shifted(reduced, parity, s), _shifted(reduced, parity, -s)
 
 
 def build_reduced(
@@ -207,7 +226,7 @@ def build_reduced(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """The odd or even spectral localizer (half the generalized one at s=0)."""
-    c, k, _ = _reduced_parts(T, x, policy)
+    c, k = _reduced_parts(T, x, policy)
     return c + kappa * k
 
 
@@ -224,8 +243,8 @@ def localizer_halves(
     (one array twice, solved once by ``hermitian_spectrum``) at s = 0.
     """
     _check_point(kappa, s)
-    c, k, w = _reduced_parts(T, x, policy)
-    return _halves(c + kappa * k, w, s)
+    c, k = _reduced_parts(T, x, policy)
+    return _halves(c + kappa * k, T.parity, s)
 
 
 @dataclass(frozen=True)
@@ -250,16 +269,29 @@ def valid_region(
     delta: float,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> RegionDescription:
-    """Sufficient constancy region 0 < kappa < min{s, delta-s}^2 / ||[D,x]||."""
+    """Sufficient constancy region 0 < kappa < min{s, delta-s}^2 / ||[D,x]||.
+
+    The region is ``unbounded`` when ||[D, x]|| is within ``residual_tol`` at
+    the scale ||D0|| ||x||.  ||D0|| enters first through its Hoelder bound
+    (``operator_norm_bound``, no SVD); the SVD of D0 runs only when the
+    bound finds ||[D, x]|| negligible.
+    """
     if not delta > 0:
         raise ValueError("delta must be positive")
     cert = delta_singular_check(x, delta, policy=policy)
     if not cert.verdict:
         raise NotGappedError(f"element is not {delta}-singular")
     norm = commutator_norm(T, x)
-    # ||D_n|| = ||D0|| for both parities; ||x|| = max|Sigma_x|
-    scale = operator_norm(T.D0) * float(np.abs(cert.sigma_x).max())
-    unbounded = norm <= policy.residual_tol(x.dim, scale)
+    x_norm = float(np.abs(cert.sigma_x).max())
+
+    def negligible(d0_norm):
+        # ||D_n|| = ||D0|| for both parities; ||x|| = max|Sigma_x|
+        return norm <= policy.residual_tol(x.dim, d0_norm * x_norm)
+
+    # residual_tol is monotone in its scale and the Hoelder bound is at least
+    # ||D0||, so "not negligible" at the bound is the verdict; only the other
+    # answer needs the SVD of D0
+    unbounded = negligible(operator_norm_bound(T.D0, math.inf)) and negligible(operator_norm(T.D0))
     return RegionDescription(float(delta), norm, unbounded)
 
 
@@ -314,7 +346,7 @@ def _spoke_guard(c: np.ndarray, k: np.ndarray, d0: np.ndarray, centre: tuple, sp
     (ends included), with the centre's inertia.  With C and K not exactly
     Hermitian every answer is False.
     """
-    if not all(np.array_equal(m, m.conj().T) for m in (c, k)):
+    if not all(np.array_equal(m, _adjoint(m)) for m in (c, k)):
         return lambda corner: False
     # Hoelder bounds, never an SVD (limit inf): ||K||_2 = ||D0||_2 and
     # || |K| ||_2 = || |D0| ||_2 for both parities, and || |M| ||_2 <=
@@ -324,8 +356,8 @@ def _spoke_guard(c: np.ndarray, k: np.ndarray, d0: np.ndarray, centre: tuple, sp
 
     def assembly(s, kappa):
         # fl(c + kappa*k +- s*w) is within gamma_3 (|c| + kappa|k| + s|w|) of the
-        # exact half, entrywise (one product, two sums; s*w is exact since w's
-        # entries are 0 and +-1), so in norm within 4 eps (||C|| + kappa||K|| + s)
+        # exact half, entrywise (one product, two sums; +-s enters only where
+        # w's entry is +-1), so in norm within 4 eps (||C|| + kappa||K|| + s)
         return 4 * _EPS * (norm_c + kappa * norm_k + s)
 
     s0, kappa0 = centre
@@ -405,10 +437,10 @@ def index(
 
     for s_i, kappa_i in points:
         _check_point(kappa_i, s_i)
-    c, k, w = _reduced_parts(T, x, policy)
+    c, k = _reduced_parts(T, x, policy)
 
     def solve(s_i, kappa_i):
-        spectrum = hermitian_spectrum(*_halves(c + kappa_i * k, w, s_i), policy=policy)
+        spectrum = hermitian_spectrum(*_halves(c + kappa_i * k, T.parity, s_i), policy=policy)
         if spectrum.inertia.n_zero > 0:
             raise SingularLocalizerError(
                 f"localizer singular at (kappa={kappa_i}, s={s_i}): |eig| down to "

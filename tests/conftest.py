@@ -33,8 +33,8 @@ def solve_counts(monkeypatch):
 
 
 @pytest.fixture
-def solve_dtypes(monkeypatch):
-    """``(name, dtype)`` of the matrix each ``svd`` and ``eigvalsh`` call receives, in order."""
+def solve_inputs(monkeypatch):
+    """``(name, matrix)`` of each ``svd`` and ``eigvalsh`` call, in order, the matrix as passed."""
     calls = []
-    _wrap_solvers(monkeypatch, lambda name, a: calls.append((name, np.asarray(a).dtype)))
+    _wrap_solvers(monkeypatch, lambda name, a: calls.append((name, a)))
     return calls

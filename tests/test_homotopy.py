@@ -200,10 +200,23 @@ def test_contract_mixed_phases():
 
 
 def test_contract_rejects_singular():
-    with pytest.raises(NotInvertibleError):
-        contract_invertible(bilateral_shift_truncation(3))
+    # sample 0 is x itself: its zero test refuses a singular x before any other sample
+    for x in (bilateral_shift_truncation(3), operator_element(np.zeros((2, 2)))):
+        with pytest.raises(NotInvertibleError, match="element is singular at tolerance"):
+            contract_invertible(x)
     with pytest.raises(ValueError, match="steps"):
         contract_invertible(identity_element(2), steps=1)
+
+
+def test_contract_refuses_a_later_sample_its_zero_test_refutes():
+    # sigma_min / sigma_max of x is 1.44 times the doubled zero threshold
+    # 64 eps, so sample 0 passes; z falls between the antipodes of x's two
+    # eigenvalues, 132.5 degrees from each, and the segment towards z e drops
+    # that ratio to 0.78 times the threshold near t = 1/4
+    angles = np.deg2rad([-40.0, 55.0])
+    x = np.array([[np.exp(1j * angles[0]), 7e6], [0.0, np.exp(1j * angles[1])]])
+    with pytest.raises(NotInvertibleError, match="contraction sample t=0.2500 singular"):
+        contract_invertible(operator_element(x, self_adjoint=False))
 
 
 def test_contract_rejects_what_the_delta_zero_certificate_refutes():
@@ -267,6 +280,14 @@ def test_equal_certified_scales_the_end_residual_by_its_own_witness():
     far = operator_element(1e6 * (1 + 1e-6) * np.eye(2), self_adjoint=False)
     with pytest.raises(ShapeMismatchError):
         equal_certified(w, w2, HomotopyPath((identity_element(2), far), (0.0, 1.0)))
+
+
+def test_equal_certified_refuses_a_path_at_another_level():
+    # both witnesses sit at level 1 (2 x 2); a path of 4 x 4 samples is at level 2
+    w = make_witness(identity_element(2), 0.5)
+    path = constant_path(identity_element(2, 2), samples=2)
+    with pytest.raises(ShapeMismatchError, match="stabilized level"):
+        equal_certified(w, w, path)
 
 
 def test_witness_rejects_ungapped():

@@ -22,7 +22,7 @@ from specloc.errors import (
     NotSquareError,
     SingularConjugatorError,
 )
-from specloc.linalg import _EPS, doubled_spectrum, operator_norm_bound
+from specloc.linalg import _EPS, as_matrix, doubled_spectrum, operator_norm_bound
 
 
 def random_unitary(n, seed):
@@ -192,6 +192,26 @@ def test_doubled_matrix_layout_and_spectrum():
     np.testing.assert_array_equal(direct_sum(a, -a), np.kron(np.diag([1.0, -1.0]), a))
 
 
+def test_block_forms_keep_a_real_input_real():
+    # float64 when every input's dtype is real, complex128 otherwise
+    real = np.arange(4.0).reshape(2, 2)
+    for m in (real, real.astype(int), real.tolist()):
+        assert doubled_matrix(m).dtype == doubled_matrix(m, 0.5).dtype == np.float64
+        assert direct_sum(m, -real).dtype == np.float64
+    complex_ = real.astype(np.complex128)  # exactly real values, complex dtype
+    assert doubled_matrix(complex_).dtype == np.complex128
+    assert direct_sum(real, complex_).dtype == direct_sum(complex_, real).dtype == np.complex128
+    np.testing.assert_array_equal(doubled_matrix(real, 0.5), doubled_matrix(complex_, 0.5))
+    # direct_sum of n copies is the amplification I_n (x) a
+    np.testing.assert_array_equal(direct_sum(real, real, real), np.kron(np.eye(3), real))
+
+
+def test_as_matrix_rejects_arrays_that_are_not_2d():
+    for shape in ((4,), (2, 2, 2)):
+        with pytest.raises(NotSquareError, match="expected a 2-d array"):
+            as_matrix(np.ones(shape))
+
+
 def test_verify_similarity_reflexive_and_symmetric():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((4, 4))
@@ -285,6 +305,7 @@ def test_operator_norm_of_zeros_takes_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", no_svd)
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     assert operator_norm(np.zeros((4, 4), dtype=np.complex128)) == 0.0
+    assert operator_norm(np.zeros((0, 0))) == 0.0  # empty: no entry, no SVD
     with pytest.raises(NonFiniteError):
         operator_norm(np.array([[0.0, np.nan], [0.0, 0.0]]))
 
@@ -332,31 +353,43 @@ def _solve_all_four(m):
     assert type(operator_norm(m)) is float and type(min_singular_value(m)) is float
 
 
-def test_real_input_reaches_lapack_as_float64(solve_dtypes):
+def _dtypes(solve_inputs):
+    return {np.asarray(a).dtype for _, a in solve_inputs}
+
+
+def test_real_input_reaches_lapack_as_float64(solve_inputs):
     real, _ = _real_and_last_column_complex()
     for m in (real, real.astype(np.complex128)):
-        solve_dtypes.clear()
+        solve_inputs.clear()
         _solve_all_four(m)
-        assert [name for name, _ in solve_dtypes] == ["eigvalsh", "svd", "svd", "svd"]
-        assert {dtype for _, dtype in solve_dtypes} == {np.dtype(np.float64)}
+        assert [name for name, _ in solve_inputs] == ["eigvalsh", "svd", "svd", "svd"]
+        assert _dtypes(solve_inputs) == {np.dtype(np.float64)}
 
 
-def test_any_nonzero_imaginary_entry_keeps_complex_arithmetic(solve_dtypes):
+def test_a_float64_block_reaches_lapack_without_a_copy(solve_inputs):
+    # an exactly Hermitian float64 block is solved as it is: no complex copy,
+    # no real part taken of one
+    real, _ = _real_and_last_column_complex()
+    hermitian_spectrum(real, real)
+    assert len(solve_inputs) == 1 and solve_inputs[0][1] is real
+
+
+def test_any_nonzero_imaginary_entry_keeps_complex_arithmetic(solve_inputs):
     # the first column alone never decides "real": an imaginary part of 1e-300
     # in the last column is found by the full scan
     _, tiny = _real_and_last_column_complex()
     first_column = np.diag([1.0, 2.0, 3.0, 4.0]).astype(np.complex128)
     first_column[2, 0], first_column[0, 2] = 1e-300j, -1e-300j
     for m in (tiny, first_column):
-        solve_dtypes.clear()
+        solve_inputs.clear()
         _solve_all_four(m)
-        assert {dtype for _, dtype in solve_dtypes} == {np.dtype(np.complex128)}
+        assert _dtypes(solve_inputs) == {np.dtype(np.complex128)}
 
 
-def test_winding_demo_solves_in_real_arithmetic(solve_counts, solve_dtypes):
-    # the flagship is real end to end: one eigensolve of R and three SVDs
-    # (x, [D, x], D0), every one of them on a float64 matrix
+def test_winding_demo_solves_in_real_arithmetic(solve_counts, solve_inputs):
+    # the flagship is real end to end: one eigensolve of R and two SVDs
+    # (x, [D, x]), every one of them on a float64 matrix
     idx, _ = winding_demo(2, 25)
     assert idx == 2
-    assert (solve_counts["eigvalsh"], solve_counts["svd"]) == (1, 3)
-    assert {dtype for _, dtype in solve_dtypes} == {np.dtype(np.float64)}
+    assert (solve_counts["eigvalsh"], solve_counts["svd"]) == (1, 2)
+    assert _dtypes(solve_inputs) == {np.dtype(np.float64)}

@@ -29,7 +29,8 @@ from specloc.errors import (
     NotSelfAdjointError,
     SingularLocalizerError,
 )
-from specloc.linalg import min_singular_value
+from specloc.linalg import DEFAULT_POLICY, min_singular_value
+from specloc.localizer import _reduced_parts
 
 from oracles import build_generalized, s_gap
 
@@ -215,6 +216,33 @@ def test_localizer_gap_takes_one_svd_at_s_zero(solve_counts):
     solve_counts.clear()
     localizer_gap(x, 0.2)
     assert solve_counts["svd"] == 2
+
+
+def test_circle_localizer_is_assembled_in_real_arithmetic():
+    # the circle's D0 and x are exactly real: so are C, K and both halves
+    triple, x = circle_dirac(5), circle_unitary_truncation(2, 5)
+    c, k = _reduced_parts(triple, x, DEFAULT_POLICY)
+    assert c.dtype == k.dtype == np.float64
+    for half in localizer_halves(triple, x, 0.1, 0.3):
+        assert half.dtype == np.float64
+    # one nonzero imaginary entry anywhere keeps the whole assembly complex
+    phased = operator_element(x.matrix * np.exp(1e-3j), self_adjoint=False)
+    assert {p.dtype for p in _reduced_parts(triple, phased, DEFAULT_POLICY)} == {np.dtype(np.complex128)}
+
+
+def test_valid_region_takes_the_svd_of_D0_only_when_its_bound_cannot_decide(solve_inputs):
+    # [D, x] = 0 exactly for x = e: the Hoelder bound of ||D0|| finds it
+    # negligible, and the verdict "unbounded" is confirmed by the SVD of D0
+    triple = circle_dirac(3)
+    d0 = triple.D0.real
+    assert valid_region(triple, identity_element(7), 1.0).unbounded
+    svd_inputs = [a for name, a in solve_inputs if name == "svd"]
+    assert len(svd_inputs) == 2  # the certificate of e, then D0
+    np.testing.assert_array_equal(svd_inputs[1], d0)
+    # the winding truncation's [D, x] is not negligible at the bound: no SVD of D0
+    solve_inputs.clear()
+    assert not valid_region(triple, circle_unitary_truncation(1, 3), 1.0).unbounded
+    assert not any(a.shape == d0.shape and np.array_equal(a, d0) for _, a in solve_inputs)
 
 
 def test_gap_bound_check_reads_a_self_adjoint_gap_from_the_certificate(solve_counts):

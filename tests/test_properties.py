@@ -6,8 +6,11 @@ kernels solve an exactly real matrix in real arithmetic: the exact tests
 call the oracle in the same arithmetic (``as_solved``), and drawn real
 symmetric and real square matrices are checked within tau of a complex
 solve (``eigvalsh`` and ``svd`` of the matrix cast to complex).  The
-split localizer (two half-size blocks, one at s = 0) is checked against
-the dense ``build_generalized`` assembly of ``tests/oracles.py``, and the
+localizer's parts C and K, assembled in the field of the input, and its
+halves C + kappa*K +- s*W are checked entry for entry against the dense
+complex definitions of ``tests/oracles.py``.  The split localizer (two
+half-size blocks, one at s = 0) is checked against the dense
+``build_generalized`` assembly of the same module, and the
 gap certificate (one SVD of x) against the dense spectrum of
 ``bordered(x, 0)``.  ``is_singular`` is checked against the delta = 0
 certificate, and ``residual_ok`` against its rule written out by hand.
@@ -62,7 +65,7 @@ from specloc.errors import (
 from specloc.linalg import doubled_spectrum
 from specloc.localizer import _reduced_parts, _spoke_guard
 
-from oracles import build_generalized, s_gap
+from oracles import build_generalized, localizer_parts, s_gap
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -408,6 +411,64 @@ def test_localizer_at_s_zero_is_reduced_plus_reduced(case):
     np.testing.assert_array_equal(first, reduced)
 
 
+@st.composite
+def assembly_input(draw):
+    """(triple, x, field, kappa, s): x and D0 each drawn real or complex, of either parity.
+
+    ``field`` is the dtype the localizer is assembled in: float64 exactly
+    when the imaginary parts of both are zero (a drawn complex Hermitian
+    matrix of size 1 is real).  Matrices are stored complex either way.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real_x, real_d0 = draw(st.booleans()), draw(st.booleans())
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def draw_matrix(size, real, hermitian=False):
+        a = rng.standard_normal((size, size))
+        if not real:
+            a = a + 1j * rng.standard_normal((size, size))
+        return (a + a.conj().T) / 2.0 if hermitian else a
+
+    kappa, s = draw(st.floats(1e-3, 3.0)), draw(st.floats(1e-3, 2.5))
+    if draw(st.sampled_from(["odd", "even"])) == "odd":
+        triple = SpectralTriple("odd", draw_matrix(rows, real_d0, hermitian=True))
+        x = OperatorElement(draw_matrix(rows * n, real_x), n, rows, False)
+    else:
+        triple = even_triple(draw_matrix(rows, real_d0))
+        d = 2 * rows
+        blocks = np.zeros((n, d, n, d), dtype=np.complex128)
+        for sl in (slice(0, rows), slice(rows, d)):
+            half = draw_matrix(rows * n, real_x, hermitian=True)
+            blocks[:, sl, :, sl] = half.reshape(n, rows, n, rows)
+        x = OperatorElement(blocks.reshape(n * d, n * d), n, d, True)
+    real = not (x.matrix.imag.any() or triple.D0.imag.any())
+    return triple, x, np.dtype(np.float64 if real else np.complex128), kappa, s
+
+
+@SETTINGS
+@given(assembly_input())
+def test_localizer_parts_are_the_definitions_in_the_input_field(case):
+    # C and K equal the dense complex definitions of the oracle, in float64
+    # exactly when x and D0 are both real
+    triple, x, field, _, _ = case
+    c, k = _reduced_parts(triple, x, DEFAULT_POLICY)
+    oracle_c, oracle_k, _ = localizer_parts(triple, x)
+    assert c.dtype == k.dtype == field
+    assert np.array_equal(c, oracle_c) and np.array_equal(k, oracle_k)
+
+
+@SETTINGS
+@given(assembly_input())
+def test_halves_at_positive_s_are_the_definitions_entry_for_entry(case):
+    # W is never assembled, yet each half is C + kappa*K +- s*W to the last bit
+    triple, x, field, kappa, s = case
+    c, k, w = localizer_parts(triple, x)
+    plus, minus = localizer_halves(triple, x, kappa, s)
+    assert plus.dtype == minus.dtype == field
+    assert np.array_equal(plus, c + kappa * k + s * w)
+    assert np.array_equal(minus, c + kappa * k - s * w)
+
+
 @SETTINGS
 @given(localizer_input())
 def test_unit_localizer_closed_form(case):
@@ -506,7 +567,7 @@ def test_a_certified_spoke_keeps_the_centre_signature_at_every_point(case):
     # Weyl: the guard leaves every point of the spoke, corner included, with
     # the centre's signature and no eigenvalue within the centre's tau* of 0
     triple, x, centre, corner = case
-    c, k, _ = _reduced_parts(triple, x, DEFAULT_POLICY)
+    c, k = _reduced_parts(triple, x, DEFAULT_POLICY)
     spectrum = hermitian_spectrum(*localizer_halves(triple, x, centre[1], centre[0]))
     if spectrum.inertia.n_zero > 0:
         return  # a singular centre is refused before any corner
