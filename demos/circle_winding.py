@@ -49,13 +49,16 @@ for m in (-3, -2, -1, 1, 2, 3):
     print(f"  m = {m:+d}: index = {idx:+d}   "
           f"(kappa = {report.kappa:.4f}, min |eig| = {report.min_abs_eig:.3f})")
 
-# --- where the signature is provably constant ---------------------------
+# --- the analytic constancy cap, and why it does not apply here ----------
 
 region = valid_region(triple, x, delta=1.0)
-print("\nsufficient constancy region for m=1, N=3 (delta = 1):")
+print("\nthe analytic constancy cap for m=1, N=3 (delta = 1):")
 print(f"  ||[D, x]|| = {region.commutator_norm}")
 print(f"  kappa_max(s = 0.5) = {region.kappa_max(0.5)}")
-print("  in this small-coupling region the signature is constant (and zero:")
-print("  a fixed truncation only pairs nontrivially at finite kappa, here s = 0).")
+print("  the cap min{s, delta-s}^2 / ||[D, x]|| assumes a normal x; this")
+print("  truncation is not normal, and the cap does not hold for it:")
+print("  default-region index finds signatures 0 and 4 below it.  The index")
+print("  above is read at an explicit point (kappa, s = 0), where")
+print("  invertibility is checked directly.")
 
 print("\nreduced localizer spectrum:", np.round(spectrum.eigenvalues, 3))

@@ -50,16 +50,13 @@ from .homotopy import (
     verify_path,
 )
 from .localizer import (
-    GapBoundReport,
     LocalizerReport,
     RegionDescription,
     SpectralTriple,
     build_reduced,
     commutator_norm,
     even_triple,
-    gap_bound_check,
     index,
-    localizer_gap,
     localizer_halves,
     odd_triple,
     valid_region,

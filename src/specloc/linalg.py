@@ -21,8 +21,8 @@ through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
   triple constructors, ``reduce_periodic``).
 * :func:`residual_ok`, exact-first: the localizer's even grading test,
   ``equal_certified``, ``reduce_periodic`` and :func:`verify_similarity`.
-  ``valid_region``, ``gap_bound_check`` and CLI ``clifford-verify`` compare a
-  number, not a matrix, with ``residual_tol``.
+  ``valid_region`` and CLI ``clifford-verify`` compare a number, not a
+  matrix, with ``residual_tol``.
 * Step bounds, :func:`operator_norm_bound`: an upper bound of ``||M||_2``
   checked against a limit, ``sqrt(||M||_1 ||M||_inf)`` before any SVD;
   ``verify_path``'s per-segment guard, ``||D0||`` in ``valid_region`` and

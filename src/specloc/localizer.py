@@ -23,19 +23,20 @@ entries alone.  This assembly satisfies, exactly:
     over the Dirac spectrum;
   * the square bound L(kappa, s)^2 >= g_loc^2 - kappa*||[D, x]||, where
     g_loc = min over +- of the smallest singular value of x -+ s*e is
-    the localizer gap.  For self-adjoint (more generally normal) x the
-    localizer gap equals the bordered s-gap, which in turn dominates
-    min{s, delta-s} for delta-gapped elements, giving the sufficient
-    constancy region 0 < kappa < min{s, delta-s}^2 / ||[D, x]||.
+    the localizer gap; ``tests/oracles.py`` checks it, no verdict reads
+    it.  For self-adjoint (more generally normal) x the localizer gap
+    equals the bordered s-gap, which in turn dominates min{s, delta-s}
+    for delta-gapped elements, giving the sufficient constancy region
+    0 < kappa < min{s, delta-s}^2 / ||[D, x]||.
 
 The Hadamard H = [[1, 1], [1, -1]] / sqrt(2) in the outer slot turns
 sigma_x into sigma_z, so for either parity
 
     (H (x) I) L(kappa, s) (H (x) I) = (L_reduced + s*W) (+) (L_reduced - s*W).
 
-``index``, ``gap_bound_check`` and the CLI read the spectrum of
-L(kappa, s) from the two half-size blocks (:func:`localizer_halves`),
-and at s = 0 from one solve of L_reduced.  Only the dense reference the
+``index`` and the CLI read the spectrum of L(kappa, s) from the two
+half-size blocks (:func:`localizer_halves`), and at s = 0 from one solve
+of L_reduced.  Only the dense reference the
 tests compare against (``tests/oracles.py``) assembles the full matrix.
 
 Default-region ``index`` solves the centre (kappa*, s*) and certifies each
@@ -92,7 +93,6 @@ from .linalg import (
     doubled_matrix,
     hermitian_spectrum,
     is_self_adjoint,
-    min_singular_value,
     operator_norm,
     operator_norm_bound,
     residual_ok,
@@ -247,6 +247,16 @@ def localizer_halves(
     return _halves(c + kappa * k, T.parity, s)
 
 
+def _gap_certificate(x: OperatorElement, delta: float, policy: TolerancePolicy):
+    """x's certificate at delta; raises unless delta > 0 and x is delta-singular."""
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    cert = delta_singular_check(x, delta, policy=policy)
+    if not cert.verdict:
+        raise NotGappedError(f"element is not {delta}-singular")
+    return cert
+
+
 @dataclass(frozen=True)
 class RegionDescription:
     """The (kappa, s) region where the localizer signature is certifiably constant."""
@@ -276,11 +286,7 @@ def valid_region(
     (``operator_norm_bound``, no SVD); the SVD of D0 runs only when the
     bound finds ||[D, x]|| negligible.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    cert = delta_singular_check(x, delta, policy=policy)
-    if not cert.verdict:
-        raise NotGappedError(f"element is not {delta}-singular")
+    cert = _gap_certificate(x, delta, policy)
     norm = commutator_norm(T, x)
     x_norm = float(np.abs(cert.sigma_x).max())
 
@@ -293,46 +299,6 @@ def valid_region(
     # answer needs the SVD of D0
     unbounded = negligible(operator_norm_bound(T.D0, math.inf)) and negligible(operator_norm(T.D0))
     return RegionDescription(float(delta), norm, unbounded)
-
-
-def localizer_gap(x: OperatorElement, s: float, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
-    """min over +- of the smallest singular value of x -+ s*e.
-
-    This is the quantity that lower-bounds the shifted localizer; it
-    equals the bordered s-gap whenever x is normal (in particular
-    self-adjoint) and is never larger than it.  At s = 0 both matrices are
-    x, and for self-adjoint x (eigenvalues lambda_i) the minimum is
-    ``min_i ||lambda_i| - s|``; in both cases it is ``min|s + Sigma_x|``,
-    read from the element's memoized certificate ``x.doubled(policy)``.
-    Otherwise it takes one SVD of each of x -+ s*e.
-    """
-    if s == 0 or x.self_adjoint:
-        return float(np.min(np.abs(s + x.doubled(policy).eigenvalues)))
-    eye = np.eye(x.dim)
-    return min(min_singular_value(x.matrix - s * eye), min_singular_value(x.matrix + s * eye))
-
-
-@dataclass(frozen=True)
-class GapBoundReport:
-    passed: bool
-    min_eig_sq: float
-    bound: float  # g_loc^2 - kappa * ||[D, x]||
-
-
-def gap_bound_check(
-    T: SpectralTriple,
-    x: OperatorElement,
-    kappa: float,
-    s: float,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-) -> GapBoundReport:
-    """Verify min eig(L^2) >= g_loc^2 - kappa*||[D,x]|| - tau."""
-    eigs = hermitian_spectrum(*localizer_halves(T, x, kappa, s, policy), policy=policy).eigenvalues
-    min_eig_sq = float(np.min(eigs**2))
-    g = localizer_gap(x, s, policy)
-    bound = g * g - kappa * commutator_norm(T, x)
-    tol = policy.residual_tol(len(eigs), float(np.max(eigs**2)))
-    return GapBoundReport(min_eig_sq >= bound - tol, min_eig_sq, bound)
 
 
 def _spoke_guard(c: np.ndarray, k: np.ndarray, d0: np.ndarray, centre: tuple, spectrum):
@@ -388,8 +354,6 @@ class LocalizerReport(_ArrayValue):
     signature: int
     index: int
     min_abs_eig: float
-    gap_bound: float
-    commutator_norm: float
     samples: tuple  # (s, kappa, signature): certified, by a solve or from the centre's spectrum
     reduced_signature: int | None = None
 
@@ -405,18 +369,22 @@ def index(
     """Quarter-signature index of a delta-gapped element.
 
     With explicit (kappa, s), e.g. the kappa = 1, s = 0 regime of the
-    circle demo, the localizer is evaluated there, with invertibility
-    checked directly.  Otherwise the signature is read at the default
-    interior point of the constancy region, solved, and at the four corners
-    of a shrunken sub-rectangle; all five values must agree.  A corner
-    within Weyl's reach of the centre (:func:`_spoke_guard`) takes the
-    centre's signature without a solve; any other corner is solved.
-    ``samples`` lists all five points either way.
+    circle demo, the localizer is evaluated there (s defaults to 0, kappa
+    to kappa*), with invertibility checked directly.  Otherwise the
+    signature is read at the default interior point of the constancy
+    region, solved, and at the four corners of a shrunken sub-rectangle;
+    all five values must agree.  A corner within Weyl's reach of the
+    centre (:func:`_spoke_guard`) takes the centre's signature without a
+    solve; any other corner is solved.  ``samples`` lists all five points
+    either way.
     """
-    region = valid_region(T, x, delta, policy)
-    # the default point: the middle of the region, at half its largest kappa
-    s_star = delta / 2.0
-    kappa_star = 1.0 if region.unbounded else 0.5 * region.kappa_max(s_star)
+    if kappa is None:
+        region = valid_region(T, x, delta, policy)
+        # the default point: the middle of the region, at half its largest kappa
+        s_star = delta / 2.0
+        kappa_star = 1.0 if region.unbounded else 0.5 * region.kappa_max(s_star)
+    else:  # no region is read, so ||[D, x]|| is not computed
+        _gap_certificate(x, delta, policy)
 
     if kappa is not None or s is not None:
         points = [(s if s is not None else 0.0, kappa if kappa is not None else kappa_star)]
@@ -466,7 +434,6 @@ def index(
     if sig % 4:
         raise NotDivisibleBy4Error(f"signature {sig} is not divisible by 4")
 
-    g = localizer_gap(x, s0, policy)
     report = LocalizerReport(
         parity=T.parity,
         kappa=kappa0,
@@ -477,8 +444,6 @@ def index(
         signature=sig,
         index=sig // 4,
         min_abs_eig=float(np.min(np.abs(spectrum.eigenvalues))),
-        gap_bound=g * g - kappa0 * region.commutator_norm,
-        commutator_norm=region.commutator_norm,
         samples=tuple((s_i, k_i, sig_i) for (s_i, k_i), sig_i in zip(points, sample_signatures)),
     )
     return sig // 4, report

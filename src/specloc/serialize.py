@@ -123,8 +123,6 @@ def localizer_report_to_json(report: LocalizerReport) -> dict:
         "signature": int(report.signature),
         "index": int(report.index),
         "min_abs_eig": float(report.min_abs_eig),
-        "gap_bound": float(report.gap_bound),
-        "commutator_norm": float(report.commutator_norm),
         "samples": [[float(s), float(k), int(sig)] for s, k, sig in report.samples],
         "reduced_signature": report.reduced_signature,
     }

@@ -6,14 +6,27 @@ the input.  These references build the full complex matrices instead, from
 the definitions alone, and solve each one with a dense Hermitian
 eigensolve.  The identity they check is ``eig(bordered(x, s)) = s +
 Sigma_x``, the bordered probe of Loring & Schulz-Baldes (NYJM 2017).
-No product path calls them.
+The square bound ``L(kappa, s)^2 >= g_loc^2 - kappa*||[D, x]||`` of the
+same paper is checked here too (``gap_bound_check``), against specloc's
+split spectrum.  No product path calls them.
 """
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from specloc import DEFAULT_POLICY, bordered, hermitian_spectrum
+from specloc import (
+    DEFAULT_POLICY,
+    OperatorElement,
+    SpectralTriple,
+    TolerancePolicy,
+    bordered,
+    commutator_norm,
+    hermitian_spectrum,
+    localizer_halves,
+    min_singular_value,
+)
 from specloc.localizer import _check_point
 
 
@@ -93,3 +106,43 @@ def build_generalized(T, x, kappa, s) -> np.ndarray:
     c, k, w = localizer_parts(T, x)
     reduced = c + kappa * k
     return np.block([[reduced, s * w], [s * w, reduced]])
+
+
+def localizer_gap(x: OperatorElement, s: float, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
+    """min over +- of the smallest singular value of x -+ s*e.
+
+    This is the quantity that lower-bounds the shifted localizer; it
+    equals the bordered s-gap whenever x is normal (in particular
+    self-adjoint) and is never larger than it.  At s = 0 both matrices are
+    x, and for self-adjoint x (eigenvalues lambda_i) the minimum is
+    ``min_i ||lambda_i| - s|``; in both cases it is ``min|s + Sigma_x|``,
+    read from the element's memoized certificate ``x.doubled(policy)``.
+    Otherwise it takes one SVD of each of x -+ s*e.
+    """
+    if s == 0 or x.self_adjoint:
+        return float(np.min(np.abs(s + x.doubled(policy).eigenvalues)))
+    eye = np.eye(x.dim)
+    return min(min_singular_value(x.matrix - s * eye), min_singular_value(x.matrix + s * eye))
+
+
+@dataclass(frozen=True)
+class GapBoundReport:
+    passed: bool
+    min_eig_sq: float
+    bound: float  # g_loc^2 - kappa * ||[D, x]||
+
+
+def gap_bound_check(
+    T: SpectralTriple,
+    x: OperatorElement,
+    kappa: float,
+    s: float,
+    policy: TolerancePolicy = DEFAULT_POLICY,
+) -> GapBoundReport:
+    """Verify min eig(L^2) >= g_loc^2 - kappa*||[D,x]|| - tau."""
+    eigs = hermitian_spectrum(*localizer_halves(T, x, kappa, s, policy), policy=policy).eigenvalues
+    min_eig_sq = float(np.min(eigs**2))
+    g = localizer_gap(x, s, policy)
+    bound = g * g - kappa * commutator_norm(T, x)
+    tol = policy.residual_tol(len(eigs), float(np.max(eigs**2)))
+    return GapBoundReport(min_eig_sq >= bound - tol, min_eig_sq, bound)

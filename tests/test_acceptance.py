@@ -16,7 +16,6 @@ from specloc import (
     contract_invertible,
     delta_singular_check,
     embed_low,
-    gap_bound_check,
     hermitian_spectrum,
     identity_element,
     index,
@@ -32,7 +31,7 @@ from specloc import (
     winding_demo,
 )
 
-from oracles import build_generalized, grid_check
+from oracles import build_generalized, gap_bound_check, grid_check
 
 
 def signature_of(matrix):

@@ -31,6 +31,11 @@ from specloc.serialize import (
 )
 from specloc.homotopy import HomotopyPath
 
+# the keys of an index report; circle adds m and N
+LOCALIZER_REPORT_KEYS = {
+    "parity", "kappa", "s", "delta", "eigenvalues", "inertia", "signature", "index",
+    "min_abs_eig", "samples", "reduced_signature",
+}
 
 @pytest.fixture
 def shift_file(tmp_path):
@@ -117,6 +122,7 @@ def test_circle_with_plot(capsys, tmp_path):
     assert code == 0
     assert report["report"]["index"] == 1
     assert report["report"]["reduced_signature"] == 2
+    assert set(report["report"]) == LOCALIZER_REPORT_KEYS | {"m", "N"}
     text = svg.read_text()
     assert text.startswith("<svg") and "signature = 4" in text
     csv = (tmp_path / "fig1.csv").read_text().strip().splitlines()
@@ -159,6 +165,7 @@ def test_index_subcommand(capsys, tmp_path):
     assert code == 0
     assert report["report"]["index"] == 2
     assert report["report"]["signature"] == 8
+    assert set(report["report"]) == LOCALIZER_REPORT_KEYS
 
 
 def test_localizer_subcommand(capsys, tmp_path):

@@ -387,9 +387,9 @@ def test_any_nonzero_imaginary_entry_keeps_complex_arithmetic(solve_inputs):
 
 
 def test_winding_demo_solves_in_real_arithmetic(solve_counts, solve_inputs):
-    # the flagship is real end to end: one eigensolve of R and two SVDs
-    # (x, [D, x]), every one of them on a float64 matrix
+    # the flagship is real end to end: one eigensolve of R and one SVD (x's
+    # certificate), each on a float64 matrix
     idx, _ = winding_demo(2, 25)
     assert idx == 2
-    assert (solve_counts["eigvalsh"], solve_counts["svd"]) == (1, 2)
+    assert (solve_counts["eigvalsh"], solve_counts["svd"]) == (1, 1)
     assert _dtypes(solve_inputs) == {np.dtype(np.float64)}

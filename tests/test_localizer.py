@@ -10,11 +10,9 @@ from specloc import (
     circle_unitary_truncation,
     commutator_norm,
     even_triple,
-    gap_bound_check,
     hermitian_spectrum,
     identity_element,
     index,
-    localizer_gap,
     localizer_halves,
     odd_triple,
     operator_element,
@@ -32,7 +30,7 @@ from specloc.errors import (
 from specloc.linalg import DEFAULT_POLICY, min_singular_value
 from specloc.localizer import _reduced_parts
 
-from oracles import build_generalized, s_gap
+from oracles import build_generalized, gap_bound_check, localizer_gap, s_gap
 
 
 def signature_of(matrix):
@@ -172,12 +170,17 @@ def test_valid_region_unit_unbounded():
 
 
 def test_valid_region_rejects_ungapped():
-    triple = circle_dirac(3)
+    # index at an explicit kappa reads no region and raises the same errors
+    triple, x = circle_dirac(3), circle_unitary_truncation(1, 3)
     with pytest.raises(NotGappedError):
-        valid_region(triple, circle_unitary_truncation(1, 3), 1.5)
+        valid_region(triple, x, 1.5)
+    with pytest.raises(NotGappedError):
+        index(triple, x, 1.2, kappa=0.1, s=0.0)
     for delta in (0.0, -1.0):
         with pytest.raises(ValueError, match="delta"):
-            valid_region(triple, circle_unitary_truncation(1, 3), delta)
+            valid_region(triple, x, delta)
+        with pytest.raises(ValueError, match="delta"):
+            index(triple, x, delta, kappa=0.1)
 
 
 def test_gap_bound_unit_and_circle():
@@ -261,23 +264,32 @@ def test_gap_bound_check_reads_a_self_adjoint_gap_from_the_certificate(solve_cou
     assert report.bound == g * g - 0.01 * commutator_norm(triple, x)
 
 
-def test_index_reads_the_self_adjoint_localizer_gap_from_the_certificate(monkeypatch):
-    # for Hermitian x, min over +- of sigma_min(x -+ s) = min_i ||lambda_i| - s| = min|s + Sigma_x|
-    import specloc.localizer as loc
-
-    calls = []
-    original = loc.min_singular_value
-    monkeypatch.setattr(loc, "min_singular_value", lambda m: calls.append(1) or original(m))
+def test_default_region_index_takes_two_svds_for_a_non_self_adjoint_element(solve_inputs):
+    # one SVD of x for its certificate and one of [D, x] to place the region;
+    # no SVD of x -+ s*e at s* > 0, and none of D0, whose Hoelder bound decides
     rng = np.random.default_rng(12)
     triple = odd_triple(np.diag(rng.uniform(-2, 2, 4)))
     for seed in range(4):
-        x = random_gapped(4, 1, 0.4, self_adjoint=True, seed=seed)
+        x = random_gapped(4, 1, 0.4, seed=seed)
+        solve_inputs.clear()
         _, report = index(triple, x, 0.4)
-        assert report.s > 0 and calls == []
-        g = localizer_gap(x, report.s)
-        expected = g * g - report.kappa * report.commutator_norm
-        assert report.gap_bound == pytest.approx(expected, abs=x.doubled().tau)
-        calls.clear()
+        assert not x.self_adjoint and report.s > 0
+        svd_inputs = [a for name, a in solve_inputs if name == "svd"]
+        assert len(svd_inputs) == 2
+        np.testing.assert_array_equal(svd_inputs[0], x.matrix)
+        d = triple.D0
+        np.testing.assert_allclose(svd_inputs[1], d @ x.matrix - x.matrix @ d, atol=1e-14)
+
+
+def test_index_at_an_explicit_s_reads_kappa_star_from_the_region():
+    # s alone: one sample at (s, kappa*), kappa* = kappa_max(delta/2) / 2
+    rng = np.random.default_rng(12)
+    triple = odd_triple(np.diag(rng.uniform(-2, 2, 4)))
+    x = random_gapped(4, 1, 0.4, seed=1)
+    _, report = index(triple, x, 0.4, s=0.3)
+    kappa_star = 0.5 * valid_region(triple, x, 0.4).kappa_max(0.2)
+    assert (report.s, report.kappa) == (0.3, kappa_star)
+    assert report.samples == ((0.3, kappa_star, report.signature),)
 
 
 def test_localizer_reports_compare_and_hash_by_value():

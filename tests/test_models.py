@@ -113,11 +113,11 @@ def test_winding_demo_defaults():
 
 
 def test_winding_demo_solves_x_once(solve_counts):
-    # at s = 0: one SVD of x for the certificate, which also gives the report's
-    # gap bound sigma_min(x), one for ||[D, x]||, one eigensolve of R; the
-    # Hoelder bound of ||D0|| decides the region, so D0 takes no SVD
+    # at an explicit kappa only the delta-gap check runs: one SVD of x for the
+    # certificate and one eigensolve of R; no region is placed, so neither
+    # [D, x] nor D0 takes an SVD
     winding_demo(1, 25)
-    assert (solve_counts["svd"], solve_counts["eigvalsh"]) == (2, 1)
+    assert (solve_counts["svd"], solve_counts["eigvalsh"]) == (1, 1)
 
 
 def test_winding_demo_at_positive_s(solve_counts):

@@ -39,7 +39,6 @@ from specloc import (
     delta_singular_check,
     direct_sum,
     even_triple,
-    gap_bound_check,
     hermitian_spectrum,
     identity_element,
     index,
@@ -65,7 +64,7 @@ from specloc.errors import (
 from specloc.linalg import doubled_spectrum
 from specloc.localizer import _reduced_parts, _spoke_guard
 
-from oracles import build_generalized, localizer_parts, s_gap
+from oracles import build_generalized, gap_bound_check, localizer_parts, s_gap
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
