@@ -176,13 +176,18 @@ def contract_invertible(
     Chooses z on the unit circle in the widest angular gap of the
     eigenvalue arguments of x (antipodes included, so the whole line
     through +-z avoids the spectrum); the segment (1-t) x + t z e is
-    then invertible for every t, and each sample is certified to be so.
-    Sample 0 is x, sample 1 is z*e.
+    then invertible for every t.  The gap recurs around -z, and -z is
+    taken when every eigenvalue lies within 90 degrees of it and not all
+    within 90 degrees of z, so that no eigenvalue's path lambda -> z bends
+    towards 0.  Each sample is certified by its zero test, which a
+    non-normal x can still fail at a later sample (``NotInvertibleError``).
+    Sample 0 is x, the last sample is z*e.
     """
     if steps < 2:
         raise ValueError("need at least 2 steps")
     m = x.matrix
-    args = np.angle(np.linalg.eigvals(m))
+    eigs = np.linalg.eigvals(m)
+    args = np.angle(eigs)
     points = np.sort(np.mod(np.concatenate([args, args + np.pi]), 2 * np.pi))
     gaps = np.diff(np.concatenate([points, [points[0] + 2 * np.pi]]))
     widest = int(np.argmax(gaps))
@@ -191,6 +196,10 @@ def contract_invertible(
     if gaps[widest] <= 1e-9:
         raise NoGapFoundError("no eigenvalue-free direction at angular tolerance")
     z = np.exp(1j * (points[widest] + gaps[widest] / 2.0))
+    # the gap recurs around -z; turn there when every eigenvalue faces -z
+    # (Re(lambda conj(z)) < 0), for then no segment lambda -> -z bends towards 0
+    if np.all((eigs * np.conj(z)).real < 0):
+        z = -z
 
     eye = np.eye(m.shape[0], dtype=np.complex128)
     params = [k / (steps - 1) for k in range(steps)]

@@ -8,7 +8,10 @@ through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
 * Hermitian zero test, :func:`hermitian_spectrum`, whose ``Spectrum``
   carries the eigenvalues, the inertia and the signature: the merged spectrum
   of size N of one matrix or a direct sum of blocks, ``|lambda| <= f * N * eps
-  * max|lambda|``; ``index``, ``winding_demo``, CLI ``localizer``.
+  * max|lambda|``; ``index``, ``winding_demo``, CLI ``localizer``.  Each
+  block is solved by the connected components of its nonzero pattern, an
+  exact permutation similarity whose merged solves are backward stable for
+  the whole, so the rule still reads the merged spectrum at the full N.
 * Doubled zero test, :func:`doubled_spectrum`: ``spec [[0, x], [x*, 0]] =
   +-sigma_i(x)`` from one singular-value solve of x, ``sigma <= f * 2n * eps *
   sigma_max``; gap certificates and ``contract_invertible`` (through
@@ -245,32 +248,109 @@ def hermitian_spectrum(*blocks, policy: TolerancePolicy = DEFAULT_POLICY) -> Spe
     """Spectrum of the direct sum of (numerically) self-adjoint ``blocks``, with its inertia.
 
     One matrix is the one-block case.  Each distinct block (by identity)
-    is solved once, as it is when ``B == B*`` exactly and symmetrized
-    otherwise, and the eigenvalues are merged in ascending order.  The zero
-    test reads the merged spectrum of size N:
+    is scanned and solved once, as it is when ``B == B*`` exactly and
+    symmetrized otherwise, by the connected components of its nonzero
+    pattern (:func:`_component_eigvalsh`; a connected block reaches
+    ``eigvalsh`` whole), and the eigenvalues are merged in ascending order.
+    The zero test reads the merged spectrum of size N:
     ``|lambda| <= tau = f * N * eps * max|lambda|``.  Only then is each
-    inexact block's asymmetry tested against that tau: up to it, the
-    asymmetry is symmetrized away silently; beyond it,
+    inexact block's asymmetry tested, on the whole block, against that tau:
+    up to it, the asymmetry is symmetrized away silently; beyond it,
     ``NotSelfAdjointError`` is raised.
     """
     if not blocks:
         raise TypeError("hermitian_spectrum needs at least one block")
-    mats = [_as_field_matrix(b) for b in blocks]
-    for m in mats:
+    unique = {id(b): b for b in blocks}  # the localizer passes R twice at s = 0: one scan
+    distinct = {key: _as_field_matrix(b) for key, b in unique.items()}
+    for m in distinct.values():
         if m.shape[0] != m.shape[1]:
             raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
-    distinct = {id(m): m for m in mats}
     # every localizer block is exactly Hermitian; (B + B*) / 2 would equal it bit for bit
     inexact = {key: m for key, m in distinct.items() if not np.array_equal(m, _adjoint(m))}
     solved = {
-        key: np.linalg.eigvalsh(_real_if_exact((m + _adjoint(m)) / 2.0 if key in inexact else m))
+        key: _component_eigvalsh(_real_if_exact((m + _adjoint(m)) / 2.0 if key in inexact else m))
         for key, m in distinct.items()
     }
-    parts = [solved[id(m)] for m in mats]
+    parts = [solved[id(b)] for b in blocks]
     eigs = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
     spectrum = _read_spectrum(eigs, policy)
     _require_adjoint(inexact.values(), spectrum.tau)
     return spectrum
+
+
+def _reaches_every_row(h: np.ndarray) -> bool:
+    """Whether every row of the Hermitian h is reached from row 0 within log2(n) steps.
+
+    The pattern is i ~ j iff h_ij != 0.  Each step adds the rows of the
+    vertices reached last, so a dense h is decided by its first row.  False
+    means that row 0's component is closed short of n rows, or that the
+    steps ran out: a pattern of longer diameter goes to
+    :func:`_component_labels`, whose pointer jumping takes about
+    log2(diameter) rounds where the probe takes one step per unit of distance.
+    """
+    reached = np.zeros(h.shape[0], dtype=bool)
+    reached[0] = True
+    frontier = [0]
+    for _ in range(h.shape[0].bit_length()):
+        new = (h[frontier] != 0).any(axis=0)
+        new &= ~reached
+        if not new.any():
+            return False
+        reached |= new
+        if reached.all():
+            return True
+        frontier = new.nonzero()[0]
+    return False
+
+
+def _component_labels(h: np.ndarray) -> np.ndarray:
+    """Each vertex's component in the nonzero pattern of the Hermitian h, by its smallest vertex.
+
+    Min-label propagation with pointer jumping: each round gives a vertex
+    the smallest label among itself and its neighbours, then the label of
+    that label; the rounds stop when nothing changes.  h's pattern is
+    symmetric, since h == h* exactly.
+    """
+    pattern = h != 0
+    np.fill_diagonal(pattern, True)  # every row has an entry, so reduceat sees each vertex
+    cols = np.nonzero(pattern)[1]  # row by row
+    per_row = np.count_nonzero(pattern, axis=1)
+    starts = np.cumsum(per_row) - per_row
+    labels = np.arange(h.shape[0])
+    while True:
+        reduced = np.minimum.reduceat(labels[cols], starts)
+        reduced = reduced[reduced]
+        if np.array_equal(reduced, labels):
+            return labels
+        labels = reduced
+
+
+def _component_eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the exactly Hermitian h, solved by the components of its pattern.
+
+    Permuting h into the direct sum of its connected components is an
+    exact similarity.  The components of each size are gathered by one
+    fancy index and solved by one stacked ``eigvalsh``; each solve is
+    backward stable, so the merged eigenvalues are exact for h + E with
+    ``||E|| = max_c ||E_c||``.  A connected h is one component and reaches
+    ``eigvalsh`` whole.
+    """
+    n = h.shape[0]
+    if n <= 1 or _reaches_every_row(h):
+        return np.linalg.eigvalsh(h)
+    labels = _component_labels(h)
+    if not labels.any():  # connected, beyond the probe's reach
+        return np.linalg.eigvalsh(h)
+    size = np.bincount(labels, minlength=n)[labels]  # each vertex's component size
+    order = np.argsort(size * n + labels, kind="stable")  # by size, then component
+    rows_of_size = np.bincount(size)
+    parts = []
+    start = 0
+    for k in np.flatnonzero(rows_of_size):
+        idx = order[start : start + rows_of_size[k]].reshape(-1, k)
+        parts.append(np.linalg.eigvalsh(h[idx[:, :, None], idx[:, None, :]]).ravel())
+        start += rows_of_size[k]
+    return np.sort(np.concatenate(parts))
 
 
 def doubled_spectrum(

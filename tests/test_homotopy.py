@@ -209,14 +209,41 @@ def test_contract_rejects_singular():
 
 
 def test_contract_refuses_a_later_sample_its_zero_test_refutes():
-    # sigma_min / sigma_max of x is 1.44 times the doubled zero threshold
-    # 64 eps, so sample 0 passes; z falls between the antipodes of x's two
-    # eigenvalues, 132.5 degrees from each, and the segment towards z e drops
-    # that ratio to 0.78 times the threshold near t = 1/4
-    angles = np.deg2rad([-40.0, 55.0])
-    x = np.array([[np.exp(1j * angles[0]), 7e6], [0.0, np.exp(1j * angles[1])]])
-    with pytest.raises(NotInvertibleError, match="contraction sample t=0.2500 singular"):
+    # eigenvalues at 0, 120 and 240 degrees lie in no half-plane, so neither
+    # z (-30 degrees) nor -z faces them all, and the segment from 120 degrees
+    # bends towards 0; sigma_min / sigma_max of x is 1.30 times the doubled
+    # zero threshold 96 eps, so sample 0 passes, and the entry 6e6 drops that
+    # ratio to 0.84 times the threshold near t = 0.44 (where the ratio first
+    # falls below 1 depends on the last bits of sigma_min)
+    x = np.diag(np.exp(1j * np.deg2rad([0.0, 120.0, 240.0])))
+    x[1, 2] = 6e6
+    with pytest.raises(NotInvertibleError, match=r"contraction sample t=0\.\d{4} singular"):
         contract_invertible(operator_element(x, self_adjoint=False))
+
+
+def test_contract_turns_to_the_antipode_that_every_eigenvalue_faces():
+    # the widest gap of the arguments and their antipodes recurs at z and -z;
+    # for eigenvalues at -40 and 55 degrees the first found is z at -172.5
+    # degrees, 132.5 degrees from both, and the one taken is -z at 7.5 degrees
+    angles = np.deg2rad([-40.0, 55.0])
+    normal = operator_element(np.diag(np.exp(1j * angles)))
+    path = contract_invertible(normal)
+    assert np.angle(path.samples[-1].matrix[0, 0], deg=True) == pytest.approx(7.5)
+    assert verify_path(path, 0.0).verdict
+    # each segment lambda -> z stays cos(47.5 / 2 degrees) = 0.915 from 0; towards
+    # -172.5 degrees it came within cos(132.5 / 2 degrees) = 0.40
+    assert min(min_singular_value(s.matrix) for s in path.samples) > 0.9
+    # with the entry 7e6, sigma_min / sigma_max of x is 1.44 times the doubled
+    # zero threshold 64 eps; towards -172.5 degrees sample t = 1/4 fell to 0.78
+    # times it, and towards 7.5 degrees every sample passes its zero test.
+    # Steps of 7e6 / 32 exceed every a_k (about 2 sigma_min = 3e-7), so the
+    # path certifies its samples and refutes its steps
+    skewed = np.array([[np.exp(1j * angles[0]), 7e6], [0.0, np.exp(1j * angles[1])]])
+    path = contract_invertible(operator_element(skewed, self_adjoint=False))
+    assert np.angle(path.samples[-1].matrix[0, 0], deg=True) == pytest.approx(7.5)
+    cert = verify_path(path, 0.0)
+    assert all(verdict for _, verdict, _ in cert.sample_trace)
+    assert {kind for kind, _ in cert.violations} == {"step"}
 
 
 def test_contract_rejects_what_the_delta_zero_certificate_refutes():

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import specloc
 from specloc import (
     bilateral_shift_truncation,
     build_reduced,
@@ -112,24 +117,43 @@ def test_winding_demo_defaults():
         assert report.s == 0.0
 
 
-def test_winding_demo_solves_x_once(solve_counts):
+def _largest_eigensolve(solve_inputs):
+    return max(a.shape[-1] for name, a in solve_inputs if name == "eigvalsh")
+
+
+def test_winding_demo_solves_x_once(solve_counts, solve_inputs):
     # at an explicit kappa only the delta-gap check runs: one SVD of x for the
-    # certificate and one eigensolve of R; no region is placed, so neither
+    # certificate, and R, a partial permutation between +-kappa D, is solved
+    # by its components of at most 2 rows; no region is placed, so neither
     # [D, x] nor D0 takes an SVD
     winding_demo(1, 25)
-    assert (solve_counts["svd"], solve_counts["eigvalsh"]) == (1, 1)
+    assert solve_counts["svd"] == 1
+    assert _largest_eigensolve(solve_inputs) == 2
 
 
-def test_winding_demo_at_positive_s(solve_counts):
-    # at s > 0 the reduced signature is a solve of its own: one eigensolve per
-    # localizer half, one of R
-    for m, N, kappa, s in ((1, 3, None, 0.25), (2, 5, 0.1, 0.2), (-1, 4, 0.3, 0.4)):
-        solve_counts.clear()
+def test_winding_demo_at_positive_s(solve_inputs):
+    # at s > 0 the reduced signature is a solve of its own: each localizer
+    # half is solved by its components (the whole half for m = +-1, two
+    # components of 10 and 12 rows for m = 2 at N = 5), then R's, of at most 2 rows
+    cases = ((1, 3, None, 0.25, 14), (2, 5, 0.1, 0.2, 12), (-1, 4, 0.3, 0.4, 18))
+    for m, N, kappa, s, largest in cases:
+        solve_inputs.clear()
         idx, report = winding_demo(m, N, kappa=kappa, s=s)
-        assert solve_counts["eigvalsh"] == 3
+        assert _largest_eigensolve(solve_inputs) == largest
         assert (idx, report.s, report.signature) == (m, s, 4 * m)
         reduced = build_reduced(circle_dirac(N), circle_unitary_truncation(m, N), report.kappa)
         assert report.reduced_signature == hermitian_spectrum(reduced).signature == 2 * m
+
+
+def test_winding_demo_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, about 1 MB of resident memory;
+    # the component split groups by np.bincount and np.argsort instead
+    probe = ("import sys; from specloc import winding_demo; winding_demo(2, 25); "
+             "print('numpy.ma' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(specloc.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])

@@ -14,6 +14,9 @@ half-size blocks, one at s = 0) is checked against the dense
 gap certificate (one SVD of x) against the dense spectrum of
 ``bordered(x, 0)``.  ``is_singular`` is checked against the delta = 0
 certificate, and ``residual_ok`` against its rule written out by hand.
+``hermitian_spectrum``'s split of a block into the connected components of
+its nonzero pattern is checked against the dense solve of drawn permuted
+direct sums.
 The path certificate's per-segment step guard is checked against dense
 sampling of ``bordered(y, delta/2)`` along drawn segments, and its step
 report against the SVD norm of each step.  Default-region ``index``'s spoke
@@ -159,6 +162,47 @@ def test_kernel_tau_and_inertia_match_oracle(m):
     assume(not np.any(np.abs(np.abs(eigs) - tau) <= 1e-12 * tau))
     assert tuple(spectrum.inertia) == counts
     assert spectrum.signature == counts[0] - counts[2]
+
+
+@st.composite
+def permuted_direct_sum(draw):
+    """A Hermitian direct sum of blocks of 1 to 6 rows, its rows and columns permuted.
+
+    Each block is real or complex at its own scale, 0 included, so isolated
+    diagonal entries and zero blocks occur.  Half the draws add, inside the
+    blocks, an asymmetry whose norm is a quarter of the zero threshold.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = draw(st.booleans())
+
+    def gaussian(shape):
+        return rng.standard_normal(shape) + (0.0 if real else 1j * rng.standard_normal(shape))
+
+    blocks, masks = [], []
+    for k in draw(st.lists(st.integers(1, 6), min_size=1, max_size=8)):
+        scale = draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+        a = gaussian((k, k))
+        blocks.append(scale * (a + a.conj().T) / 2.0)
+        masks.append(np.ones((k, k)))
+    h, mask = direct_sum(*blocks), direct_sum(*masks)
+    if draw(st.booleans()):
+        noise = mask * gaussian(h.shape)
+        asymmetry = noise - noise.conj().T
+        eigs = np.linalg.eigvalsh(h)
+        tau = DEFAULT_POLICY.scaled_tol(len(eigs), float(np.abs(eigs).max()))
+        if np.any(asymmetry):
+            h = h + 0.25 * tau * noise / operator_norm(asymmetry)
+    perm = rng.permutation(h.shape[0])
+    return h[np.ix_(perm, perm)]
+
+
+@SETTINGS
+@given(permuted_direct_sum())
+def test_the_component_split_matches_the_dense_solve(m):
+    # the split is an exact permutation similarity and each component's solve
+    # is backward stable: the dense solve of the symmetrized whole is the oracle
+    dense = np.linalg.eigvalsh(((m + m.conj().T) / 2.0).astype(np.complex128))
+    assert_within_tau_of_complex_solve(hermitian_spectrum(m), dense)
 
 
 @SETTINGS
