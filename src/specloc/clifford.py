@@ -32,8 +32,9 @@ class CliffordRep(_ArrayValue):
     parity: str  # "even": diagonal grading; "odd": block-swap grading
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(_read_only(g) for g in self.generators))
-        object.__setattr__(self, "grading", _read_only(self.grading))
+        generators = tuple(_read_only(as_matrix(g)) for g in self.generators)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "grading", _read_only(as_matrix(self.grading)))
 
 
 def _jordan_wigner(m: int):
@@ -41,12 +42,12 @@ def _jordan_wigner(m: int):
     gens = []
     for k in range(1, m + 1):
         for seed in (_SX, _SY):
-            factors = [_SZ] * (k - 1) + [seed] + [np.eye(2, dtype=np.complex128)] * (m - k)
-            g = np.array([[1.0 + 0j]])
+            factors = [_SZ] * (k - 1) + [seed] + [np.eye(2)] * (m - k)
+            g = np.array([[1.0]])
             for f in factors:
                 g = np.kron(g, f)
             gens.append(g)
-    grading = np.array([[1.0 + 0j]])
+    grading = np.array([[1.0]])
     for _ in range(m):
         grading = np.kron(grading, _SZ)
     order = np.argsort(-np.real(np.diag(grading)), kind="stable")

@@ -1,6 +1,7 @@
 """Gap certificates for concretely represented operator system elements.
 
-An element x of M_n(E), carried as a dn x dn complex matrix, is
+An element x of M_n(E), carried as a dn x dn matrix in the field that
+``linalg.as_matrix`` decides (float64 when it is exactly real), is
 delta-singular ("delta-gapped") when the spectrum of the doubled matrix
 
     Sigma_x = spec [[0, x], [x*, 0]]
@@ -49,7 +50,9 @@ class OperatorElement(_ArrayValue):
     """A matrix over M_n(E) with its block metadata.
 
     ``matrix`` has size (ambient_dim * block_size); element blocks are
-    outer, the ambient representation space inner.  The matrix is a
+    outer, the ambient representation space inner.  The matrix is held as
+    ``as_matrix`` returns it, float64 for real input, so code that writes
+    complex entries into a copy must upcast the copy first.  It is a
     private copy that numpy refuses to make writable, so the doubled
     spectrum read from it is solved once per policy (:meth:`doubled`).
     Copying or pickling an element builds a new one, without the memo.
@@ -113,12 +116,7 @@ def operator_element(
 
 def identity_element(ambient_dim: int, block_size: int = 1) -> OperatorElement:
     """The unit e_n = identity of M_n(E)."""
-    return OperatorElement(
-        np.eye(ambient_dim * block_size, dtype=np.complex128),
-        block_size,
-        ambient_dim,
-        True,
-    )
+    return OperatorElement(np.eye(ambient_dim * block_size), block_size, ambient_dim, True)
 
 
 @dataclass(frozen=True, eq=False)

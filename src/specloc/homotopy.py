@@ -98,14 +98,6 @@ def verify_path(
     only when sqrt(||Delta||_1 ||Delta||_inf) is not below a_k.  The report's
     ``step_guard`` is min_k a_k, ``max_step`` the largest step bound, and
     ``step_margins`` holds a_k less the step bound, per segment.
-
-    The guard this replaced, ``h_k < 0.5 min_j g_j``, is at least 4 times
-    stricter and had no tau margin.  A step that passed it still passes
-    whenever both its endpoint gaps have g >= (4/3) tau: then g - tau >= g/4,
-    so a_k >= (g_k + g_{k+1})/4 >= 0.5 min_j g_j.  Only inside that band can
-    the tau margin turn an old pass into a step violation.  That is the sound
-    direction: there the old guard trusted a gap that rounding in g may
-    account for.
     """
     violations = []
     trace = []
@@ -146,7 +138,7 @@ def stabilize(x: OperatorElement, target_level: int) -> OperatorElement:
         )
     if target_level == x.block_size:
         return x
-    pad = np.eye((target_level - x.block_size) * x.ambient_dim, dtype=np.complex128)
+    pad = np.eye((target_level - x.block_size) * x.ambient_dim)
     return OperatorElement(
         direct_sum(x.matrix, pad), target_level, x.ambient_dim, x.self_adjoint
     )
@@ -201,7 +193,7 @@ def contract_invertible(
     if np.all((eigs * np.conj(z)).real < 0):
         z = -z
 
-    eye = np.eye(m.shape[0], dtype=np.complex128)
+    eye = np.eye(m.shape[0])
     params = [k / (steps - 1) for k in range(steps)]
     samples = []
     for t in params:

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra substrate, and the only module that forms a tolerance.
+"""Dense linear algebra substrate: the only module that forms a tolerance or picks a field.
 
 With f = ``TolerancePolicy.zero_threshold_factor`` and no floor, a zero test
 reads the spectrum it has just solved; residual tests compare two matrices
@@ -31,20 +31,20 @@ through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
   ``verify_path``'s per-segment guard, ``||D0||`` in ``valid_region`` and
   default-region ``index``'s spoke guard.
 
-Real arithmetic starts at assembly.  The solves, norms and block forms
-here keep a real (float64) input real (``as_matrix`` alone makes every
-matrix complex, for the element and triple constructors), and the localizer assembles its blocks in the field
-of (x, D0): float64 when their imaginary parts are exactly zero
-(``_common_field``), so a real problem reaches LAPACK as float64 without a
-complex copy.  A complex128 matrix whose imaginary part is exactly zero is
-still solved in real arithmetic (``_real_if_exact``, at the four solves).
-The zero rules do not change, since LAPACK's real and complex solvers are
-both backward stable within the same tau.
+A matrix's field is decided once, where it enters, by :func:`as_matrix`:
+float64 when its dtype is real or its imaginary part is exactly zero,
+complex128 otherwise.  Elements, spectral triples and Clifford
+representations hold what it returns, and every solve, norm and block form
+here reads its input through it, so a real problem reaches LAPACK's real
+drivers without a complex copy.  The zero rules do not change, since
+LAPACK's real and complex solvers are both backward stable within the same
+tau.  An element's matrix is float64 for real input: code that writes
+complex entries into a copy of it must upcast the copy first.
 
 The paper's two block forms are built only here: the doubling ``[[s, a],
 [a*, s]]`` by :func:`doubled_matrix` and the graded sum ``a (+) (-b)`` by
 :func:`direct_sum`, which also amplifies (``I_n (x) a``).  Each returns
-float64 when every input's dtype is real and complex128 otherwise.
+float64 when every input is real by :func:`as_matrix`, complex128 otherwise.
 
 Every array an object keeps is frozen by ``_read_only``, a private copy
 that numpy refuses to make writable: an element's matrix and its memoized
@@ -113,50 +113,23 @@ def _checked(m: np.ndarray) -> np.ndarray:
 
 
 def as_matrix(matrix) -> np.ndarray:
-    """Coerce to a complex 2-d array, rejecting NaN/Inf entries."""
-    return _checked(np.asarray(matrix, dtype=np.complex128))
+    """A 2-d array in the smallest field that holds it exactly, rejecting NaN/Inf entries.
 
-
-def _in_field(matrix) -> np.ndarray:
-    """``np.asarray(matrix)`` as float64 when its dtype is real, else as complex128.
-
+    float64 when the dtype is real or the imaginary part is exactly zero
+    (the real part, a view), complex128 otherwise.  A nonzero imaginary
+    entry in the first column decides "complex" without scanning the rest.
     No copy is made of a float64 or complex128 array.
     """
     m = np.asarray(matrix)
-    return m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
-
-
-def _as_field_matrix(matrix) -> np.ndarray:
-    """``as_matrix`` that keeps a real dtype real (:func:`_in_field`)."""
-    return _checked(_in_field(matrix))
+    if not np.iscomplexobj(m):
+        return _checked(m.astype(np.float64, copy=False))
+    m = _checked(m.astype(np.complex128, copy=False))
+    return m if m[:, :1].imag.any() or m.imag.any() else m.real
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
     """``m*``: the transpose, a view, of a real m; the conjugate transpose otherwise."""
     return m.conj().T if np.iscomplexobj(m) else m.T
-
-
-def _real_if_exact(m: np.ndarray) -> np.ndarray:
-    """``m.real`` when the imaginary part of m is exactly zero, else m unchanged.
-
-    A nonzero imaginary entry in the first column decides "complex" without
-    scanning the rest, so a complex input pays only that column.
-    """
-    if not np.iscomplexobj(m) or m[..., :1].imag.any() or m.imag.any():
-        return m
-    return m.real
-
-
-def _common_field(*matrices) -> tuple:
-    """The matrices in the smallest field that holds them all exactly.
-
-    Contiguous float64 copies of their real parts when every imaginary part
-    is exactly zero (:func:`_real_if_exact`), else the matrices unchanged.
-    """
-    real = [_real_if_exact(m) for m in matrices]
-    if any(np.iscomplexobj(m) for m in real):
-        return matrices
-    return tuple(np.ascontiguousarray(m, dtype=np.float64) for m in real)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -220,7 +193,7 @@ class Spectrum(NamedTuple):
 
 def is_self_adjoint(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """``M == M*`` exactly (no solve), or ``||M - M*||_2 <= policy.tau(M)`` (up to two SVDs)."""
-    m = _as_field_matrix(matrix)
+    m = as_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         return False
     return np.array_equal(m, _adjoint(m)) or operator_norm(m - _adjoint(m)) <= policy.tau(m)
@@ -261,14 +234,14 @@ def hermitian_spectrum(*blocks, policy: TolerancePolicy = DEFAULT_POLICY) -> Spe
     if not blocks:
         raise TypeError("hermitian_spectrum needs at least one block")
     unique = {id(b): b for b in blocks}  # the localizer passes R twice at s = 0: one scan
-    distinct = {key: _as_field_matrix(b) for key, b in unique.items()}
+    distinct = {key: as_matrix(b) for key, b in unique.items()}
     for m in distinct.values():
         if m.shape[0] != m.shape[1]:
             raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
     # every localizer block is exactly Hermitian; (B + B*) / 2 would equal it bit for bit
     inexact = {key: m for key, m in distinct.items() if not np.array_equal(m, _adjoint(m))}
     solved = {
-        key: _component_eigvalsh(_real_if_exact((m + _adjoint(m)) / 2.0 if key in inexact else m))
+        key: _component_eigvalsh(as_matrix((m + _adjoint(m)) / 2.0) if key in inexact else m)
         for key, m in distinct.items()
     }
     parts = [solved[id(b)] for b in blocks]
@@ -364,10 +337,10 @@ def doubled_spectrum(
     ``self_adjoint`` the adjoint test of x runs against that tau (exact
     first, then one SVD of ``x - x*``) and raises ``NotSelfAdjointError``.
     """
-    m = _as_field_matrix(matrix)
+    m = as_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
-    sv = np.linalg.svd(_real_if_exact(m), compute_uv=False)
+    sv = np.linalg.svd(m, compute_uv=False)
     spectrum = _read_spectrum(np.concatenate([-sv, sv[::-1]]), policy)
     if self_adjoint:
         _require_adjoint((m,), spectrum.tau)
@@ -376,14 +349,10 @@ def doubled_spectrum(
 
 def operator_norm(matrix) -> float:
     """Largest singular value; 0.0 for an empty or all-zero matrix without an SVD."""
-    m = _in_field(matrix)
-    if m.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteError("matrix contains NaN or Inf entries")
+    m = as_matrix(matrix)
     if not np.any(m):
         return 0.0
-    return float(np.linalg.norm(_real_if_exact(m), 2))
+    return float(np.linalg.norm(m, 2))
 
 
 def operator_norm_bound(matrix, limit: float) -> float:
@@ -396,18 +365,18 @@ def operator_norm_bound(matrix, limit: float) -> float:
     ``operator_norm(M)`` returned instead: the SVD, or the ``NonFiniteError``
     of a NaN or Inf entry.
     """
-    moduli = np.abs(_in_field(matrix))
+    m = as_matrix(matrix)
+    moduli = np.abs(m)
     one = float(moduli.sum(axis=0).max(initial=0.0))
     inf = float(moduli.sum(axis=1).max(initial=0.0))
     # two roots, so that the product of two tiny norms cannot underflow to 0
     bound = math.sqrt(one) * math.sqrt(inf) * (1.0 + 2 * max(moduli.shape) * _EPS)
-    return bound if bound < limit else operator_norm(matrix)
+    return bound if bound < limit else operator_norm(m)
 
 
 def min_singular_value(matrix) -> float:
     """Smallest singular value."""
-    m = _as_field_matrix(matrix)
-    return float(np.linalg.svd(_real_if_exact(m), compute_uv=False)[-1])
+    return float(np.linalg.svd(as_matrix(matrix), compute_uv=False)[-1])
 
 
 def is_singular(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
@@ -424,7 +393,7 @@ def residual_ok(residual, *refs, policy: TolerancePolicy = DEFAULT_POLICY) -> bo
 
     Exact first: an all-zero R passes without taking any norm.
     """
-    r = _as_field_matrix(residual)
+    r = as_matrix(residual)
     if not np.any(r):
         return True
     scale = max((operator_norm(a) for a in refs), default=0.0)
@@ -434,9 +403,9 @@ def residual_ok(residual, *refs, policy: TolerancePolicy = DEFAULT_POLICY) -> bo
 def doubled_matrix(a, s: float = 0.0) -> np.ndarray:
     """The doubling ``[[s*I, a], [a*, s*I]]`` of a square a; its spectrum is ``s + Sigma_a``.
 
-    float64 when a's dtype is real, complex128 otherwise.
+    In a's field, as :func:`as_matrix` decides it.
     """
-    a = _as_field_matrix(a)
+    a = as_matrix(a)
     n = a.shape[0]
     out = np.zeros((2 * n, 2 * n), dtype=a.dtype)
     out[:n, n:] = a
@@ -449,10 +418,10 @@ def doubled_matrix(a, s: float = 0.0) -> np.ndarray:
 def direct_sum(a, *rest) -> np.ndarray:
     """``a (+) b (+) ...``; the graded sum of the paper is ``direct_sum(a, -b)``.
 
-    float64 when every block's dtype is real, complex128 otherwise.
+    float64 when every block is real by :func:`as_matrix`, complex128 otherwise.
     ``direct_sum(*[a] * n)`` is the amplification ``I_n (x) a``.
     """
-    blocks = [_as_field_matrix(b) for b in (a, *rest)]
+    blocks = [as_matrix(b) for b in (a, *rest)]
     rows, cols = (sum(b.shape[i] for b in blocks) for i in (0, 1))
     out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
     r = c = 0

@@ -13,10 +13,10 @@ with W the swap [[0,I],[I,0]] in the odd case and the grading
 diag(I,-I) in the even case, a signed permutation either way.
 ``_reduced_parts`` builds L_reduced's parts C and K, L_reduced = C + kappa*K,
 from the block forms of :mod:`specloc.linalg` (``doubled_matrix``,
-``direct_sum``), in the field of (x, D0): float64 when the imaginary parts
-of x and D0 are exactly zero, complex128 otherwise.  W is never assembled:
-at s = 0 it does not enter, and at s != 0 each half adds +-s at W's +-1
-entries alone.  This assembly satisfies, exactly:
+``direct_sum``): C in the field of x and K in that of D0, as
+``linalg.as_matrix`` decided them, so C + kappa*K is complex when either
+is.  W is never assembled: at s = 0 it does not enter, and at s != 0 each
+half adds +-s at W's +-1 entries alone.  This assembly satisfies, exactly:
 
   * L(kappa, 0) = L_reduced (+) L_reduced;
   * for x = e the eigenvalues are +-sqrt((1 +-' s)^2 + kappa^2 lambda^2)
@@ -86,7 +86,6 @@ from .linalg import (
     _EPS,
     _ArrayValue,
     _adjoint,
-    _common_field,
     _read_only,
     as_matrix,
     direct_sum,
@@ -161,13 +160,13 @@ def _even_halves(m: np.ndarray, n: int, h: int, policy: TolerancePolicy):
 
 
 def commutator_norm(T: SpectralTriple, x: OperatorElement) -> float:
-    """||[D_n, x]||, formed blockwise in the field of (x, D0).
+    """||[D_n, x]||, formed blockwise.
 
     D_n = I_n (x) D is block diagonal, so the (a, b) block of [D_n, x] is
     [D, x_ab]: n^2 products of the size of D, never one of D_n.
     """
     n = _level(T, x)
-    m, d0 = _common_field(x.matrix, T.D0)
+    m, d0 = x.matrix, T.D0
     dirac = d0 if T.parity == "odd" else doubled_matrix(d0)
     h = dirac.shape[0]
     blocks = m.reshape(n, h, n, h).transpose(0, 2, 1, 3)  # blocks[a, b] = x_ab
@@ -176,9 +175,12 @@ def commutator_norm(T: SpectralTriple, x: OperatorElement) -> float:
 
 
 def _reduced_parts(T: SpectralTriple, x: OperatorElement, policy: TolerancePolicy):
-    """(C, K): L_reduced(kappa) = C + kappa*K in the field of (x, D0); the element's checks run here."""
+    """(C, K): L_reduced(kappa) = C + kappa*K, C in x's field and K in D0's.
+
+    The element's checks run here.
+    """
     n = _level(T, x)
-    m, d0 = _common_field(x.matrix, T.D0)
+    m, d0 = x.matrix, T.D0
     if T.parity == "odd":
         return doubled_matrix(m), direct_sum(*[d0] * n, *[-d0] * n)
     if not x.self_adjoint:

@@ -28,7 +28,7 @@ def circle_dirac(N: int) -> SpectralTriple:
     """Truncation of -i d/dt to the Fourier modes -N..N."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    return odd_triple(np.diag(np.arange(-N, N + 1).astype(np.complex128)))
+    return odd_triple(np.diag(np.arange(-N, N + 1)))
 
 
 def circle_unitary_truncation(m: int, N: int) -> OperatorElement:
@@ -36,7 +36,7 @@ def circle_unitary_truncation(m: int, N: int) -> OperatorElement:
     if abs(m) > 2 * N:
         raise WindingTooLargeError(f"|m| = {abs(m)} exceeds 2N = {2 * N}")
     dim = 2 * N + 1
-    x = np.zeros((dim, dim), dtype=np.complex128)
+    x = np.zeros((dim, dim))
     for j in range(-N, N + 1):
         k = j + m
         if -N <= k <= N:
@@ -48,7 +48,7 @@ def bilateral_shift_truncation(n: int) -> OperatorElement:
     """Compression of the bilateral shift onto an n-dimensional window."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    x = np.zeros((n, n), dtype=np.complex128)
+    x = np.zeros((n, n))
     for i in range(n - 1):
         x[i, i + 1] = 1.0
     return OperatorElement(x, 1, n, False)

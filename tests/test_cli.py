@@ -98,6 +98,15 @@ def test_gap_check_verdict_false_exit_2(capsys, shift_file):
     assert report["report"]["verdict"] is False
 
 
+def test_a_real_matrix_file_reaches_lapack_as_float64(capsys, shift_file, solve_inputs):
+    # the JSON parser reads every matrix as complex128; the element holds it as
+    # float64, so gap-check's one SVD runs in real arithmetic
+    assert load_matrix(shift_file).dtype == np.complex128
+    code, _ = run(capsys, ["gap-check", "--matrix", shift_file, "--delta", "0.5"])
+    assert code == 0
+    assert [(name, a.dtype) for name, a in solve_inputs] == [("svd", np.dtype(np.float64))]
+
+
 def test_gap_check_report_keys_and_no_mode_flags(capsys, shift_file):
     # one certification route: the report carries no "mode", and the former
     # --mode and --grid-points flags are usage errors
@@ -408,10 +417,8 @@ def test_machine_readable_error(capsys, tmp_path):
     dirac.write_text(dumps(matrix_to_json(np.diag([-1.0, 0.0, 1.0]))))
     pencil = ["--matrix", str(matrix), "--dirac", str(dirac)]
     for argv in (
-        ["gap-check", "--matrix", str(matrix), "--delta", "0.5"],
         ["index", *pencil, "--delta", "0.5"],
         ["localizer", *pencil, "--kappa", "1"],
-        ["contract", "--matrix", str(matrix)],
     ):
         code, report = run(capsys, [*argv, "--block-size", "0"])
         assert (code, report["error"]) == (1, "parse_error"), argv
@@ -443,6 +450,9 @@ def test_usage_error_exit_64(capsys):
         # the reduced localizer has no shift
         ["localizer", "--matrix", "x.json", "--dirac", "d.json", "--kappa", "1",
          "--reduced", "--s", "0.3"],
+        # no number of gap-check or contract depends on the block size
+        [*gap, "--block-size", "2"],
+        ["contract", "--matrix", "x.json", "--block-size", "2"],
     ]
     # no subcommand takes a seed
     cases += [[*argv, "--seed", "1"] for argv in (
@@ -471,7 +481,7 @@ def test_every_subcommand_takes_the_shared_flags_and_three_take_plot():
     for action in build_parser()._subparsers._group_actions:
         for name, sub in action.choices.items():
             flags[name] = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
-    assert sum(map(len, flags.values())) == 44
+    assert sum(map(len, flags.values())) == 42
     for name, options in flags.items():
         assert {"--tol-factor", "--out"} <= options and "--seed" not in options
         assert ("--plot" in options) == (name in ("localizer", "index", "circle")), name

@@ -194,14 +194,15 @@ def test_doubled_matrix_layout_and_spectrum():
 
 
 def test_block_forms_keep_a_real_input_real():
-    # float64 when every input's dtype is real, complex128 otherwise
+    # float64 when every input is exactly real (as_matrix), complex128 otherwise
     real = np.arange(4.0).reshape(2, 2)
-    for m in (real, real.astype(int), real.tolist()):
-        assert doubled_matrix(m).dtype == doubled_matrix(m, 0.5).dtype == np.float64
-        assert direct_sum(m, -real).dtype == np.float64
     complex_ = real.astype(np.complex128)  # exactly real values, complex dtype
-    assert doubled_matrix(complex_).dtype == np.complex128
-    assert direct_sum(real, complex_).dtype == direct_sum(complex_, real).dtype == np.complex128
+    for m in (real, real.astype(int), real.tolist(), complex_):
+        assert doubled_matrix(m).dtype == doubled_matrix(m, 0.5).dtype == np.float64
+        assert direct_sum(m, -real).dtype == direct_sum(real, m).dtype == np.float64
+    phased = complex_ + 1e-300j * np.eye(2)  # one nonzero imaginary part keeps it complex
+    assert doubled_matrix(phased).dtype == np.complex128
+    assert direct_sum(real, phased).dtype == direct_sum(phased, real).dtype == np.complex128
     np.testing.assert_array_equal(doubled_matrix(real, 0.5), doubled_matrix(complex_, 0.5))
     # direct_sum of n copies is the amplification I_n (x) a
     np.testing.assert_array_equal(direct_sum(real, real, real), np.kron(np.eye(3), real))

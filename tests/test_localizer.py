@@ -228,9 +228,13 @@ def test_circle_localizer_is_assembled_in_real_arithmetic():
     assert c.dtype == k.dtype == np.float64
     for half in localizer_halves(triple, x, 0.1, 0.3):
         assert half.dtype == np.float64
-    # one nonzero imaginary entry anywhere keeps the whole assembly complex
+    # each part is in its own input's field: a complex x makes C complex while
+    # K stays real with D0, and the halves C + kappa*K +- s*W are complex
     phased = operator_element(x.matrix * np.exp(1e-3j), self_adjoint=False)
-    assert {p.dtype for p in _reduced_parts(triple, phased, DEFAULT_POLICY)} == {np.dtype(np.complex128)}
+    c, k = _reduced_parts(triple, phased, DEFAULT_POLICY)
+    assert (c.dtype, k.dtype) == (np.complex128, np.float64)
+    for half in localizer_halves(triple, phased, 0.1, 0.3):
+        assert half.dtype == np.complex128
 
 
 def test_valid_region_takes_the_svd_of_D0_only_when_its_bound_cannot_decide(solve_inputs):

@@ -6,9 +6,12 @@ kernels solve an exactly real matrix in real arithmetic: the exact tests
 call the oracle in the same arithmetic (``as_solved``), and drawn real
 symmetric and real square matrices are checked within tau of a complex
 solve (``eigvalsh`` and ``svd`` of the matrix cast to complex).  The
-localizer's parts C and K, assembled in the field of the input, and its
-halves C + kappa*K +- s*W are checked entry for entry against the dense
-complex definitions of ``tests/oracles.py``.  The split localizer (two
+field that ``as_matrix`` decides, float64 exactly when the imaginary part
+is zero, is checked on drawn matrices for every object that holds one, and
+an element built from an exactly real complex matrix answers as the float64
+one, bit for bit.  The localizer's parts C and K, each in the field of its
+input, and its halves C + kappa*K +- s*W are checked entry for entry against
+the dense complex definitions of ``tests/oracles.py``.  The split localizer (two
 half-size blocks, one at s = 0) is checked against the dense
 ``build_generalized`` assembly of the same module, and the
 gap certificate (one SVD of x) against the dense spectrum of
@@ -24,15 +27,17 @@ guard is checked the same way, against dense sampling of the assembled
 localizer along drawn spokes, and its samples against a solve of each point.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from specloc import (
     DEFAULT_POLICY,
+    CliffordRep,
     HomotopyPath,
     OperatorElement,
     SpectralTriple,
@@ -48,6 +53,7 @@ from specloc import (
     is_self_adjoint,
     is_singular,
     localizer_halves,
+    max_delta,
     min_singular_value,
     operator_element,
     operator_norm,
@@ -63,8 +69,9 @@ from specloc.errors import (
     NotDivisibleBy4Error,
     NotInvertibleError,
     NotSelfAdjointError,
+    SpeclocError,
 )
-from specloc.linalg import doubled_spectrum
+from specloc.linalg import as_matrix, doubled_spectrum
 from specloc.localizer import _reduced_parts, _spoke_guard
 
 from oracles import build_generalized, gap_bound_check, localizer_parts, s_gap
@@ -455,12 +462,98 @@ def test_localizer_at_s_zero_is_reduced_plus_reduced(case):
 
 
 @st.composite
-def assembly_input(draw):
-    """(triple, x, field, kappa, s): x and D0 each drawn real or complex, of either parity.
+def field_input(draw):
+    """(matrix, field): a square matrix and the dtype ``as_matrix`` must give it.
 
-    ``field`` is the dtype the localizer is assembled in: float64 exactly
-    when the imaginary parts of both are zero (a drawn complex Hermitian
-    matrix of size 1 is real).  Matrices are stored complex either way.
+    Drawn real in a real dtype (float64), exactly real in a complex dtype
+    (float64), or with one nonzero imaginary entry anywhere, as small as
+    1e-300 (complex128).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    real = rng.standard_normal((n, n))
+    kind = draw(st.sampled_from(["real", "exactly real", "one imaginary entry"]))
+    if kind != "one imaginary entry":
+        dtypes = [np.float64, np.float32, np.int64] if kind == "real" else [np.complex128, np.complex64]
+        return real.astype(draw(st.sampled_from(dtypes))), np.dtype(np.float64)
+    m = real.astype(np.complex128)
+    m[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] += 1j * draw(
+        st.sampled_from([1e-300, -1e-300, 1e-8, 1.0])
+    )
+    return m, np.dtype(np.complex128)
+
+
+_TINY_OFF_THE_FIRST_COLUMN = np.eye(3, dtype=np.complex128)
+_TINY_OFF_THE_FIRST_COLUMN[0, 2] = 1e-300j
+
+
+@SETTINGS
+@given(field_input())
+@example((_TINY_OFF_THE_FIRST_COLUMN, np.dtype(np.complex128)))
+def test_the_field_is_decided_where_a_matrix_enters(case):
+    # as_matrix, and every object that holds a matrix, keep the drawn values
+    # in float64 exactly when their imaginary part is zero
+    m, field = case
+    n = m.shape[0]
+    rep = CliffordRep(n, (m, m.T), m, "even")
+    held = {
+        "as_matrix": as_matrix(m),
+        "element": OperatorElement(m, 1, n).matrix,
+        "triple": SpectralTriple("even", m).D0,
+        "generator": rep.generators[0],
+        "grading": rep.grading,
+    }
+    for name, a in held.items():
+        assert a.dtype == field, name
+        assert np.array_equal(a, m), name
+
+
+def _bits(value):
+    """value with each array as its dtype, shape and bytes and each float as its hex."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return value.hex() if isinstance(value, float) else value
+
+
+def _answer(call):
+    """``_bits`` of call(), or the type and message of the specloc error it raises."""
+    try:
+        return _bits(call())
+    except SpeclocError as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 2))
+def test_an_exactly_real_complex_element_answers_as_the_real_one_bit_for_bit(seed, rows, n):
+    # the certificate and the index report (or the error) of an element built
+    # from real.astype(complex128) are those of the float64 element
+    rng = np.random.default_rng(seed)
+    real = rng.standard_normal((rows * n, rows * n))
+    triple = SpectralTriple("odd", np.diag(rng.uniform(-1.0, 1.0, rows)))
+    delta = max_delta(OperatorElement(real, n, rows)) / 2.0
+    answers = [
+        (
+            _bits(delta_singular_check(x, delta)),
+            _answer(lambda: index(triple, x, delta)),
+            _answer(lambda: index(triple, x, delta, kappa=0.5, s=0.0)),
+        )
+        for x in (OperatorElement(m, n, rows) for m in (real, real.astype(np.complex128)))
+    ]
+    assert answers[0] == answers[1]
+
+
+@st.composite
+def assembly_input(draw):
+    """(triple, x, fields, kappa, s): x and D0 each drawn real or complex, of either parity.
+
+    ``fields`` holds the dtypes of x and D0 that ``as_matrix`` should choose:
+    float64 exactly when the imaginary part is zero (a drawn complex Hermitian
+    matrix of size 1 is real).  Matrices are drawn complex either way.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     real_x, real_d0 = draw(st.booleans()), draw(st.booleans())
@@ -484,30 +577,33 @@ def assembly_input(draw):
             half = draw_matrix(rows * n, real_x, hermitian=True)
             blocks[:, sl, :, sl] = half.reshape(n, rows, n, rows)
         x = OperatorElement(blocks.reshape(n * d, n * d), n, d, True)
-    real = not (x.matrix.imag.any() or triple.D0.imag.any())
-    return triple, x, np.dtype(np.float64 if real else np.complex128), kappa, s
+    fields = tuple(np.dtype(np.complex128 if m.imag.any() else np.float64)
+                   for m in (x.matrix, triple.D0))
+    return triple, x, fields, kappa, s
 
 
 @SETTINGS
 @given(assembly_input())
 def test_localizer_parts_are_the_definitions_in_the_input_field(case):
-    # C and K equal the dense complex definitions of the oracle, in float64
-    # exactly when x and D0 are both real
-    triple, x, field, _, _ = case
+    # C and K equal the dense complex definitions of the oracle, C in x's
+    # field and K in D0's: float64 exactly when that input is real
+    triple, x, fields, _, _ = case
+    assert (x.matrix.dtype, triple.D0.dtype) == fields
     c, k = _reduced_parts(triple, x, DEFAULT_POLICY)
     oracle_c, oracle_k, _ = localizer_parts(triple, x)
-    assert c.dtype == k.dtype == field
+    assert (c.dtype, k.dtype) == fields
     assert np.array_equal(c, oracle_c) and np.array_equal(k, oracle_k)
 
 
 @SETTINGS
 @given(assembly_input())
 def test_halves_at_positive_s_are_the_definitions_entry_for_entry(case):
-    # W is never assembled, yet each half is C + kappa*K +- s*W to the last bit
-    triple, x, field, kappa, s = case
+    # W is never assembled, yet each half is C + kappa*K +- s*W to the last bit,
+    # complex when either part is
+    triple, x, fields, kappa, s = case
     c, k, w = localizer_parts(triple, x)
     plus, minus = localizer_halves(triple, x, kappa, s)
-    assert plus.dtype == minus.dtype == field
+    assert plus.dtype == minus.dtype == np.result_type(*fields)
     assert np.array_equal(plus, c + kappa * k + s * w)
     assert np.array_equal(minus, c + kappa * k - s * w)
 
