@@ -75,11 +75,10 @@ def _emit_plot(plot_path: str, eigenvalues, signature: int, title: str):
         fh.write(eigenvalues_to_csv(eigenvalues))
 
 
-def _load_element(args, policy, block_size=1, infer_self_adjoint=False):
-    # inferring the self-adjoint flag takes up to two SVDs; only the even localizer reads it
+def _load_element(args, policy, infer_self_adjoint=False):
+    # inferring the self-adjoint flag takes up to two norms; only the even localizer reads it
     flag = None if infer_self_adjoint else False
-    matrix = load_matrix(args.matrix)
-    return operator_element(matrix, block_size=block_size, self_adjoint=flag, policy=policy)
+    return operator_element(load_matrix(args.matrix), self_adjoint=flag, policy=policy)
 
 
 def _load_triple(args, policy):
@@ -101,7 +100,7 @@ def _cmd_gap_check(args, policy):
 
 
 def _cmd_localizer(args, policy):
-    x = _load_element(args, policy, args.block_size, infer_self_adjoint=args.parity == "even")
+    x = _load_element(args, policy, infer_self_adjoint=args.parity == "even")
     triple = _load_triple(args, policy)
     if args.reduced:
         blocks = (build_reduced(triple, x, args.kappa, policy),)
@@ -125,7 +124,7 @@ def _cmd_localizer(args, policy):
 
 
 def _cmd_index(args, policy):
-    x = _load_element(args, policy, args.block_size, infer_self_adjoint=args.parity == "even")
+    x = _load_element(args, policy, infer_self_adjoint=args.parity == "even")
     triple = _load_triple(args, policy)
     idx, report = _index(
         triple, x, args.delta, kappa=args.kappa, s=args.s, policy=policy
@@ -220,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--dirac", required=True)
     p.add_argument("--parity", choices=["odd", "even"], default="odd")
-    p.add_argument("--block-size", type=int, default=1)
     p.add_argument("--kappa", type=float, required=True)
     point = p.add_mutually_exclusive_group()
     point.add_argument("--s", type=float, default=0.0)
@@ -232,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--dirac", required=True)
     p.add_argument("--parity", choices=["odd", "even"], default="odd")
-    p.add_argument("--block-size", type=int, default=1)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--s", type=float, default=None)

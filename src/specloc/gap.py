@@ -13,9 +13,14 @@ invertible for every shift s in (0, delta).
 
 The doubled matrix's eigenvalues are exactly the singular values of x
 with both signs, Sigma_x = {+-sigma_i(x)}, so every certificate reads
-Sigma_x from one singular-value solve of size n
+Sigma_x from the n singular values of x
 (:func:`specloc.linalg.doubled_spectrum`), with the doubled matrix's tau
-at dimension 2n.  That solve runs once per element and tolerance policy:
+at dimension 2n.  They are solved by the components of x's nonzero
+pattern, rows and columns read as one bipartite graph: an even element,
+which commutes with the grading, splits into x_+ and x_-, and the circle
+truncation, a partial isometry, into single entries, solved as 1 x 1
+blocks by one stacked SVD; a dense x is one SVD of size n.  That solve
+runs once per element and tolerance policy:
 :meth:`OperatorElement.doubled` memoizes it, so a path sample certified by
 ``contract_invertible`` is not solved again by ``verify_path``.  The memo
 is sound because an element's matrix is a private copy that numpy refuses
@@ -167,7 +172,7 @@ def delta_singular_check(
 ) -> GapCertificate:
     """Certify (or refute) that x is delta-singular.
 
-    Sigma_x = +-(singular values of x), from one SVD of x, tested against
+    Sigma_x = +-(singular values of x), solved once per policy, tested against
     the doubled matrix's tau; an element flagged self-adjoint must be
     Hermitian at that tau (``NotSelfAdjointError`` otherwise).  The
     verdict is read from Sigma_x: no magnitude lies in (tau, delta - tau).

@@ -13,14 +13,29 @@ through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
   exact permutation similarity whose merged solves are backward stable for
   the whole, so the rule still reads the merged spectrum at the full N.
 * Doubled zero test, :func:`doubled_spectrum`: ``spec [[0, x], [x*, 0]] =
-  +-sigma_i(x)`` from one singular-value solve of x, ``sigma <= f * 2n * eps *
-  sigma_max``; gap certificates and ``contract_invertible`` (through
-  ``OperatorElement.doubled``, which solves it once per policy), and
-  :func:`is_singular` (``n_zero > 0``) for :func:`verify_similarity`.
+  +-sigma_i(x)`` from the n singular values of x, ``sigma <= f * 2n * eps *
+  sigma_max`` read from all 2n; gap certificates and ``contract_invertible``
+  (through ``OperatorElement.doubled``, which solves it once per policy),
+  and :func:`is_singular` (``n_zero > 0``) for :func:`verify_similarity`.
+* Singular values, :func:`_singular_values`, behind ``doubled_spectrum``,
+  :func:`operator_norm` and :func:`min_singular_value`: the rows and
+  columns of the nonzero pattern are read as one bipartite graph, and the
+  components of each (rows, cols) shape share one stacked ``svd``, an exact
+  permutation equivalence whose merged solves are backward stable for the
+  whole.  A pattern with at most one entry per row and column (the circle
+  truncation, a partial isometry) is its entries, 1 x 1 components found
+  without labelling.  The exact zeros that rectangular and empty
+  components imply make up the count, so the zero rule reads all 2n values
+  at the full size.  An even element splits into x_+ and x_-, and its
+  grading-odd [D, x] into the two blocks off the grading's diagonal.  No
+  zero in the first row and column decides "connected" in O(n), and such a
+  matrix reaches ``svd`` whole, bit for bit.  The Hermitian split above
+  labels its pattern with the same routine, :func:`_component_labels`,
+  with the diagonal set.
 * Adjointness, ``M == M*`` else ``||M - M*||_2 <= tau``: inside the two
   spectra above, against the tau of the spectrum just solved; in
   :func:`is_self_adjoint`, against ``policy.tau(M) = f * dim * eps * ||M||_2``,
-  which takes up to two SVDs, ``||M - M*||_2`` and ``||M||_2`` (element and
+  which takes up to two norms, ``||M - M*||_2`` and ``||M||_2`` (element and
   triple constructors, ``reduce_periodic``).
 * :func:`residual_ok`, exact-first: the localizer's even grading test,
   ``equal_certified``, ``reduce_periodic`` and :func:`verify_similarity`.
@@ -192,7 +207,7 @@ class Spectrum(NamedTuple):
 
 
 def is_self_adjoint(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """``M == M*`` exactly (no solve), or ``||M - M*||_2 <= policy.tau(M)`` (up to two SVDs)."""
+    """``M == M*`` exactly (no solve), or ``||M - M*||_2 <= policy.tau(M)`` (up to two norms)."""
     m = as_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         return False
@@ -276,26 +291,72 @@ def _reaches_every_row(h: np.ndarray) -> bool:
     return False
 
 
-def _component_labels(h: np.ndarray) -> np.ndarray:
-    """Each vertex's component in the nonzero pattern of the Hermitian h, by its smallest vertex.
+def _first_row_spans(pattern: np.ndarray) -> bool:
+    """Whether a boolean pattern is connected as a bipartite graph, by a check from its first row.
 
-    Min-label propagation with pointer jumping: each round gives a vertex
-    the smallest label among itself and its neighbours, then the label of
-    that label; the rounds stop when nothing changes.  h's pattern is
-    symmetric, since h == h* exactly.
+    Row i and column j are joined when ``pattern[i, j]``.  The columns of
+    row 0, and the rows of the first of those columns (row 0 among them),
+    lie in row 0's component; so does every row with an entry in one of
+    those columns and every column with an entry in one of those rows.  Two
+    boolean products decide it, so a commutator with a diagonal Dirac block,
+    whose zeros lie where the row and the column agree modulo the block
+    size, needs no labelling.  False is no proof of a split:
+    :func:`_component_labels` decides.
     """
-    pattern = h != 0
-    np.fill_diagonal(pattern, True)  # every row has an entry, so reduceat sees each vertex
-    cols = np.nonzero(pattern)[1]  # row by row
-    per_row = np.count_nonzero(pattern, axis=1)
-    starts = np.cumsum(per_row) - per_row
-    labels = np.arange(h.shape[0])
+    cols = pattern[0]
+    rows = pattern[:, cols.argmax()]  # without row 0 when row 0 is empty: False below
+    return bool(np.all(pattern @ cols) and np.all(rows @ pattern))
+
+
+def _component_labels(pattern: np.ndarray) -> np.ndarray:
+    """Each row's and column's component in the bipartite graph of a boolean pattern.
+
+    Rows are the vertices 0..r-1 and columns r..r+c-1; row i and column j
+    are joined when ``pattern[i, j]``.  A component is labelled by its
+    smallest vertex, a row whenever it has one.  Min-label propagation with
+    pointer jumping: each round gives every column the smallest label among
+    itself and its rows, then every row the smallest among itself and its
+    columns, then each vertex the label of its label; the rounds stop when
+    nothing changes.  A Hermitian pattern with its diagonal set gives row i
+    and column i one label, that of row i's component in the graph i ~ j.
+    """
+    r, c = pattern.shape
+    labels = np.arange(r + c)
+    rows, cols = np.divmod(np.flatnonzero(pattern), c)
+    cols += r
     while True:
-        reduced = np.minimum.reduceat(labels[cols], starts)
-        reduced = reduced[reduced]
-        if np.array_equal(reduced, labels):
+        new = labels.copy()
+        np.minimum.at(new, cols, new[rows])
+        np.minimum.at(new, rows, new[cols])
+        new = new[new]
+        if np.array_equal(new, labels):
             return labels
-        labels = reduced
+        labels = new
+
+
+def _components_by_shape(labels: np.ndarray, r: int):
+    """``(rows, cols)`` index arrays of shapes (K, a) and (K, b) per component shape (a, b).
+
+    ``labels`` are :func:`_component_labels` of an r-row pattern.  Row k of
+    ``rows`` and of ``cols`` hold the rows and the columns, each ascending,
+    of the k-th of the K components with a rows and b columns.  Components
+    without a row or without a column (an empty line) are left out.  Shapes
+    come in ascending order of (a, b).
+    """
+    n = len(labels)
+    a = np.bincount(labels[:r], minlength=n)  # rows per component
+    b = np.bincount(labels[r:], minlength=n)  # columns per component
+    shape = a * (n + 1) + b
+    both = (a > 0) & (b > 0)
+    # the lines of components with both, by shape, then component, then index
+    order = np.argsort((shape * n + np.arange(n))[labels], kind="stable")
+    order = order[both[labels[order]]]
+    rows, cols = order[order < r], order[order >= r] - r
+    i = j = 0
+    for code, k in zip(*np.unique(shape[both], return_counts=True)):
+        ra, cb = divmod(int(code), n + 1)
+        yield rows[i : i + k * ra].reshape(k, ra), cols[j : j + k * cb].reshape(k, cb)
+        i, j = i + k * ra, j + k * cb
 
 
 def _component_eigvalsh(h: np.ndarray) -> np.ndarray:
@@ -306,24 +367,58 @@ def _component_eigvalsh(h: np.ndarray) -> np.ndarray:
     fancy index and solved by one stacked ``eigvalsh``; each solve is
     backward stable, so the merged eigenvalues are exact for h + E with
     ``||E|| = max_c ||E_c||``.  A connected h is one component and reaches
-    ``eigvalsh`` whole.
+    ``eigvalsh`` whole.  The pattern is labelled with its diagonal set, so
+    that row i and column i share a component.
     """
     n = h.shape[0]
     if n <= 1 or _reaches_every_row(h):
         return np.linalg.eigvalsh(h)
-    labels = _component_labels(h)
+    pattern = h != 0
+    np.fill_diagonal(pattern, True)
+    labels = _component_labels(pattern)
     if not labels.any():  # connected, beyond the probe's reach
         return np.linalg.eigvalsh(h)
-    size = np.bincount(labels, minlength=n)[labels]  # each vertex's component size
-    order = np.argsort(size * n + labels, kind="stable")  # by size, then component
-    rows_of_size = np.bincount(size)
-    parts = []
-    start = 0
-    for k in np.flatnonzero(rows_of_size):
-        idx = order[start : start + rows_of_size[k]].reshape(-1, k)
-        parts.append(np.linalg.eigvalsh(h[idx[:, :, None], idx[:, None, :]]).ravel())
-        start += rows_of_size[k]
+    parts = [np.linalg.eigvalsh(h[rows[:, :, None], cols[:, None, :]]).ravel()
+             for rows, cols in _components_by_shape(labels, n)]
     return np.sort(np.concatenate(parts))
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """The min(r, c) singular values of m, descending, solved by the components of its pattern.
+
+    Permuting the rows and the columns of m into a direct sum of its
+    rectangular components keeps its singular values.  The components of
+    each (rows, cols) shape are gathered by one fancy index and solved by
+    one stacked ``svd``; each solve is backward stable, so the merged values
+    are exact for m + E with ``||E|| = max_c ||E_c||``.  A component of a
+    rows and b columns gives min(a, b) values, an empty row or column none;
+    the exact zeros that make up the count are filled in.  A pattern with at
+    most one entry per row and column is its entries, 1 x 1 components,
+    without labelling.  A matrix with no zero in its first row and column,
+    or that :func:`_first_row_spans` or the labelling finds connected,
+    reaches ``svd`` whole.
+    """
+    r, c = m.shape
+    # no zero in the first row and column: connected, decided in O(n)
+    if min(r, c) <= 1 or (m[0].all() and m[:, 0].all()):
+        return np.linalg.svd(m, compute_uv=False)
+    pattern = m != 0
+    entries = np.count_nonzero(pattern)
+    if entries == np.count_nonzero(pattern.any(axis=0)) == np.count_nonzero(pattern.any(axis=1)):
+        # no line holds two entries (a circle truncation, a partial isometry):
+        # every component is one entry, and no labelling is needed
+        sv = np.linalg.svd(m[pattern].reshape(-1, 1, 1), compute_uv=False).ravel()
+    elif _first_row_spans(pattern):
+        return np.linalg.svd(m, compute_uv=False)
+    else:
+        labels = _component_labels(pattern)
+        if not labels.any():  # connected, beyond the probe's reach
+            return np.linalg.svd(m, compute_uv=False)
+        sv = np.concatenate([
+            np.linalg.svd(m[rows[:, :, None], cols[:, None, :]], compute_uv=False).ravel()
+            for rows, cols in _components_by_shape(labels, r)
+        ])
+    return np.concatenate([np.sort(sv)[::-1], np.zeros(min(r, c) - len(sv))])
 
 
 def doubled_spectrum(
@@ -331,16 +426,17 @@ def doubled_spectrum(
 ) -> Spectrum:
     """Spectrum of the doubled matrix ``[[0, x], [x*, 0]]``, which is ``+-sigma_i(x)``.
 
-    One singular-value solve of the square x gives the ascending
-    eigenvalues ``(-sigma, sigma reversed)``; tau and the inertia are the
-    doubled matrix's: ``sigma <= tau = f * 2n * eps * sigma_max``.  With
+    The singular values of the square x (:func:`_singular_values`, by the
+    components of x's pattern) give the ascending eigenvalues ``(-sigma,
+    sigma reversed)``; tau and the inertia are the doubled matrix's, read
+    from all 2n of them: ``sigma <= tau = f * 2n * eps * sigma_max``.  With
     ``self_adjoint`` the adjoint test of x runs against that tau (exact
-    first, then one SVD of ``x - x*``) and raises ``NotSelfAdjointError``.
+    first, then the norm of ``x - x*``) and raises ``NotSelfAdjointError``.
     """
     m = as_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise NotSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
-    sv = np.linalg.svd(m, compute_uv=False)
+    sv = _singular_values(m)
     spectrum = _read_spectrum(np.concatenate([-sv, sv[::-1]]), policy)
     if self_adjoint:
         _require_adjoint((m,), spectrum.tau)
@@ -352,7 +448,7 @@ def operator_norm(matrix) -> float:
     m = as_matrix(matrix)
     if not np.any(m):
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(_singular_values(m)[0])
 
 
 def operator_norm_bound(matrix, limit: float) -> float:
@@ -376,11 +472,11 @@ def operator_norm_bound(matrix, limit: float) -> float:
 
 def min_singular_value(matrix) -> float:
     """Smallest singular value."""
-    return float(np.linalg.svd(as_matrix(matrix), compute_uv=False)[-1])
+    return float(_singular_values(as_matrix(matrix))[-1])
 
 
 def is_singular(matrix, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """The doubled matrix's zero test, ``sigma_min <= f * 2n * eps * sigma_max``, from one SVD.
+    """The doubled matrix's zero test, ``sigma_min <= f * 2n * eps * sigma_max``.
 
     The rule of ``delta_singular_check(x, 0)``: M is singular exactly when
     ``[[0, M], [M*, 0]]`` is.

@@ -411,17 +411,6 @@ def test_machine_readable_error(capsys, tmp_path):
         extra = ["--delta", "0.5"] if command == "gap-check" else []
         code, report = run(capsys, [command, *flags[command], str(bad), *extra])
         assert (code, report["error"]) == (1, "parse_error"), (command, payload)
-    # a block size of 0 by flag is refused before it divides the matrix size
-    matrix, dirac = tmp_path / "e.json", tmp_path / "d.json"
-    matrix.write_text(dumps(matrix_to_json(np.eye(3))))
-    dirac.write_text(dumps(matrix_to_json(np.diag([-1.0, 0.0, 1.0]))))
-    pencil = ["--matrix", str(matrix), "--dirac", str(dirac)]
-    for argv in (
-        ["index", *pencil, "--delta", "0.5"],
-        ["localizer", *pencil, "--kappa", "1"],
-    ):
-        code, report = run(capsys, [*argv, "--block-size", "0"])
-        assert (code, report["error"]) == (1, "parse_error"), argv
 
 
 def test_module_error_code(capsys, tmp_path):
@@ -450,9 +439,14 @@ def test_usage_error_exit_64(capsys):
         # the reduced localizer has no shift
         ["localizer", "--matrix", "x.json", "--dirac", "d.json", "--kappa", "1",
          "--reduced", "--s", "0.3"],
-        # no number of gap-check or contract depends on the block size
+        # no number of any command depends on the block size: the localizer's
+        # level is the element's size over the Dirac's, a zero size included
         [*gap, "--block-size", "2"],
         ["contract", "--matrix", "x.json", "--block-size", "2"],
+        ["index", "--matrix", "x.json", "--dirac", "d.json", "--delta", "0.5",
+         "--block-size", "0"],
+        ["localizer", "--matrix", "x.json", "--dirac", "d.json", "--kappa", "1",
+         "--block-size", "3"],
     ]
     # no subcommand takes a seed
     cases += [[*argv, "--seed", "1"] for argv in (
@@ -481,7 +475,7 @@ def test_every_subcommand_takes_the_shared_flags_and_three_take_plot():
     for action in build_parser()._subparsers._group_actions:
         for name, sub in action.choices.items():
             flags[name] = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
-    assert sum(map(len, flags.values())) == 42
+    assert sum(map(len, flags.values())) == 40
     for name, options in flags.items():
         assert {"--tol-factor", "--out"} <= options and "--seed" not in options
         assert ("--plot" in options) == (name in ("localizer", "index", "circle")), name

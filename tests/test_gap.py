@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specloc import (
@@ -280,9 +280,13 @@ def test_s_gap_values():
     st.integers(0, 2**32 - 1),
     st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.5]),
 )
+# |gap - s_gap| = 2.2e-16 here, above x's tau(2) = 1.9e-16 but within the
+# bordered matrix's own threshold at s + ||x||
+@example(kind="hermitian", n=1, seed=2**32 - 1, frac=1.5)
 def test_s_gaps_match_the_bordered_matrix(kind, n, seed, frac):
     # each s_gaps entry min|s + Sigma_x| is the bordered matrix's smallest
-    # absolute eigenvalue at that shift, within the certificate's tau
+    # absolute eigenvalue at that shift, within that matrix's threshold: its
+    # eigenvalues s + Sigma_x are rounded at the scale s + ||x||, not ||x||
     if kind == "shift":
         x = bilateral_shift_truncation(n + 1)  # singular, and gapped up to 1
     else:
@@ -291,15 +295,15 @@ def test_s_gaps_match_the_bordered_matrix(kind, n, seed, frac):
         if kind == "hermitian":
             m = (m + m.conj().T) / 2
         x = OperatorElement(m, 1, n, kind == "hermitian")
-    delta = frac * max(float(np.linalg.norm(x.matrix, 2)), 1.0)
+    norm = float(np.linalg.norm(x.matrix, 2))
+    delta = frac * max(norm, 1.0)
     cert = delta_singular_check(x, delta)
     if delta == 0.0:
         assert cert.s_gaps == ()
         return
-    tau = x.doubled().tau
     assert [s for s, _ in cert.s_gaps] == [delta * i / 10.0 for i in range(1, 10)]
     for s, gap in cert.s_gaps:
-        assert abs(gap - s_gap(x, s)) <= tau
+        assert abs(gap - s_gap(x, s)) <= DEFAULT_POLICY.scaled_tol(2 * x.dim, s + norm)
 
 
 def test_max_delta_values():
@@ -417,4 +421,6 @@ def test_failed_adjoint_test_is_not_memoized(solve_counts):
         solve_counts.clear()
         with pytest.raises(NotSelfAdjointError):
             delta_singular_check(x, 0.5)
-        assert solve_counts["svd"] == 2  # x, then x - x*
+        # x, one entry per line: one stacked SVD; then x - x*, whose two
+        # components (2 rows by 1 column, 1 by 2) take one SVD each
+        assert solve_counts["svd"] == 3

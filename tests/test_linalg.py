@@ -430,10 +430,80 @@ def test_any_nonzero_imaginary_entry_keeps_complex_arithmetic(solve_inputs):
 
 
 def test_winding_demo_solves_in_real_arithmetic(solve_counts, solve_inputs):
-    # the flagship is real end to end: one SVD (x's certificate) and the
-    # eigensolves of R's components, at most 2x2 at s = 0, each on float64
+    # the flagship is real end to end: one SVD (x's certificate, stacked 1x1
+    # blocks of its entries) and the eigensolves of R's components, at most
+    # 2x2 at s = 0, each on float64
     idx, _ = winding_demo(2, 25)
     assert idx == 2
     assert solve_counts["svd"] == 1
     assert max(a.shape[-1] for name, a in solve_inputs if name == "eigvalsh") == 2
     assert _dtypes(solve_inputs) == {np.dtype(np.float64)}
+
+
+def test_a_matrix_with_no_zero_in_its_first_row_and_column_reaches_svd_once_whole(
+    monkeypatch, solve_inputs
+):
+    # an arrowhead, zero off its first row, first column and diagonal: the
+    # first row and column decide "connected" in O(n), with no pattern read
+    def unread(*args):
+        raise AssertionError("pattern read")
+
+    monkeypatch.setattr(linalg, "_first_row_spans", unread)
+    monkeypatch.setattr(linalg, "_component_labels", unread)
+    rng = np.random.default_rng(14)
+    m = np.diag(rng.standard_normal(6)).astype(np.complex128)
+    m[0, :] = m[:, 0] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    sv = np.linalg.svd(m, compute_uv=False)
+    for solve in (doubled_spectrum, operator_norm, min_singular_value):
+        solve_inputs.clear()
+        solve(m)
+        assert len(solve_inputs) == 1 and solve_inputs[0][1] is m
+    assert np.array_equal(doubled_spectrum(m).eigenvalues, np.concatenate([-sv, sv[::-1]]))
+    assert (operator_norm(m), min_singular_value(m)) == (sv[0], sv[-1])
+
+
+def test_a_zero_diagonal_commutator_is_found_connected_without_labelling(
+    monkeypatch, solve_inputs
+):
+    # [D, x] for a diagonal D and a dense x is zero exactly on its diagonal:
+    # the check from its first row finds it connected, and it is solved whole
+    monkeypatch.setattr(linalg, "_component_labels", lambda p: pytest.fail("labelled"))
+    rng = np.random.default_rng(15)
+    d = np.diag(np.arange(6.0))
+    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    c = d @ x - x @ d
+    norm = operator_norm(c)
+    assert len(solve_inputs) == 1 and solve_inputs[0][1] is c
+    assert norm == np.linalg.svd(c, compute_uv=False)[0]
+
+
+def test_a_split_pattern_is_solved_by_its_bipartite_components(solve_inputs):
+    # two 2x3 blocks share one stacked SVD and a 3x2 block takes another; the
+    # empty row leaves 8 - 6 = 2 singular values that are exact zeros
+    rng = np.random.default_rng(16)
+    blocks = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+              for shape in ((2, 3), (2, 3), (3, 2))]
+    m = np.zeros((8, 8), dtype=np.complex128)
+    m[:7] = direct_sum(*blocks)
+    m = m[np.ix_(rng.permutation(8), rng.permutation(8))]
+    spectrum = doubled_spectrum(m)
+    assert [(name, a.shape) for name, a in solve_inputs] == [("svd", (2, 2, 3)), ("svd", (1, 3, 2))]
+    sv = np.linalg.svd(m, compute_uv=False)
+    np.testing.assert_allclose(spectrum.eigenvalues, np.concatenate([-sv, sv[::-1]]),
+                               rtol=0.0, atol=spectrum.tau)
+    assert spectrum.inertia.n_zero == 4
+    assert np.count_nonzero(spectrum.eigenvalues == 0.0) == 4
+
+
+def test_a_matrix_with_one_entry_per_line_is_solved_entry_by_entry(solve_inputs):
+    # a permuted diagonal with an empty row and column: each entry is a
+    # component, solved in one stacked SVD of 1x1 blocks without labelling,
+    # and the empty lines add an exact zero
+    rng = np.random.default_rng(17)
+    entries = rng.standard_normal(4)
+    m = np.diag(np.concatenate([entries, [0.0]]))[np.ix_(rng.permutation(5), rng.permutation(5))]
+    spectrum = doubled_spectrum(m)
+    assert [(name, a.shape) for name, a in solve_inputs] == [("svd", (4, 1, 1))]
+    moduli = np.sort(np.concatenate([np.abs(entries), [0.0]]))  # a real 1x1 SVD is |a|
+    assert np.array_equal(spectrum.eigenvalues, np.concatenate([-moduli[::-1], moduli]))
+    assert (operator_norm(m), min_singular_value(m)) == (moduli[-1], 0.0)

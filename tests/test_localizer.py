@@ -239,9 +239,12 @@ def test_circle_localizer_is_assembled_in_real_arithmetic():
 
 def test_valid_region_takes_the_svd_of_D0_only_when_its_bound_cannot_decide(solve_inputs):
     # [D, x] = 0 exactly for x = e: the Hoelder bound of ||D0|| finds it
-    # negligible, and the verdict "unbounded" is confirmed by the SVD of D0
-    triple = circle_dirac(3)
-    d0 = triple.D0.real
+    # negligible, and the verdict "unbounded" is confirmed by the SVD of D0.
+    # D0 is dense, so that the SVD of its norm is D0 itself; a diagonal D0
+    # would be solved entry by entry
+    g = np.random.default_rng(3).standard_normal((7, 7))
+    triple = odd_triple(g + g.T)
+    d0 = triple.D0
     assert valid_region(triple, identity_element(7), 1.0).unbounded
     svd_inputs = [a for name, a in solve_inputs if name == "svd"]
     assert len(svd_inputs) == 2  # the certificate of e, then D0
@@ -270,7 +273,8 @@ def test_gap_bound_check_reads_a_self_adjoint_gap_from_the_certificate(solve_cou
 
 def test_default_region_index_takes_two_svds_for_a_non_self_adjoint_element(solve_inputs):
     # one SVD of x for its certificate and one of [D, x] to place the region;
-    # no SVD of x -+ s*e at s* > 0, and none of D0, whose Hoelder bound decides
+    # no SVD of x -+ s*e at s* > 0, and none of D0, whose Hoelder bound decides.
+    # [D, x] has a zero diagonal, yet its pattern is connected: one whole SVD
     rng = np.random.default_rng(12)
     triple = odd_triple(np.diag(rng.uniform(-2, 2, 4)))
     for seed in range(4):
@@ -515,3 +519,28 @@ def test_even_triple_built_directly_has_the_balanced_grading():
     )
     with pytest.raises(ModeMismatchError):
         build_reduced(triple, operator_element(even + 1e-3 * off, self_adjoint=True), 0.5)
+
+
+def test_an_even_element_and_its_commutator_solve_blocks_of_n_h_rows(solve_inputs):
+    # x commutes with the grading, so x_+ and x_- are its two components, of
+    # n*h rows each; [D, x] is grading-odd, and its two components are the
+    # blocks off the grading's diagonal.  Each pair shares one stacked SVD
+    h, n = 3, 2
+    halves = [random_gapped(h, n, 0.4, self_adjoint=True, seed=s).matrix for s in (1, 2)]
+    blocks = np.zeros((n, 2 * h, n, 2 * h), dtype=np.complex128)
+    blocks[:, :h, :, :h] = halves[0].reshape(n, h, n, h)
+    blocks[:, h:, :, h:] = halves[1].reshape(n, h, n, h)
+    x = operator_element(blocks.reshape(2 * n * h, 2 * n * h), block_size=n)
+    rng = np.random.default_rng(18)
+    triple = even_triple(rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h)))
+    solve_inputs.clear()
+    sigma = x.doubled()
+    norm = commutator_norm(triple, x)
+    assert [(name, a.shape) for name, a in solve_inputs] == [("svd", (2, n * h, n * h))] * 2
+    sv = np.linalg.svd(x.matrix, compute_uv=False)
+    np.testing.assert_allclose(sigma.eigenvalues, np.concatenate([-sv, sv[::-1]]),
+                               rtol=0.0, atol=sigma.tau)
+    dirac = np.block([[np.zeros((h, h)), triple.D0], [triple.D0.conj().T, np.zeros((h, h))]])
+    d = np.kron(np.eye(n), dirac)
+    dense = np.linalg.svd(d @ x.matrix - x.matrix @ d, compute_uv=False)[0]
+    assert abs(norm - dense) <= DEFAULT_POLICY.scaled_tol(2 * x.dim, dense)

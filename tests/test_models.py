@@ -121,13 +121,14 @@ def _largest_eigensolve(solve_inputs):
     return max(a.shape[-1] for name, a in solve_inputs if name == "eigvalsh")
 
 
-def test_winding_demo_solves_x_once(solve_counts, solve_inputs):
-    # at an explicit kappa only the delta-gap check runs: one SVD of x for the
-    # certificate, and R, a partial permutation between +-kappa D, is solved
-    # by its components of at most 2 rows; no region is placed, so neither
-    # [D, x] nor D0 takes an SVD
+def test_winding_demo_solves_x_once(solve_inputs):
+    # at an explicit kappa only the delta-gap check runs: x, a partial
+    # isometry, holds at most one entry per row and column, so its entries are
+    # its components and one stacked SVD of 1x1 blocks solves them; R, a
+    # partial permutation between +-kappa D, is solved by its components of at
+    # most 2 rows; no region is placed, so neither [D, x] nor D0 is normed
     winding_demo(1, 25)
-    assert solve_counts["svd"] == 1
+    assert [a.shape for name, a in solve_inputs if name == "svd"] == [(50, 1, 1)]
     assert _largest_eigensolve(solve_inputs) == 2
 
 

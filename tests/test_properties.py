@@ -19,7 +19,9 @@ gap certificate (one SVD of x) against the dense spectrum of
 certificate, and ``residual_ok`` against its rule written out by hand.
 ``hermitian_spectrum``'s split of a block into the connected components of
 its nonzero pattern is checked against the dense solve of drawn permuted
-direct sums.
+direct sums, and the singular values' split into the bipartite components
+of a pattern against the dense SVD of drawn permuted sums of rectangular
+blocks with empty rows and columns.
 The path certificate's per-segment step guard is checked against dense
 sampling of ``bordered(y, delta/2)`` along drawn segments, and its step
 report against the SVD norm of each step.  Default-region ``index``'s spoke
@@ -210,6 +212,47 @@ def test_the_component_split_matches_the_dense_solve(m):
     # is backward stable: the dense solve of the symmetrized whole is the oracle
     dense = np.linalg.eigvalsh(((m + m.conj().T) / 2.0).astype(np.complex128))
     assert_within_tau_of_complex_solve(hermitian_spectrum(m), dense)
+
+
+@st.composite
+def permuted_rectangular_sum(draw):
+    """A direct sum of rectangular blocks of 1 to 6 rows and 1 to 6 columns, permuted.
+
+    Each block is real or complex at its own scale, 0 included, so zero
+    blocks occur; up to three empty rows and three empty columns are added,
+    and then as many more of one kind as make the whole square.  The rows
+    and the columns are permuted independently.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for a, b in draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                              min_size=1, max_size=6)):
+        scale = draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+        block = rng.standard_normal((a, b))
+        if not draw(st.booleans()):
+            block = block + 1j * rng.standard_normal((a, b))
+        blocks.append(scale * block)
+    m = direct_sum(*blocks)
+    rows = m.shape[0] + draw(st.integers(0, 3))
+    cols = m.shape[1] + draw(st.integers(0, 3))
+    n = max(rows, cols)
+    padded = np.zeros((n, n), dtype=m.dtype)
+    padded[: m.shape[0], : m.shape[1]] = m
+    return padded[np.ix_(rng.permutation(n), rng.permutation(n))]
+
+
+@SETTINGS
+@given(permuted_rectangular_sum())
+def test_the_bipartite_split_matches_the_dense_svd(x):
+    # permuting rows and columns keeps the singular values and each
+    # component's solve is backward stable; the zeros that rectangular and
+    # empty components imply make up the count: the dense complex SVD of the
+    # whole is the oracle, within the doubled matrix's tau
+    sv = np.linalg.svd(x.astype(np.complex128), compute_uv=False)
+    assert_within_tau_of_complex_solve(doubled_spectrum(x), np.concatenate([-sv, sv[::-1]]))
+    tau = DEFAULT_POLICY.scaled_tol(2 * x.shape[0], float(sv[0]))
+    assert abs(operator_norm(x) - sv[0]) <= tau
+    assert abs(min_singular_value(x) - sv[-1]) <= tau
 
 
 @SETTINGS
