@@ -35,6 +35,7 @@ from .clifford import (
     embed_low,
     graded_part,
     reduce_periodic,
+    relation_residuals,
     verify_doubling,
 )
 from .homotopy import (

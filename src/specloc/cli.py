@@ -29,7 +29,7 @@ from . import clifford as _clifford
 from .errors import SpeclocError
 from .gap import delta_singular_check, operator_element
 from .homotopy import contract_invertible, verify_path
-from .linalg import TolerancePolicy, hermitian_spectrum, operator_norm
+from .linalg import TolerancePolicy, hermitian_spectrum
 from .localizer import (
     build_reduced,
     even_triple,
@@ -58,6 +58,17 @@ USAGE_ERROR = 64
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``, else a usage error."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
 
 
 def _policy(args) -> TolerancePolicy:
@@ -144,18 +155,7 @@ def _cmd_circle(args, policy):
 
 def _cmd_clifford_verify(args, policy):
     rep = _clifford.clifford_rep(args.p)
-    eye = np.eye(rep.rep_dim)
-    residuals = {}
-    for i, gi in enumerate(rep.generators):
-        residuals[f"hermitian_{i}"] = operator_norm(gi - gi.conj().T)
-        residuals[f"grading_anticommute_{i}"] = operator_norm(
-            rep.grading @ gi + gi @ rep.grading
-        )
-        for j, gj in enumerate(rep.generators[: i + 1]):
-            target = 2.0 * eye if i == j else 0.0 * eye
-            residuals[f"clifford_{j}{i}"] = operator_norm(gi @ gj + gj @ gi - target)
-    residuals["grading_square"] = operator_norm(rep.grading @ rep.grading - eye)
-    residuals["grading_hermitian"] = operator_norm(rep.grading - rep.grading.conj().T)
+    residuals = _clifford.relation_residuals(rep)
     worst = max(residuals.values())
     report = {
         "p": args.p,
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_circle)
 
     p = subs.add_parser("clifford-verify", help="verify Clifford matrix-model relations")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_int_at_least(1), required=True)
     _add_shared(p)
     p.set_defaults(func=_cmd_clifford_verify)
 
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("contract", help="contract an invertible element to a scalar")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--steps", type=int, default=33)
+    p.add_argument("--steps", type=_int_at_least(2), default=33)
     _add_shared(p)
     p.set_defaults(func=_cmd_contract)
 

@@ -8,7 +8,11 @@ eigensolve.  The identity they check is ``eig(bordered(x, s)) = s +
 Sigma_x``, the bordered probe of Loring & Schulz-Baldes (NYJM 2017).
 The square bound ``L(kappa, s)^2 >= g_loc^2 - kappa*||[D, x]||`` of the
 same paper is checked here too (``gap_bound_check``), against specloc's
-split spectrum.  No product path calls them.
+split spectrum.  The Clifford models are built here by the Jordan-Wigner
+tensor recursion, Kronecker products of Pauli matrices and a dense
+permutation similarity (``clifford_rep_dense``), and their relations are
+checked by dense products (``relation_residual``).  No product path calls
+them.
 """
 
 from dataclasses import dataclass
@@ -18,14 +22,18 @@ import numpy as np
 
 from specloc import (
     DEFAULT_POLICY,
+    CliffordRep,
     OperatorElement,
     SpectralTriple,
     TolerancePolicy,
     bordered,
     commutator_norm,
+    direct_sum,
+    doubled_matrix,
     hermitian_spectrum,
     localizer_halves,
     min_singular_value,
+    operator_norm,
 )
 from specloc.localizer import _check_point
 
@@ -146,3 +154,58 @@ def gap_bound_check(
     bound = g * g - kappa * commutator_norm(T, x)
     tol = policy.residual_tol(len(eigs), float(np.max(eigs**2)))
     return GapBoundReport(min_eig_sq >= bound - tol, min_eig_sq, bound)
+
+
+_SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+_SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+_SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
+
+def jordan_wigner(m: int):
+    """Generators of CCl_{2m} in M_{2^m} with the grading sorted to diag(I, -I).
+
+    Kronecker products of the Pauli strings Z^(k-1) (x) {X, Y} (x) I^(m-k)
+    and Z^(x)m, conjugated by the dense permutation that sorts the
+    grading's diagonal stably, +1 first.
+    """
+    gens = []
+    for k in range(1, m + 1):
+        for seed in (_SX, _SY):
+            factors = [_SZ] * (k - 1) + [seed] + [np.eye(2)] * (m - k)
+            g = np.array([[1.0]])
+            for f in factors:
+                g = np.kron(g, f)
+            gens.append(g)
+    grading = np.array([[1.0]])
+    for _ in range(m):
+        grading = np.kron(grading, _SZ)
+    order = np.argsort(-np.real(np.diag(grading)), kind="stable")
+    perm = np.eye(2**m)[order]
+    return [perm @ g @ perm.T for g in gens], perm @ grading @ perm.T
+
+
+def clifford_rep_dense(p: int) -> CliffordRep:
+    """``clifford_rep(p)`` from :func:`jordan_wigner`: CCl_{2m}, or CCl_{2m+1} as diag(b, -b)."""
+    if p % 2 == 0:
+        gens, grading = jordan_wigner(p // 2)
+        return CliffordRep(2 ** (p // 2), gens, grading, "even")
+    m = (p - 1) // 2
+    base, base_grading = jordan_wigner(m)
+    gens = [direct_sum(b, -b) for b in (*base, base_grading)]
+    return CliffordRep(2 ** (m + 1), gens, doubled_matrix(np.eye(2**m)), "odd")
+
+
+def relation_residual(rep: CliffordRep) -> dict:
+    """Every relation residual that ``relation_residuals`` names, by dense products and norms."""
+    eye = np.eye(rep.rep_dim)
+    g = rep.grading
+    residuals = {}
+    for i, gi in enumerate(rep.generators):
+        residuals[f"hermitian_{i}"] = operator_norm(gi - gi.conj().T)
+        residuals[f"grading_anticommute_{i}"] = operator_norm(g @ gi + gi @ g)
+        for j, gj in enumerate(rep.generators[: i + 1]):
+            target = 2.0 * eye if i == j else 0.0 * eye
+            residuals[f"clifford_{j}{i}"] = operator_norm(gi @ gj + gj @ gi - target)
+    residuals["grading_square"] = operator_norm(g @ g - eye)
+    residuals["grading_hermitian"] = operator_norm(g - g.conj().T)
+    return residuals

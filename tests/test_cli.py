@@ -447,6 +447,11 @@ def test_usage_error_exit_64(capsys):
          "--block-size", "0"],
         ["localizer", "--matrix", "x.json", "--dirac", "d.json", "--kappa", "1",
          "--block-size", "3"],
+        # p below 1 and a path of fewer than two samples: refused before any input is read
+        ["clifford-verify", "--p", "0"],
+        ["clifford-verify", "--p", "-2"],
+        ["clifford-verify", "--p", "x"],
+        ["contract", "--matrix", "x.json", "--steps", "1"],
     ]
     # no subcommand takes a seed
     cases += [[*argv, "--seed", "1"] for argv in (
@@ -468,6 +473,9 @@ def test_usage_error_exit_64(capsys):
             # reported by the subcommand's parser, which names itself
             message = f"specloc {argv[0]}: error: unrecognized arguments: --seed 1"
             assert message in captured.err, argv
+        if argv[-2:] in (["--p", "0"], ["--steps", "1"]):
+            low = 1 if argv[-2] == "--p" else 2
+            assert f"argument {argv[-2]}: must be at least {low}, got {argv[-1]}" in captured.err
 
 
 def test_every_subcommand_takes_the_shared_flags_and_three_take_plot():

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import specloc.clifford as clifford_module
+
 from specloc import (
     bilateral_shift_truncation,
     circle_dirac,
@@ -14,6 +16,7 @@ from specloc import (
     max_delta,
     operator_element,
     reduce_periodic,
+    relation_residuals,
     sigma_spectrum,
     verify_doubling,
 )
@@ -24,18 +27,7 @@ from specloc.errors import (
     NotSelfAdjointError,
 )
 
-
-def relation_residual(rep):
-    eye = np.eye(rep.rep_dim)
-    worst = 0.0
-    for i, gi in enumerate(rep.generators):
-        worst = max(worst, np.linalg.norm(gi - gi.conj().T, 2))
-        worst = max(worst, np.linalg.norm(rep.grading @ gi + gi @ rep.grading, 2))
-        for j, gj in enumerate(rep.generators):
-            target = 2.0 * eye if i == j else 0.0 * eye
-            worst = max(worst, np.linalg.norm(gi @ gj + gj @ gi - target, 2))
-    worst = max(worst, np.linalg.norm(rep.grading @ rep.grading - eye, 2))
-    return worst
+from oracles import clifford_rep_dense, relation_residual
 
 
 def test_p1_exact_form():
@@ -60,7 +52,31 @@ def test_relations(p):
     rep = clifford_rep(p)
     assert rep.rep_dim == 2 ** ((p + 1) // 2)
     assert len(rep.generators) == p
-    assert relation_residual(rep) < 1e-12
+    residuals = relation_residual(rep)
+    assert max(residuals.values()) < 1e-12
+    assert relation_residuals(rep) == residuals
+
+
+def test_the_models_relations_are_decided_without_a_norm(monkeypatch):
+    # every generator and grading is a phase permutation: index maps decide every
+    # relation, and the dense route, which always takes a norm, is never reached
+    def no_norm(m):
+        raise AssertionError("a residual took the dense route")
+
+    monkeypatch.setattr(clifford_module, "operator_norm", no_norm)
+    for p in (1, 2, 9, 12):
+        residuals = relation_residuals(clifford_rep(p))
+        assert set(residuals.values()) == {0.0}
+        assert len(residuals) == p * (p + 1) // 2 + 2 * p + 2
+
+
+@pytest.mark.parametrize("p", range(1, 15))
+def test_index_construction_matches_the_kronecker_products(p):
+    # by value and by field: X-type generators and the gradings float64, Y-type complex128
+    rep, dense = clifford_rep(p), clifford_rep_dense(p)
+    assert rep == dense
+    for a, b in zip((*rep.generators, rep.grading), (*dense.generators, dense.grading)):
+        assert a.dtype == b.dtype
 
 
 def test_even_grading_is_balanced_diagonal():

@@ -27,6 +27,10 @@ sampling of ``bordered(y, delta/2)`` along drawn segments, and its step
 report against the SVD norm of each step.  Default-region ``index``'s spoke
 guard is checked the same way, against dense sampling of the assembled
 localizer along drawn spokes, and its samples against a solve of each point.
+The Clifford relation residuals, decided exact first on phase
+permutations, are checked entry for entry against the dense products and
+norms of ``tests/oracles.py``, on the models, rotated models and models
+with one entry perturbed.
 """
 
 import dataclasses
@@ -45,6 +49,7 @@ from specloc import (
     SpectralTriple,
     bordered,
     build_reduced,
+    clifford_rep,
     contract_invertible,
     delta_singular_check,
     direct_sum,
@@ -60,6 +65,7 @@ from specloc import (
     operator_element,
     operator_norm,
     random_gapped,
+    relation_residuals,
     residual_ok,
     sigma_spectrum,
     verify_path,
@@ -76,7 +82,13 @@ from specloc.errors import (
 from specloc.linalg import as_matrix, doubled_spectrum
 from specloc.localizer import _reduced_parts, _spoke_guard
 
-from oracles import build_generalized, gap_bound_check, localizer_parts, s_gap
+from oracles import (
+    build_generalized,
+    gap_bound_check,
+    localizer_parts,
+    relation_residual,
+    s_gap,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -1025,3 +1037,39 @@ def test_even_grading_residual_is_the_commutator(h, n, seed, noise):
     commutator = gamma @ x.matrix - x.matrix @ gamma
     np.testing.assert_array_equal(residuals[0], commutator)
     assert commutes == (not np.any(commutator) or _residual_rule(commutator, [x.matrix]))
+
+
+@st.composite
+def clifford_models(draw):
+    """``clifford_rep(p)`` for p <= 10: as built, rotated, or with one entry perturbed.
+
+    A rotation by a drawn orthogonal or unitary q makes every generator
+    dense.  A perturbation scales one nonzero entry of one generator or of
+    the grading by 1 + eps, with eps from 2^-52 (the smallest step that
+    moves 1.0) to 1e-6: the model stays a phase permutation, and some
+    relation residual is no longer zero.
+    """
+    rep = clifford_rep(draw(st.integers(1, 10)))
+    ops = [*rep.generators, rep.grading]
+    kind = draw(st.sampled_from(["built", "rotated", "perturbed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "rotated":
+        a = rng.standard_normal((rep.rep_dim, rep.rep_dim))
+        if draw(st.booleans()):
+            a = a + 1j * rng.standard_normal(a.shape)
+        q, _ = np.linalg.qr(a)
+        ops = [q @ m @ q.conj().T for m in ops]
+    elif kind == "perturbed":
+        k = draw(st.integers(0, len(ops) - 1))
+        row = draw(st.integers(0, rep.rep_dim - 1))
+        eps = draw(st.sampled_from([2.0**-52, 1e-15, 1e-12, 1e-9, 1e-6]))
+        ops[k] = np.array(ops[k])
+        ops[k][row, np.flatnonzero(ops[k][row])[0]] *= 1 + eps
+    return CliffordRep(rep.rep_dim, ops[:-1], ops[-1], rep.parity)
+
+
+@SETTINGS
+@given(clifford_models())
+def test_relation_residuals_are_the_dense_ones(rep):
+    # exact first must not move a number: 0.0 exactly where the dense products cancel
+    assert relation_residuals(rep) == relation_residual(rep)
