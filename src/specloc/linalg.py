@@ -56,10 +56,11 @@ LAPACK's real and complex solvers are both backward stable within the same
 tau.  An element's matrix is float64 for real input: code that writes
 complex entries into a copy of it must upcast the copy first.
 
-The paper's two block forms are built only here: the doubling ``[[s, a],
+Outside the localizer's halves (``localizer._half`` writes each in place),
+the paper's two block forms are built only here: the doubling ``[[s, a],
 [a*, s]]`` by :func:`doubled_matrix` and the graded sum ``a (+) (-b)`` by
-:func:`direct_sum`, which also amplifies (``I_n (x) a``).  Each returns
-float64 when every input is real by :func:`as_matrix`, complex128 otherwise.
+:func:`direct_sum`, which also amplifies (``I_n (x) a``); float64 when every
+input is real by :func:`as_matrix`, complex128 otherwise.
 
 Every array an object keeps is frozen by ``_read_only``, a private copy
 that numpy refuses to make writable: an element's matrix and its memoized

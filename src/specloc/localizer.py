@@ -11,12 +11,12 @@ and the generalized (shifted) localizer used for delta-gapped elements is
 
 with W the swap [[0,I],[I,0]] in the odd case and the grading
 diag(I,-I) in the even case, a signed permutation either way.
-``_reduced_parts`` builds L_reduced's parts C and K, L_reduced = C + kappa*K,
-from the block forms of :mod:`specloc.linalg` (``doubled_matrix``,
-``direct_sum``): C in the field of x and K in that of D0, as
-``linalg.as_matrix`` decided them, so C + kappa*K is complex when either
-is.  W is never assembled: at s = 0 it does not enter, and at s != 0 each
-half adds +-s at W's +-1 entries alone.  This assembly satisfies, exactly:
+Write L_reduced = C + kappa*K, C holding x and K holding D0.  ``_half``
+writes each half C + kappa*K +- s*W straight into one fresh array, in the
+field ``np.result_type(x, D0)``: x's blocks, kappa*D0's, and +-s at W's
++-1 entries alone.  The off-block entries of C and K are exact zeros, so
+each entry is the one fl(C + kappa*K +- s*W) holds; neither C, K, their
+sum nor W is formed.  This assembly satisfies, exactly:
 
   * L(kappa, 0) = L_reduced (+) L_reduced;
   * for x = e the eigenvalues are +-sqrt((1 +-' s)^2 + kappa^2 lambda^2)
@@ -35,28 +35,23 @@ sigma_x into sigma_z, so for either parity
     (H (x) I) L(kappa, s) (H (x) I) = (L_reduced + s*W) (+) (L_reduced - s*W).
 
 ``index`` and the CLI read the spectrum of L(kappa, s) from the two
-half-size blocks (:func:`localizer_halves`), and at s = 0 from one solve
-of L_reduced.  Only the dense reference the
-tests compare against (``tests/oracles.py``) assembles the full matrix.
+half-size blocks (:func:`localizer_halves`), and at s = 0 from one solve of
+L_reduced; only the test oracle (``tests/oracles.py``) assembles L whole.
 
 Default-region ``index`` solves the centre (kappa*, s*) and certifies each
 corner q of its sub-rectangle from that spectrum by Weyl's inequality, the
-one-ended form of ``verify_path``'s guard.  Along the straight spoke from
-the centre to q each half C + kappa*K +- s*W moves by at most
+one-ended form of ``verify_path``'s guard.  Along the straight spoke to q
+each half C + kappa*K +- s*W moves by at most
 
-    h = ||K|| |kappa_q - kappa*| + ||W|| |s_q - s*|,   ||W|| = 1, ||K|| = ||D0||,
+    h = ||K|| |kappa_q - kappa*| + ||W|| |s_q - s*|,   ||W|| = 1, ||K|| = ||D0||.
 
-for both parities, so every eigenvalue of either half moves by at most h.
-Let g* be the centre's smallest |eigenvalue| and tau* the zero threshold of
-its merged spectrum, the margin by which the computed g* may be off.  When
-h < g* - tau*, no eigenvalue reaches 0 anywhere on the spoke: L(q) is
-invertible and its signature is the centre's.  ||D0|| enters through its
-Hoelder bound (``linalg.operator_norm_bound``, no SVD), and the guard also
-pays for the rounding of the assembled halves at both ends
-(:func:`_spoke_guard`).  Weyl's inequality is about Hermitian matrices, so
-the guard certifies only when C and K are exactly Hermitian; a corner it
-does not certify is solved and compared.  A certified corner is proved
-more strongly than a solved one: the whole spoke, not just its endpoint.
+When h < g* - tau* (the centre's smallest |eigenvalue| less the zero
+threshold of its merged spectrum), no eigenvalue reaches 0 on the spoke,
+and L(q) has the centre's signature.  ||D0|| enters through its Hoelder
+bound (no SVD), and the guard pays for the rounding of the assembled halves
+at both ends (:func:`_spoke_guard`).  It certifies only when C and K are
+exactly Hermitian, which it reads from x and D0; any other corner is solved
+and compared.  A certified corner is proved on the whole spoke.
 
 For a fixed finite truncation the region-certified signature is the
 small-coupling limit (zero for winding classes); integer indices of
@@ -88,7 +83,6 @@ from .linalg import (
     _adjoint,
     _read_only,
     as_matrix,
-    direct_sum,
     doubled_matrix,
     hermitian_spectrum,
     is_self_adjoint,
@@ -143,22 +137,6 @@ def _level(T: SpectralTriple, x: OperatorElement) -> int:
     return x.dim // T.ambient_dim
 
 
-def _even_halves(m: np.ndarray, n: int, h: int, policy: TolerancePolicy):
-    """Split an even element's matrix m at level n, D0 of size h, into x_+ and x_-."""
-    d = 2 * h
-    blocks = m.reshape(n, d, n, d)
-    # gamma x - x gamma for gamma = I_n (x) diag(I, -I): +-2 times the
-    # grading-off-diagonal blocks, zero elsewhere
-    commutator = np.zeros_like(blocks)
-    commutator[:, :h, :, h:] = 2 * blocks[:, :h, :, h:]
-    commutator[:, h:, :, :h] = -2 * blocks[:, h:, :, :h]
-    if not residual_ok(commutator.reshape(m.shape), m, policy=policy):
-        raise ModeMismatchError("even element must commute with the grading")
-    x_plus = blocks[:, :h, :, :h].reshape(n * h, n * h)
-    x_minus = blocks[:, h:, :, h:].reshape(n * h, n * h)
-    return x_plus, x_minus
-
-
 def commutator_norm(T: SpectralTriple, x: OperatorElement) -> float:
     """||[D_n, x]||, formed blockwise.
 
@@ -174,51 +152,73 @@ def commutator_norm(T: SpectralTriple, x: OperatorElement) -> float:
     return operator_norm(commutator.transpose(0, 2, 1, 3).reshape(m.shape))
 
 
-def _reduced_parts(T: SpectralTriple, x: OperatorElement, policy: TolerancePolicy):
-    """(C, K): L_reduced(kappa) = C + kappa*K, C in x's field and K in D0's.
-
-    The element's checks run here.
-    """
-    n = _level(T, x)
-    m, d0 = x.matrix, T.D0
+def _element_blocks(T: SpectralTriple, x: OperatorElement, policy: TolerancePolicy) -> tuple:
+    """x's blocks in L_reduced, ``(x,)`` odd or ``(x_+, x_-)`` even, once x's checks pass."""
+    n, m, h = _level(T, x), x.matrix, T.D0.shape[0]
     if T.parity == "odd":
-        return doubled_matrix(m), direct_sum(*[d0] * n, *[-d0] * n)
+        return (m,)
     if not x.self_adjoint:
         raise ModeMismatchError("even localizer requires a self-adjoint element")
-    x_plus, x_minus = _even_halves(m, n, d0.shape[0], policy)
-    return direct_sum(x_plus, -x_minus), doubled_matrix(direct_sum(*[d0] * n))
+    blocks = m.reshape(n, 2 * h, n, 2 * h)
+    # gamma x - x gamma for gamma = I_n (x) diag(I, -I): +-2 times the
+    # grading-off-diagonal blocks, zero elsewhere
+    commutator = np.zeros_like(blocks)
+    commutator[:, :h, :, h:] = 2 * blocks[:, :h, :, h:]
+    commutator[:, h:, :, :h] = -2 * blocks[:, h:, :, :h]
+    if not residual_ok(commutator.reshape(m.shape), m, policy=policy):
+        raise ModeMismatchError("even element must commute with the grading")
+    r = n * h
+    return blocks[:, :h, :, :h].reshape(r, r), blocks[:, h:, :, h:].reshape(r, r)
 
 
 def _check_point(kappa: float, s: float) -> None:
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < math.inf:
+        raise ValueError("kappa must be finite and positive")
     if s < 0 or not math.isfinite(s):
         raise ValueError("s must be finite and nonnegative")
 
 
-def _shifted(reduced: np.ndarray, parity: str, s: float) -> np.ndarray:
-    """L_reduced + s*W, with s added at W's +-1 entries only.
+def _half(T: SpectralTriple, blocks: tuple, kappa: float, s: float) -> np.ndarray:
+    """L_reduced(kappa) + s*W, s of either sign, in one fresh array.
 
-    Adding -s where W is +1 rounds as subtracting s*1 does, so the halves
-    at +-s equal C + kappa*K +- s*W entry for entry.
+    x and x* (odd) or x_+ and -x_- (even), kappa*D0 in the Dirac blocks, and
+    +-s at W's +-1 entries.  A negated block is written as 0 - v, so that its
+    zeros are +0 as in fl(C + kappa*K) (for inputs free of -0).
     """
-    half = reduced.copy()
-    n = half.shape[0] // 2
-    i = np.arange(n)
-    if parity == "odd":  # W = [[0, I], [I, 0]]
-        half[i, i + n] += s
-        half[i + n, i] += s
-    else:  # W = diag(I, -I)
-        half[i, i] += s
-        half[i + n, i + n] -= s
-    return half
+    h, r = T.D0.shape[0], blocks[0].shape[0]
+    out = np.zeros((2 * r, 2 * r), dtype=np.result_type(*blocks, T.D0))
+    i = np.arange(r)
+    if T.parity == "odd":  # [[kappa*D, x], [x*, -kappa*D]], W = [[0, I], [I, 0]]
+        out[:r, r:] = blocks[0]
+        np.conjugate(blocks[0].T, out=out[r:, :r])
+        kd = np.multiply(T.D0, kappa, out=out[:h, :h])
+        for a in range(0, r, h):  # the Dirac blocks of I_n (x) D0
+            out[a : a + h, a : a + h] = kd
+            np.subtract(0.0, kd, out=out[r + a : r + a + h, r + a : r + a + h])
+        if s:
+            out[i, i + r] += s
+            out[i + r, i] += s
+    else:  # [[x_+, kappa*D], [kappa*D*, -x_-]], W = diag(I, -I)
+        out[:r, :r] = blocks[0]
+        np.subtract(0.0, blocks[1], out=out[r:, r:])
+        kd = np.multiply(T.D0, kappa, out=out[:h, r : r + h])
+        for a in range(0, r, h):
+            out[a : a + h, r + a : r + a + h] = kd
+            np.conjugate(kd.T, out=out[r + a : r + a + h, a : a + h])
+        if s:
+            out[i, i] += s
+            out[i + r, i + r] -= s
+    return out
 
 
-def _halves(reduced: np.ndarray, parity: str, s: float) -> tuple:
-    """Blocks of (L_reduced + s*W) (+) (L_reduced - s*W); one distinct block, and no W, at s = 0."""
-    if s == 0:
-        return reduced, reduced
-    return _shifted(reduced, parity, s), _shifted(reduced, parity, -s)
+def _halves(T: SpectralTriple, blocks: tuple, kappa: float, s: float) -> tuple:
+    """L_reduced +- s*W from x's ``blocks``, one array twice at s = 0.
+
+    Every route assembles here, so the point is checked here.
+    """
+    _check_point(kappa, s)
+    plus = _half(T, blocks, kappa, s)
+    return (plus, plus) if s == 0 else (plus, _half(T, blocks, kappa, -s))
 
 
 def build_reduced(
@@ -228,8 +228,7 @@ def build_reduced(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """The odd or even spectral localizer (half the generalized one at s=0)."""
-    c, k = _reduced_parts(T, x, policy)
-    return c + kappa * k
+    return _halves(T, _element_blocks(T, x, policy), kappa, 0.0)[0]
 
 
 def localizer_halves(
@@ -244,9 +243,7 @@ def localizer_halves(
     ``(L_reduced + s*W, L_reduced - s*W)``, and ``(L_reduced, L_reduced)``
     (one array twice, solved once by ``hermitian_spectrum``) at s = 0.
     """
-    _check_point(kappa, s)
-    c, k = _reduced_parts(T, x, policy)
-    return _halves(c + kappa * k, T.parity, s)
+    return _halves(T, _element_blocks(T, x, policy), kappa, s)
 
 
 def _gap_certificate(x: OperatorElement, delta: float, policy: TolerancePolicy):
@@ -303,29 +300,36 @@ def valid_region(
     return RegionDescription(float(delta), norm, unbounded)
 
 
-def _spoke_guard(c: np.ndarray, k: np.ndarray, d0: np.ndarray, centre: tuple, spectrum):
+def _spoke_guard(T: SpectralTriple, x: OperatorElement, blocks: tuple, centre: tuple, spectrum):
     """``corner -> bool``: True when Weyl's inequality carries ``spectrum`` to ``corner``.
 
     ``spectrum`` is the merged spectrum of the halves assembled at
-    ``centre``, an ``(s, kappa)`` point, from ``(C, K)`` of
-    :func:`_reduced_parts`.  A True answer proves that the exact halves
+    ``centre``, an ``(s, kappa)`` point, from x's ``blocks``
+    (:func:`_element_blocks`).  A True answer proves that the exact halves
     C + kappa*K +- s*W, and the assembled ones a solve would read, are
     invertible at every point of the segment from ``centre`` to the corner
     (ends included), with the centre's inertia.  With C and K not exactly
     Hermitian every answer is False.
+
+    C and K are read from x and D0, never formed.  K is exactly Hermitian
+    iff D0 is (odd), and always (even); C always (odd), and iff x_+ and x_-
+    are (even).  Up to a permutation, |C| is entrywise at most |x| (odd
+    [[0, |x|], [|x|^T, 0]], even the blocks |x_+| (+) |x_-| of |x|), and the
+    2-norm of nonnegative matrices is monotone, so || |C| ||_2 is bounded
+    by ``operator_norm_bound(x.matrix, inf)``.
     """
-    if not all(np.array_equal(m, _adjoint(m)) for m in (c, k)):
+    hermitian = (T.D0,) if T.parity == "odd" else blocks
+    if not all(np.array_equal(m, _adjoint(m)) for m in hermitian):
         return lambda corner: False
     # Hoelder bounds, never an SVD (limit inf): ||K||_2 = ||D0||_2 and
-    # || |K| ||_2 = || |D0| ||_2 for both parities, and || |M| ||_2 <=
-    # sqrt(||M||_1 ||M||_inf) bounds the moduli of C as well
-    norm_c = operator_norm_bound(c, math.inf)
-    norm_k = operator_norm_bound(d0, math.inf)
+    # || |K| ||_2 = || |D0| ||_2 for both parities
+    norm_c = operator_norm_bound(x.matrix, math.inf)
+    norm_k = operator_norm_bound(T.D0, math.inf)
 
     def assembly(s, kappa):
-        # fl(c + kappa*k +- s*w) is within gamma_3 (|c| + kappa|k| + s|w|) of the
-        # exact half, entrywise (one product, two sums; +-s enters only where
-        # w's entry is +-1), so in norm within 4 eps (||C|| + kappa||K|| + s)
+        # the assembled half, fl(C + kappa*K +- s*W) entry for entry, is within
+        # gamma_3 (|C| + kappa|K| + s|W|) of the exact one (a product and two sums;
+        # +-s only where W is +-1), so in norm within 4 eps (||C|| + kappa||K|| + s)
         return 4 * _EPS * (norm_c + kappa * norm_k + s)
 
     s0, kappa0 = centre
@@ -378,7 +382,8 @@ def index(
     all five values must agree.  A corner within Weyl's reach of the
     centre (:func:`_spoke_guard`) takes the centre's signature without a
     solve; any other corner is solved.  ``samples`` lists all five points
-    either way.
+    either way.  x is checked once per call, and each solved point writes
+    its halves from x's blocks into one array each (:func:`_half`).
     """
     if kappa is None:
         region = valid_region(T, x, delta, policy)
@@ -407,10 +412,10 @@ def index(
 
     for s_i, kappa_i in points:
         _check_point(kappa_i, s_i)
-    c, k = _reduced_parts(T, x, policy)
+    blocks = _element_blocks(T, x, policy)
 
     def solve(s_i, kappa_i):
-        spectrum = hermitian_spectrum(*_halves(c + kappa_i * k, T.parity, s_i), policy=policy)
+        spectrum = hermitian_spectrum(*_halves(T, blocks, kappa_i, s_i), policy=policy)
         if spectrum.inertia.n_zero > 0:
             raise SingularLocalizerError(
                 f"localizer singular at (kappa={kappa_i}, s={s_i}): |eig| down to "
@@ -422,7 +427,7 @@ def index(
     spectrum = solve(s0, kappa0)
     sample_signatures = [spectrum.signature]
     if corners:
-        reaches = _spoke_guard(c, k, T.D0, points[0], spectrum)
+        reaches = _spoke_guard(T, x, blocks, points[0], spectrum)
         sample_signatures += [
             spectrum.signature if reaches(corner) else solve(*corner).signature
             for corner in corners

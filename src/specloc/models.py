@@ -36,22 +36,14 @@ def circle_unitary_truncation(m: int, N: int) -> OperatorElement:
     if abs(m) > 2 * N:
         raise WindingTooLargeError(f"|m| = {abs(m)} exceeds 2N = {2 * N}")
     dim = 2 * N + 1
-    x = np.zeros((dim, dim))
-    for j in range(-N, N + 1):
-        k = j + m
-        if -N <= k <= N:
-            x[j + N, k + N] = 1.0
-    return OperatorElement(x, 1, dim, m == 0)
+    return OperatorElement(np.eye(dim, k=m), 1, dim, m == 0)
 
 
 def bilateral_shift_truncation(n: int) -> OperatorElement:
     """Compression of the bilateral shift onto an n-dimensional window."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    x = np.zeros((n, n))
-    for i in range(n - 1):
-        x[i, i + 1] = 1.0
-    return OperatorElement(x, 1, n, False)
+    return OperatorElement(np.eye(n, k=1), 1, n, False)
 
 
 def random_gapped(

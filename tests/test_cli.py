@@ -413,6 +413,25 @@ def test_machine_readable_error(capsys, tmp_path):
         assert (code, report["error"]) == (1, "parse_error"), (command, payload)
 
 
+def test_a_bad_kappa_is_a_parse_error_on_every_route(capsys, tmp_path):
+    # the point check runs before any assembly, so no inf * 0 warns on the way
+    dirac = tmp_path / "dirac.json"
+    dirac.write_text(dumps(matrix_to_json(circle_dirac(3).D0)))
+    matrix = tmp_path / "x.json"
+    matrix.write_text(dumps(matrix_to_json(circle_unitary_truncation(1, 3).matrix)))
+    files = ["--matrix", str(matrix), "--dirac", str(dirac)]
+    commands = [
+        ["circle", "--m", "1", "--N", "3", "--kappa", "inf"],
+        ["localizer", *files, "--kappa", "-1", "--reduced"],
+        ["localizer", *files, "--kappa", "inf"],
+        ["index", *files, "--delta", "0.5", "--kappa", "inf"],
+    ]
+    for argv in commands:
+        code, report = run(capsys, argv)
+        assert (code, report["error"]) == (1, "parse_error"), argv
+        assert "kappa must be finite and positive" in report["detail"]
+
+
 def test_module_error_code(capsys, tmp_path):
     matrix = tmp_path / "x.json"
     matrix.write_text(dumps(matrix_to_json(bilateral_shift_truncation(3).matrix)))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from specloc import (
     operator_element,
     random_gapped,
     valid_region,
+    winding_demo,
 )
 from specloc.errors import (
     DimensionMismatchError,
@@ -28,7 +30,6 @@ from specloc.errors import (
     SingularLocalizerError,
 )
 from specloc.linalg import DEFAULT_POLICY, min_singular_value
-from specloc.localizer import _reduced_parts
 
 from oracles import build_generalized, gap_bound_check, localizer_gap, s_gap
 
@@ -92,9 +93,21 @@ def test_generalized_unit_spectrum():
 
 def test_localizer_point_needs_positive_kappa_and_finite_nonnegative_s():
     triple, e = circle_dirac(2), identity_element(5)
-    for kappa, s in [(0.0, 0.3), (-1.0, 0.3), (0.5, -0.1), (0.5, np.inf)]:
+    for kappa, s in [(0.0, 0.3), (-1.0, 0.3), (0.5, -0.1), (0.5, np.inf), (np.inf, 0.3)]:
         with pytest.raises(ValueError):
             localizer_halves(triple, e, kappa, s)
+    # every route checks the point where it assembles: no localizer is built at a
+    # bad kappa, and kappa = inf raises before any inf * 0 is formed
+    triple, x = circle_dirac(3), circle_unitary_truncation(1, 3)
+    for kappa in (-1.0, 0.0, np.inf, np.nan):
+        routes = (
+            lambda: build_reduced(triple, x, kappa),
+            lambda: index(triple, x, 1.0, kappa=kappa),
+            lambda: winding_demo(1, 3, kappa=kappa),
+        )
+        for route in routes:
+            with pytest.raises(ValueError, match="kappa"):
+                route()
 
 
 def test_generalized_reduces_at_s_zero():
@@ -222,19 +235,34 @@ def test_localizer_gap_takes_one_svd_at_s_zero(solve_counts):
 
 
 def test_circle_localizer_is_assembled_in_real_arithmetic():
-    # the circle's D0 and x are exactly real: so are C, K and both halves
+    # the circle's D0 and x are exactly real: so are the reduced localizer and both halves
     triple, x = circle_dirac(5), circle_unitary_truncation(2, 5)
-    c, k = _reduced_parts(triple, x, DEFAULT_POLICY)
-    assert c.dtype == k.dtype == np.float64
+    assert build_reduced(triple, x, 0.1).dtype == np.float64
     for half in localizer_halves(triple, x, 0.1, 0.3):
         assert half.dtype == np.float64
-    # each part is in its own input's field: a complex x makes C complex while
-    # K stays real with D0, and the halves C + kappa*K +- s*W are complex
+    # a complex x makes every half complex while D0 stays real
     phased = operator_element(x.matrix * np.exp(1e-3j), self_adjoint=False)
-    c, k = _reduced_parts(triple, phased, DEFAULT_POLICY)
-    assert (c.dtype, k.dtype) == (np.complex128, np.float64)
+    assert phased.matrix.dtype == np.complex128 and triple.D0.dtype == np.float64
+    assert build_reduced(triple, phased, 0.1).dtype == np.complex128
     for half in localizer_halves(triple, phased, 0.1, 0.3):
         assert half.dtype == np.complex128
+
+
+def test_index_assembles_each_half_once_in_one_array():
+    # at N = 100 one half is 402 x 402 float64; index holds no C, K, C + kappa*K
+    # or shifted copy beside the halves: below two halves at s = 0 (one distinct
+    # half) and below three at s > 0 (two)
+    triple, x = circle_dirac(100), circle_unitary_truncation(2, 100)
+    half = 402 * 402 * 8
+    for s, limit in ((0.0, 2), (0.3, 3)):
+        index(triple, x, 1.0, kappa=0.1, s=s)  # first-call allocations are not the assembly's
+        tracemalloc.start()
+        try:
+            index(triple, x, 1.0, kappa=0.1, s=s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * half, (s, peak / half)
 
 
 def test_valid_region_takes_the_svd_of_D0_only_when_its_bound_cannot_decide(solve_inputs):
@@ -483,8 +511,8 @@ def test_index_checks_the_grading_once(monkeypatch):
         np.block([[xp, np.zeros((2, 2))], [np.zeros((2, 2)), xm]]), self_adjoint=True
     )
     calls = []
-    original = loc._even_halves
-    monkeypatch.setattr(loc, "_even_halves", lambda *a: calls.append(1) or original(*a))
+    original = loc._element_blocks
+    monkeypatch.setattr(loc, "_element_blocks", lambda *a: calls.append(1) or original(*a))
     _, report = index(triple, x, 0.5)
     assert len(report.samples) == 5 and len(calls) == 1
 

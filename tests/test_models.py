@@ -71,6 +71,28 @@ def test_bilateral_shift_exact():
         bilateral_shift_truncation(1)
 
 
+def test_circle_models_match_their_entrywise_definitions():
+    # row j carries its 1-entry in column j + m (Fourier indices -N..N), and the
+    # shift's in column i + 1: the same bits as writing the entries one by one
+    for N in range(1, 11):
+        dim = 2 * N + 1
+        for m in range(-3, 4):
+            if abs(m) > 2 * N:
+                continue
+            looped = np.zeros((dim, dim))
+            for j in range(-N, N + 1):
+                if -N <= j + m <= N:
+                    looped[j + N, j + m + N] = 1.0
+            x = circle_unitary_truncation(m, N).matrix
+            assert x.shape == looped.shape and x.tobytes() == looped.tobytes()
+    for n in range(2, 12):
+        looped = np.zeros((n, n))
+        for i in range(n - 1):
+            looped[i, i + 1] = 1.0
+        x = bilateral_shift_truncation(n).matrix
+        assert x.shape == looped.shape and x.tobytes() == looped.tobytes()
+
+
 @pytest.mark.parametrize("self_adjoint", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_gapped_contract(seed, self_adjoint):

@@ -79,8 +79,8 @@ from specloc.errors import (
     NotSelfAdjointError,
     SpeclocError,
 )
-from specloc.linalg import as_matrix, doubled_spectrum
-from specloc.localizer import _reduced_parts, _spoke_guard
+from specloc.linalg import as_matrix, doubled_spectrum, operator_norm_bound
+from specloc.localizer import _element_blocks, _spoke_guard
 
 from oracles import (
     build_generalized,
@@ -640,27 +640,43 @@ def assembly_input(draw):
 @SETTINGS
 @given(assembly_input())
 def test_localizer_parts_are_the_definitions_in_the_input_field(case):
-    # C and K equal the dense complex definitions of the oracle, C in x's
-    # field and K in D0's: float64 exactly when that input is real
+    # x's blocks are the oracle's, in x's field, and they carry what the spoke
+    # guard reads of C and K without forming them: whether both are exactly
+    # Hermitian, from x's blocks and D0, and || |C| ||_2 <= the Hoelder bound of x
     triple, x, fields, _, _ = case
     assert (x.matrix.dtype, triple.D0.dtype) == fields
-    c, k = _reduced_parts(triple, x, DEFAULT_POLICY)
-    oracle_c, oracle_k, _ = localizer_parts(triple, x)
-    assert (c.dtype, k.dtype) == fields
-    assert np.array_equal(c, oracle_c) and np.array_equal(k, oracle_k)
+    blocks = _element_blocks(triple, x, DEFAULT_POLICY)
+    c, k, _ = localizer_parts(triple, x)
+    r = blocks[0].shape[0]
+    if triple.parity == "odd":
+        assert len(blocks) == 1 and np.array_equal(blocks[0], c[:r, r:])
+        hermitian = (triple.D0,)
+    else:
+        assert np.array_equal(blocks[0], c[:r, :r]) and np.array_equal(-blocks[1], c[r:, r:])
+        hermitian = blocks
+    assert {b.dtype for b in blocks} == {fields[0]}
+    exact = all(np.array_equal(m, m.conj().T) for m in hermitian)
+    assert exact == all(np.array_equal(m, m.conj().T) for m in (c, k))
+    bound = operator_norm_bound(x.matrix, np.inf)
+    assert operator_norm(np.abs(c)) <= bound * (1 + 1e-12)
 
 
 @SETTINGS
 @given(assembly_input())
 def test_halves_at_positive_s_are_the_definitions_entry_for_entry(case):
-    # W is never assembled, yet each half is C + kappa*K +- s*W to the last bit,
-    # complex when either part is
+    # C, K and W are never assembled, yet build_reduced is C + kappa*K and each
+    # half is C + kappa*K +- s*W to the last bit, at s = 0 and s > 0, complex
+    # when either input is
     triple, x, fields, kappa, s = case
     c, k, w = localizer_parts(triple, x)
-    plus, minus = localizer_halves(triple, x, kappa, s)
-    assert plus.dtype == minus.dtype == np.result_type(*fields)
-    assert np.array_equal(plus, c + kappa * k + s * w)
-    assert np.array_equal(minus, c + kappa * k - s * w)
+    field = np.result_type(*fields)
+    reduced = build_reduced(triple, x, kappa)
+    assert reduced.dtype == field and np.array_equal(reduced, c + kappa * k)
+    for shift in (0.0, s):
+        plus, minus = localizer_halves(triple, x, kappa, shift)
+        assert plus.dtype == minus.dtype == field
+        assert np.array_equal(plus, c + kappa * k + shift * w)
+        assert np.array_equal(minus, c + kappa * k - shift * w)
 
 
 @SETTINGS
@@ -761,11 +777,11 @@ def test_a_certified_spoke_keeps_the_centre_signature_at_every_point(case):
     # Weyl: the guard leaves every point of the spoke, corner included, with
     # the centre's signature and no eigenvalue within the centre's tau* of 0
     triple, x, centre, corner = case
-    c, k = _reduced_parts(triple, x, DEFAULT_POLICY)
+    blocks = _element_blocks(triple, x, DEFAULT_POLICY)
     spectrum = hermitian_spectrum(*localizer_halves(triple, x, centre[1], centre[0]))
     if spectrum.inertia.n_zero > 0:
         return  # a singular centre is refused before any corner
-    if not _spoke_guard(c, k, triple.D0, centre, spectrum)(corner):
+    if not _spoke_guard(triple, x, blocks, centre, spectrum)(corner):
         return  # out of reach: the corner is solved
     for j in range(1, GRID + 1):
         t = j / GRID
