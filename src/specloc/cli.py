@@ -29,12 +29,11 @@ from . import clifford as _clifford
 from .errors import SpeclocError
 from .gap import delta_singular_check, operator_element
 from .homotopy import contract_invertible, verify_path
-from .linalg import TolerancePolicy, hermitian_spectrum
+from .linalg import TolerancePolicy
 from .localizer import (
-    build_reduced,
+    _localizer_spectrum,
     even_triple,
     index as _index,
-    localizer_halves,
     odd_triple,
 )
 from .models import winding_demo
@@ -113,13 +112,11 @@ def _cmd_gap_check(args, policy):
 def _cmd_localizer(args, policy):
     x = _load_element(args, policy, infer_self_adjoint=args.parity == "even")
     triple = _load_triple(args, policy)
+    spectrum = _localizer_spectrum(triple, x, args.kappa, None if args.reduced else args.s, policy)
     if args.reduced:
-        blocks = (build_reduced(triple, x, args.kappa, policy),)
         title = f"reduced localizer (kappa={args.kappa})"
     else:
-        blocks = localizer_halves(triple, x, args.kappa, args.s, policy)
         title = f"localizer (kappa={args.kappa}, s={args.s})"
-    spectrum = hermitian_spectrum(*blocks, policy=policy)
     report = {
         "kappa": args.kappa,
         "s": None if args.reduced else args.s,

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ModeMismatchError, NotOddError, NotSelfAdjointError
 from .gap import OperatorElement, bordered
 from .linalg import (
-    DEFAULT_POLICY, TolerancePolicy, _ArrayValue, _read_only, as_matrix, direct_sum,
+    DEFAULT_POLICY, TolerancePolicy, _ArrayValue, _monomial, _read_only, as_matrix, direct_sum,
     doubled_matrix, is_self_adjoint, operator_norm, residual_ok, verify_similarity,
 )
 
@@ -94,13 +94,12 @@ def _phase_permutation(a: np.ndarray):
     entries has at most one nonzero term in its real part and one in its
     imaginary part, so it rounds alike elementwise and in a dense product.
     """
-    nonzero = a != 0
-    # n entries, none in an empty row or column: exactly one in each
-    if not (np.count_nonzero(nonzero) == len(a) and nonzero.any(axis=0).all()
-            and nonzero.any(axis=1).all()):
+    entries = _monomial(a != 0)
+    # at most one entry in each line, and n of them: exactly one in each
+    if entries is None or len(entries[0]) != len(a):
         return None
-    cols = nonzero.argmax(axis=1)
-    vals = a[np.arange(len(a)), cols]
+    rows, cols = entries
+    vals = a[rows, cols]
     if ((vals.real != 0) & (vals.imag != 0)).any():
         return None
     return cols, vals

@@ -22,16 +22,23 @@ through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
   columns of the nonzero pattern are read as one bipartite graph, and the
   components of each (rows, cols) shape share one stacked ``svd``, an exact
   permutation equivalence whose merged solves are backward stable for the
-  whole.  A pattern with at most one entry per row and column (the circle
-  truncation, a partial isometry) is its entries, 1 x 1 components found
-  without labelling.  The exact zeros that rectangular and empty
-  components imply make up the count, so the zero rule reads all 2n values
-  at the full size.  An even element splits into x_+ and x_-, and its
-  grading-odd [D, x] into the two blocks off the grading's diagonal.  No
-  zero in the first row and column decides "connected" in O(n), and such a
-  matrix reaches ``svd`` whole, bit for bit.  The Hermitian split above
-  labels its pattern with the same routine, :func:`_component_labels`,
-  with the diagonal set.
+  whole.  The exact zeros that rectangular and empty components imply make
+  up the count, so the zero rule reads all 2n values at the full size.  An
+  even element splits into x_+ and x_-, and its grading-odd [D, x] into the
+  two blocks off the grading's diagonal.  The Hermitian split above labels
+  its pattern with the same routine, :func:`_component_labels`, with the
+  diagonal set.
+
+One decomposition ladder, :func:`_components`, finds the bipartite
+components for ``_singular_values`` and for the localizer's odd halves with
+a real diagonal Dirac block (the components of x +- s*I, an x_ii +- s that
+cancels to 0 being no edge).  Cheapest first: no zero in the first row and
+column decides "connected" in O(n), before the pattern is formed, and such
+a matrix is solved whole, bit for bit; a pattern with at most one entry per
+row and column (the circle truncation, a partial isometry) is its entries,
+1 x 1 components read by :func:`_monomial` without labelling, the reader
+that the Clifford relations' phase permutations share; then the check from
+the first row, :func:`_first_row_spans`; then the labelling.
 * Adjointness, ``M == M*`` else ``||M - M*||_2 <= tau``: inside the two
   spectra above, against the tau of the spectrum just solved; in
   :func:`is_self_adjoint`, against ``policy.tau(M) = f * dim * eps * ||M||_2``,
@@ -56,7 +63,8 @@ LAPACK's real and complex solvers are both backward stable within the same
 tau.  An element's matrix is float64 for real input: code that writes
 complex entries into a copy of it must upcast the copy first.
 
-Outside the localizer's halves (``localizer._half`` writes each in place),
+Outside the localizer's halves (``localizer._half`` writes each in place,
+and the odd split writes its components' blocks),
 the paper's two block forms are built only here: the doubling ``[[s, a],
 [a*, s]]`` by :func:`doubled_matrix` and the graded sum ``a (+) (-b)`` by
 :func:`direct_sum`, which also amplifies (``I_n (x) a``); float64 when every
@@ -384,41 +392,75 @@ def _component_eigvalsh(h: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
+def _monomial(pattern: np.ndarray):
+    """``(rows, cols)`` of a boolean pattern's entries, rows ascending, or None.
+
+    None unless no row and no column holds two entries: a monomial pattern,
+    with empty lines allowed (the circle truncation, a partial isometry, a
+    phase permutation).  Each entry is then a component of its own.
+    """
+    entries = np.count_nonzero(pattern)
+    if entries == np.count_nonzero(pattern.any(axis=0)) == np.count_nonzero(pattern.any(axis=1)):
+        return np.divmod(np.flatnonzero(pattern), pattern.shape[1])  # np.nonzero, without its slow 2-d path
+    return None
+
+
+def _components(m: np.ndarray, diagonal: np.ndarray | None = None):
+    """The bipartite components of m's nonzero pattern by shape, or None when it is connected.
+
+    ``diagonal``, when given, stands in for the diagonal of the square m:
+    the pattern is that of m with those values on its diagonal (x + s*I,
+    whose x_ii + s may cancel to an exact 0), and m is never copied with
+    it.  The components are ``(rows, cols)`` index arrays as
+    :func:`_components_by_shape` yields them, each line of a component
+    ascending; lines without an entry belong to none.  The ladder, cheapest
+    first:
+
+    1. no zero in the first row and column: connected, decided in O(n)
+       before the pattern is formed;
+    2. no line with two entries (:func:`_monomial`): every entry is a 1 x 1
+       component, read by index with no labelling, in one (K, 1) pair;
+    3. :func:`_first_row_spans`: connected;
+    4. :func:`_component_labels`, grouped by :func:`_components_by_shape`.
+    """
+    first = m[0, 0] if diagonal is None else diagonal[0]
+    if first != 0 and m[0, 1:].all() and m[1:, 0].all():
+        return None
+    pattern = m != 0
+    if diagonal is not None:
+        np.fill_diagonal(pattern, diagonal != 0)
+    entries = _monomial(pattern)
+    if entries is not None:
+        rows, cols = entries
+        return [(rows[:, None], cols[:, None])]
+    if _first_row_spans(pattern):
+        return None
+    labels = _component_labels(pattern)
+    if not labels.any():  # connected, beyond the probe's reach
+        return None
+    return list(_components_by_shape(labels, m.shape[0]))
+
+
 def _singular_values(m: np.ndarray) -> np.ndarray:
     """The min(r, c) singular values of m, descending, solved by the components of its pattern.
 
     Permuting the rows and the columns of m into a direct sum of its
-    rectangular components keeps its singular values.  The components of
-    each (rows, cols) shape are gathered by one fancy index and solved by
-    one stacked ``svd``; each solve is backward stable, so the merged values
-    are exact for m + E with ``||E|| = max_c ||E_c||``.  A component of a
-    rows and b columns gives min(a, b) values, an empty row or column none;
-    the exact zeros that make up the count are filled in.  A pattern with at
-    most one entry per row and column is its entries, 1 x 1 components,
-    without labelling.  A matrix with no zero in its first row and column,
-    or that :func:`_first_row_spans` or the labelling finds connected,
-    reaches ``svd`` whole.
+    rectangular components (:func:`_components`) keeps its singular values.
+    The components of each (rows, cols) shape are gathered by one fancy
+    index and solved by one stacked ``svd``; each solve is backward stable,
+    so the merged values are exact for m + E with ``||E|| = max_c ||E_c||``.
+    A component of a rows and b columns gives min(a, b) values, an empty row
+    or column none; the exact zeros that make up the count are filled in.
+    A connected m reaches ``svd`` whole.
     """
     r, c = m.shape
-    # no zero in the first row and column: connected, decided in O(n)
-    if min(r, c) <= 1 or (m[0].all() and m[:, 0].all()):
+    parts = None if min(r, c) <= 1 else _components(m)
+    if parts is None:
         return np.linalg.svd(m, compute_uv=False)
-    pattern = m != 0
-    entries = np.count_nonzero(pattern)
-    if entries == np.count_nonzero(pattern.any(axis=0)) == np.count_nonzero(pattern.any(axis=1)):
-        # no line holds two entries (a circle truncation, a partial isometry):
-        # every component is one entry, and no labelling is needed
-        sv = np.linalg.svd(m[pattern].reshape(-1, 1, 1), compute_uv=False).ravel()
-    elif _first_row_spans(pattern):
-        return np.linalg.svd(m, compute_uv=False)
-    else:
-        labels = _component_labels(pattern)
-        if not labels.any():  # connected, beyond the probe's reach
-            return np.linalg.svd(m, compute_uv=False)
-        sv = np.concatenate([
-            np.linalg.svd(m[rows[:, :, None], cols[:, None, :]], compute_uv=False).ravel()
-            for rows, cols in _components_by_shape(labels, r)
-        ])
+    sv = np.concatenate([
+        np.linalg.svd(m[rows[:, :, None], cols[:, None, :]], compute_uv=False).ravel()
+        for rows, cols in parts
+    ])
     return np.concatenate([np.sort(sv)[::-1], np.zeros(min(r, c) - len(sv))])
 
 

@@ -37,6 +37,23 @@ sigma_x into sigma_z, so for either parity
 ``index`` and the CLI read the spectrum of L(kappa, s) from the two
 half-size blocks (:func:`localizer_halves`), and at s = 0 from one solve of
 L_reduced; only the test oracle (``tests/oracles.py``) assembles L whole.
+With a real diagonal D0 an odd half is never assembled unless it is
+connected.  Write y = x +- s*I.  Up to a permutation the half is the direct
+sum, over the bipartite components of y's nonzero pattern (rows I, columns
+J; ``linalg._components``), of [[kappa*D_I, y_IJ], [y_IJ*, -kappa*D_J]],
+plus kappa*d_i for each empty row i and -kappa*d_j for each empty column j.
+An x_ii +- s that cancels to an exact 0 is no edge.  Each block is written
+from x and D0 with the operations ``_half`` uses (kappa*d, 0 - kappa*d,
+conj, x_ii + s), its lines ascending, so it equals, bit for bit, the block
+that ``hermitian_spectrum`` would gather from the assembled half; stacked
+``eigvalsh`` solves each block on its own, a 1 x 1 block's eigenvalue is its
+entry, and the parts are merged in ``hermitian_spectrum``'s order, so the
+spectrum, tau and inertia are the same bytes.  The half is exactly
+Hermitian by construction, so its NaN/Inf and symmetry scans move to the
+inputs: kappa*D0 is checked for overflow with the point, x_ii +- s where it
+is formed.  The circle flagship at s = 0 solves one stacked ``eigvalsh`` of
+2 x 2 blocks.  An even localizer, or an odd one with any other D0, is
+assembled and solved by ``hermitian_spectrum``.
 
 Default-region ``index`` solves the centre (kappa*, s*) and certifies each
 corner q of its sub-rectangle from that spectrum by Weyl's inequality, the
@@ -68,6 +85,7 @@ from .errors import (
     DimensionMismatchError,
     InconsistentSignatureError,
     ModeMismatchError,
+    NonFiniteError,
     NotDivisibleBy4Error,
     NotGappedError,
     NotSelfAdjointError,
@@ -81,7 +99,9 @@ from .linalg import (
     _EPS,
     _ArrayValue,
     _adjoint,
+    _components,
     _read_only,
+    _read_spectrum,
     as_matrix,
     doubled_matrix,
     hermitian_spectrum,
@@ -171,11 +191,16 @@ def _element_blocks(T: SpectralTriple, x: OperatorElement, policy: TolerancePoli
     return blocks[:, :h, :, :h].reshape(r, r), blocks[:, h:, :, h:].reshape(r, r)
 
 
-def _check_point(kappa: float, s: float) -> None:
+def _check_point(T: SpectralTriple, kappa: float, s: float) -> None:
     if not 0 < kappa < math.inf:
         raise ValueError("kappa must be finite and positive")
     if s < 0 or not math.isfinite(s):
         raise ValueError("s must be finite and nonnegative")
+    # kappa*D0 is formed part by part (real and imaginary), and rounding is
+    # monotone: it overflows exactly when kappa times the largest part does
+    parts = T.D0.view(np.float64)
+    if math.isinf(float(kappa) * float(max(parts.max(initial=0.0), -parts.min(initial=0.0)))):
+        raise ValueError(f"kappa * D0 overflows at kappa={kappa}")
 
 
 def _half(T: SpectralTriple, blocks: tuple, kappa: float, s: float) -> np.ndarray:
@@ -214,11 +239,107 @@ def _half(T: SpectralTriple, blocks: tuple, kappa: float, s: float) -> np.ndarra
 def _halves(T: SpectralTriple, blocks: tuple, kappa: float, s: float) -> tuple:
     """L_reduced +- s*W from x's ``blocks``, one array twice at s = 0.
 
-    Every route assembles here, so the point is checked here.
+    Every dense route assembles here, so the point is checked here.
     """
-    _check_point(kappa, s)
+    _check_point(T, kappa, s)
     plus = _half(T, blocks, kappa, s)
     return (plus, plus) if s == 0 else (plus, _half(T, blocks, kappa, -s))
+
+
+def _odd_half_eigenvalues(T: SpectralTriple, x: np.ndarray, kappa: float, s: float) -> np.ndarray:
+    """Ascending eigenvalues of the odd half L_reduced + s*W, s of either sign, D0 a real diagonal.
+
+    With y = x + s*I the half is [[kappa*D, y], [y*, -kappa*D]], and D is
+    diagonal, so its pattern is the bipartite graph of y's
+    (:func:`linalg._components`).  A connected y is assembled by
+    :func:`_half` and solved whole.  Otherwise each component, rows I and
+    columns J, is the block [[kappa*D_I, y_IJ], [y_IJ*, -kappa*D_J]], and
+    each empty row i or column j the 1 x 1 block kappa*d_i or 0 - kappa*d_j,
+    whose eigenvalue is that entry.  Each block is written from x and D0
+    with the operations of :func:`_half` (kappa*d, 0 - kappa*d, conj(x_ij),
+    conj(x_ii) + s), its rows and columns ascending, so it is the block that
+    ``hermitian_spectrum`` gathers from the assembled half, bit for bit.  Only
+    the lower triangle is written: ``eigvalsh`` reads no other.  The parts
+    are merged in ``hermitian_spectrum``'s order (by size, then smallest
+    row or column), so the sort gives its bits, signed zeros included.
+    """
+    r = x.shape[0]
+    diagonal = None
+    if s:
+        with np.errstate(over="ignore"):
+            diagonal = x.diagonal() + s
+        if not np.isfinite(diagonal).all():
+            raise NonFiniteError("matrix contains NaN or Inf entries")
+    parts = _components(x, diagonal)
+    if parts is None:
+        return np.linalg.eigvalsh(_half(T, (x,), kappa, s))
+    kd = np.tile(np.multiply(T.D0.diagonal(), kappa), r // T.D0.shape[0])
+    dirac = np.concatenate([kd, 0.0 - kd])  # of row i at i, of column j at r + j
+    alone = np.ones(2 * r, dtype=bool)
+    by_size = {}
+    for rows, cols in parts:
+        (k, a), b = rows.shape, cols.shape[1]
+        if not k:
+            continue
+        alone[rows], alone[r + cols] = False, False
+        block = np.zeros((k, a + b, a + b), dtype=x.dtype)
+        block[:, range(a + b), range(a + b)] = dirac[np.concatenate([rows, r + cols], axis=1)]
+        lower = block[:, a:, :a]  # y_IJ*
+        np.conjugate(x[rows[:, None, :], cols[:, :, None]], out=lower)
+        if s:
+            at, j, i = np.nonzero(cols[:, :, None] == rows[:, None, :])
+            lower[at, j, i] += s
+        by_size.setdefault(a + b, []).append((rows[:, 0], np.linalg.eigvalsh(block, UPLO="L")))
+    single = np.flatnonzero(alone)
+    by_size[1] = [(single, dirac[single, None])]
+    merged = []
+    for size in sorted(by_size):
+        labels, eigs = (np.concatenate(p) for p in zip(*by_size[size]))
+        merged.append(eigs[np.argsort(labels)].ravel())
+    return np.sort(np.concatenate(merged))
+
+
+def _real_diagonal(T: SpectralTriple) -> bool:
+    """Whether the Dirac block is a real diagonal, so that an odd half splits by x's components."""
+    d0 = T.D0
+    return d0.dtype == np.float64 and np.count_nonzero(d0) == np.count_nonzero(d0.diagonal())
+
+
+def _spectrum(T: SpectralTriple, blocks: tuple, kappa: float, s: float | None, policy: TolerancePolicy):
+    """The merged spectrum of L(kappa, s)'s halves, or of L_reduced alone when s is None.
+
+    The caller has checked the point.  An odd localizer with a real
+    diagonal D0 is solved half by half by x's components
+    (:func:`_odd_half_eigenvalues`), with no dense half unless the pattern
+    is connected.  Any other is assembled (:func:`_halves`) and solved by
+    ``hermitian_spectrum``.  At s = 0 the one half counts twice, as
+    ``hermitian_spectrum(R, R)`` counts it.
+    """
+    point = 0.0 if s is None else s
+    if T.parity == "even" or not _real_diagonal(T):
+        halves = _halves(T, blocks, kappa, point)
+        return hermitian_spectrum(*(halves[:1] if s is None else halves), policy=policy)
+    plus = _odd_half_eigenvalues(T, blocks[0], kappa, point)
+    if s is None:
+        return _read_spectrum(plus, policy)
+    minus = plus if s == 0 else _odd_half_eigenvalues(T, blocks[0], kappa, -s)
+    return _read_spectrum(np.sort(np.concatenate([plus, minus])), policy)
+
+
+def _localizer_spectrum(
+    T: SpectralTriple,
+    x: OperatorElement,
+    kappa: float,
+    s: float | None,
+    policy: TolerancePolicy = DEFAULT_POLICY,
+):
+    """``hermitian_spectrum(*localizer_halves(...))``, or of ``build_reduced(...)`` when s is None.
+
+    The same numbers and errors, solved as :func:`_spectrum` solves them.
+    """
+    blocks = _element_blocks(T, x, policy)
+    _check_point(T, kappa, 0.0 if s is None else s)
+    return _spectrum(T, blocks, kappa, s, policy)
 
 
 def build_reduced(
@@ -382,8 +503,9 @@ def index(
     all five values must agree.  A corner within Weyl's reach of the
     centre (:func:`_spoke_guard`) takes the centre's signature without a
     solve; any other corner is solved.  ``samples`` lists all five points
-    either way.  x is checked once per call, and each solved point writes
-    its halves from x's blocks into one array each (:func:`_half`).
+    either way.  x is checked once per call, and each solved point is
+    solved from x's blocks (:func:`_spectrum`): by x's components with an
+    odd, real diagonal D0, else from its halves, each written into one array.
     """
     if kappa is None:
         region = valid_region(T, x, delta, policy)
@@ -411,11 +533,11 @@ def index(
         ]
 
     for s_i, kappa_i in points:
-        _check_point(kappa_i, s_i)
+        _check_point(T, kappa_i, s_i)
     blocks = _element_blocks(T, x, policy)
 
     def solve(s_i, kappa_i):
-        spectrum = hermitian_spectrum(*_halves(T, blocks, kappa_i, s_i), policy=policy)
+        spectrum = _spectrum(T, blocks, kappa_i, s_i, policy)
         if spectrum.inertia.n_zero > 0:
             raise SingularLocalizerError(
                 f"localizer singular at (kappa={kappa_i}, s={s_i}): |eig| down to "

@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import BadDeltaError, WindingTooLargeError
 from .gap import OperatorElement
-from .linalg import DEFAULT_POLICY, TolerancePolicy, hermitian_spectrum
+from .linalg import DEFAULT_POLICY, TolerancePolicy
 from .localizer import (
     LocalizerReport,
     SpectralTriple,
-    build_reduced,
+    _localizer_spectrum,
     index,
     odd_triple,
 )
@@ -107,5 +107,5 @@ def winding_demo(
         # zero, so neither has R within its own tau(2n)
         reduced = report.signature // 2
     else:
-        reduced = hermitian_spectrum(build_reduced(triple, x, kappa, policy), policy=policy).signature
+        reduced = _localizer_spectrum(triple, x, kappa, None, policy).signature
     return idx, replace(report, reduced_signature=reduced)

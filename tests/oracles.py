@@ -110,7 +110,7 @@ def build_generalized(T, x, kappa, s) -> np.ndarray:
 
     ``localizer_halves`` gives two blocks unitarily equivalent to it.
     """
-    _check_point(kappa, s)
+    _check_point(T, kappa, s)
     c, k, w = localizer_parts(T, x)
     reduced = c + kappa * k
     return np.block([[reduced, s * w], [s * w, reduced]])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -430,6 +431,32 @@ def test_a_bad_kappa_is_a_parse_error_on_every_route(capsys, tmp_path):
         code, report = run(capsys, argv)
         assert (code, report["error"]) == (1, "parse_error"), argv
         assert "kappa must be finite and positive" in report["detail"]
+
+
+def test_a_kappa_whose_product_with_the_dirac_block_overflows_is_a_parse_error(capsys, tmp_path):
+    # kappa = 1e308 is finite, but kappa * D0 is not: refused before any product
+    # is formed, so nothing warns, on the split route and on the dense one
+    files = {}
+    for name, m in (("dirac", circle_dirac(3).D0), ("x", circle_unitary_truncation(1, 3).matrix),
+                    ("complex_dirac", [[0.0, 1e300j], [-1e300j, 0.0]]), ("unit", np.eye(2))):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(dumps(matrix_to_json(np.asarray(m))))
+    circle = ["--matrix", str(files["x"]), "--dirac", str(files["dirac"])]
+    dense = ["--matrix", str(files["unit"]), "--dirac", str(files["complex_dirac"])]
+    commands = [
+        ["circle", "--m", "1", "--N", "3", "--kappa", "1e308"],
+        ["circle", "--m", "1", "--N", "3", "--kappa", "1e308", "--s", "0.3"],
+        ["localizer", *circle, "--kappa", "1e308"],
+        ["localizer", *circle, "--kappa", "1e308", "--reduced"],
+        ["index", *circle, "--delta", "0.5", "--kappa", "1e308"],
+        ["localizer", *dense, "--kappa", "1e10"],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in commands:
+            code, report = run(capsys, argv)
+            assert (code, report["error"]) == (1, "parse_error"), argv
+            assert "kappa * D0 overflows" in report["detail"]
 
 
 def test_module_error_code(capsys, tmp_path):

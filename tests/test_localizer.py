@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,10 +22,12 @@ from specloc import (
     valid_region,
     winding_demo,
 )
+from specloc import linalg, localizer
 from specloc.errors import (
     DimensionMismatchError,
     InconsistentSignatureError,
     ModeMismatchError,
+    NonFiniteError,
     NotGappedError,
     NotSelfAdjointError,
     SingularLocalizerError,
@@ -99,7 +102,7 @@ def test_localizer_point_needs_positive_kappa_and_finite_nonnegative_s():
     # every route checks the point where it assembles: no localizer is built at a
     # bad kappa, and kappa = inf raises before any inf * 0 is formed
     triple, x = circle_dirac(3), circle_unitary_truncation(1, 3)
-    for kappa in (-1.0, 0.0, np.inf, np.nan):
+    for kappa in (-1.0, 0.0, np.inf, np.nan, 1e308):
         routes = (
             lambda: build_reduced(triple, x, kappa),
             lambda: index(triple, x, 1.0, kappa=kappa),
@@ -108,6 +111,85 @@ def test_localizer_point_needs_positive_kappa_and_finite_nonnegative_s():
         for route in routes:
             with pytest.raises(ValueError, match="kappa"):
                 route()
+
+
+def test_a_kappa_whose_product_with_D0_overflows_is_refused_before_any_product():
+    # 1e308 is finite, but 1e308 * 3 is not: every route refuses the point
+    # before kappa*D0 is formed, so nothing warns on the way, on the split
+    # route (circle) and on the dense one (a complex D0, read part by part)
+    circle, x = circle_dirac(3), circle_unitary_truncation(1, 3)
+    dense = odd_triple(np.array([[0.0, 1e300j], [-1e300j, 0.0]]))
+    unit = identity_element(2)
+    routes = (
+        lambda: build_reduced(circle, x, 1e308),
+        lambda: localizer_halves(circle, x, 1e308, 0.3),
+        lambda: index(circle, x, 1.0, kappa=1e308),
+        lambda: index(circle, x, 1.0, kappa=1e308, s=0.3),
+        lambda: winding_demo(1, 3, kappa=1e308),
+        lambda: winding_demo(1, 3, kappa=1e308, s=0.3),
+        lambda: index(dense, unit, 0.5, kappa=1e10),
+        lambda: build_reduced(dense, unit, 1e10),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in routes:
+            with pytest.raises(ValueError, match=r"kappa \* D0 overflows"):
+                route()
+        # finite products near the limit pass the check and reach the solve
+        for triple, element, kappa in ((circle, x, 5e307), (dense, unit, 1e8)):
+            spectrum = hermitian_spectrum(build_reduced(triple, element, kappa))
+            assert np.all(np.isfinite(spectrum.eigenvalues))
+
+
+def test_a_shift_that_overflows_the_diagonal_is_non_finite_without_a_warning():
+    # x_ii + s overflows: the split route checks x's diagonal before any half is
+    # formed, whether the pattern splits (diagonal x) or is connected (dense x)
+    triple = odd_triple(np.diag([1.0, -1.0]))
+    for matrix in (np.diag([1e308, 1.0]), np.array([[1e308, 1.0], [1.0, 1.0]])):
+        x = operator_element(matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                index(triple, x, 0.5, kappa=0.1, s=1e308)
+
+
+def test_the_circle_localizer_is_solved_by_its_2x2_components_with_no_dense_half(
+    monkeypatch, solve_inputs
+):
+    # at s = 0 each half is a permuted direct sum of 2x2 blocks [[kappa d_i, 1],
+    # [1, -kappa d_j]] and 1x1 blocks read without a solve: one stacked eigvalsh
+    # of the 2x2 blocks, and no half is assembled
+    monkeypatch.setattr(localizer, "_half", lambda *args: pytest.fail("assembled"))
+    for m, N in ((2, 25), (-3, 50), (1, 3)):
+        solve_inputs.clear()
+        idx, report = index(circle_dirac(N), circle_unitary_truncation(m, N), 1.0, kappa=0.1, s=0.0)
+        eigensolves = [a.shape for name, a in solve_inputs if name == "eigvalsh"]
+        assert eigensolves == [(2 * N + 1 - abs(m), 2, 2)]
+        assert (idx, report.inertia.n_zero) == (m, 0)
+
+
+def test_a_connected_odd_half_is_assembled_once_and_solved_whole(monkeypatch, solve_inputs):
+    # a dense x (decided by its first row and column) and the banded circle at
+    # s > 0 (decided by labelling x's pattern) are connected: each half is
+    # assembled once and reaches eigvalsh whole, its pattern never probed or
+    # labelled again as a 2r-row matrix
+    rng = np.random.default_rng(3)
+    dense = (odd_triple(np.diag(rng.uniform(-2.0, 2.0, 4))), random_gapped(4, 1, 0.5, seed=6))
+    banded = (circle_dirac(25), circle_unitary_truncation(1, 25))
+    cases = [(dense, 0.0, 1), (dense, 0.3, 2), (banded, 0.3, 2)]
+    expected = [hermitian_spectrum(*localizer_halves(*case, 0.1, s)) for case, s, _ in cases]
+    assembled = []
+    half = localizer._half
+    monkeypatch.setattr(localizer, "_half", lambda *args: assembled.append(half(*args)) or assembled[-1])
+    monkeypatch.setattr(linalg, "_reaches_every_row", lambda h: pytest.fail("probed"))
+    for ((triple, x), s, halves), dense_route in zip(cases, expected):
+        assembled.clear()
+        solve_inputs.clear()
+        spectrum = localizer._localizer_spectrum(triple, x, 0.1, s)
+        solved = [a for name, a in solve_inputs if name == "eigvalsh"]
+        assert len(assembled) == len(solved) == halves
+        assert all(a is b for a, b in zip(solved, assembled))
+        assert spectrum.eigenvalues.tobytes() == dense_route.eigenvalues.tobytes()
 
 
 def test_generalized_reduces_at_s_zero():

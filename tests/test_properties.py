@@ -21,7 +21,11 @@ certificate, and ``residual_ok`` against its rule written out by hand.
 its nonzero pattern is checked against the dense solve of drawn permuted
 direct sums, and the singular values' split into the bipartite components
 of a pattern against the dense SVD of drawn permuted sums of rectangular
-blocks with empty rows and columns.
+blocks with empty rows and columns.  An odd localizer with a real diagonal
+Dirac block, solved by the components of x +- s*I without assembling its
+halves, is checked bit for bit against the assembled halves and within tau
+of ``build_generalized``, on drawn sparse, banded and dense x with
+diagonal entries that cancel s exactly.
 The path certificate's per-segment step guard is checked against dense
 sampling of ``bordered(y, delta/2)`` along drawn segments, and its step
 report against the SVD norm of each step.  Default-region ``index``'s spoke
@@ -80,7 +84,7 @@ from specloc.errors import (
     SpeclocError,
 )
 from specloc.linalg import as_matrix, doubled_spectrum, operator_norm_bound
-from specloc.localizer import _element_blocks, _spoke_guard
+from specloc.localizer import _element_blocks, _localizer_spectrum, _spoke_guard
 
 from oracles import (
     build_generalized,
@@ -514,6 +518,75 @@ def test_localizer_at_s_zero_is_reduced_plus_reduced(case):
     first, second = localizer_halves(triple, x, kappa, 0.0)
     assert first is second
     np.testing.assert_array_equal(first, reduced)
+
+
+@st.composite
+def odd_diagonal_input(draw):
+    """(triple, x, kappa, s): an odd triple whose D0 is a real diagonal, and x.
+
+    D0's entries include 0 and -0.0.  x is real or complex, and monomial (a
+    partial permutation), block-sparse (a permuted sum of rectangular blocks
+    with empty rows and columns), banded or dense, with entries dropped at
+    random.  At s > 0 some diagonal entries are set to -s or s exactly, so
+    that x_ii +- s cancels to an exact 0 in one half: no edge there.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    dim = rows * n
+    real = draw(st.booleans())
+
+    def gaussian(shape):
+        return rng.standard_normal(shape) + (0.0 if real else 1j * rng.standard_normal(shape))
+
+    kind = draw(st.sampled_from(["monomial", "block", "banded", "dense"]))
+    if kind == "monomial":
+        x = np.zeros((dim, dim), dtype=np.complex128)
+        x[np.arange(dim), rng.permutation(dim)] = gaussian(dim)
+    elif kind == "block":
+        blocks, used = [], np.zeros(2, dtype=int)
+        while True:
+            shape = rng.integers(1, 4, 2)
+            if np.any(used + shape > dim):
+                break
+            blocks.append(gaussian(tuple(shape)))
+            used += shape
+        x = np.zeros((dim, dim), dtype=np.complex128)
+        if blocks:
+            x[: used[0], : used[1]] = direct_sum(*blocks)
+        x = x[np.ix_(rng.permutation(dim), rng.permutation(dim))]
+    elif kind == "banded":
+        offsets = np.subtract.outer(np.arange(dim), np.arange(dim))
+        x = gaussian((dim, dim)) * (np.abs(offsets - rng.integers(-1, 2)) <= rng.integers(0, 2))
+    else:
+        x = gaussian((dim, dim))
+    x = x * (rng.random((dim, dim)) < draw(st.sampled_from([1.0, 0.8, 0.5])))
+    s = draw(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0]))
+    if s:
+        cancelled = rng.random(dim) < 0.5
+        x[cancelled, cancelled] = rng.choice([-s, s], np.count_nonzero(cancelled))
+    dirac = np.diag(rng.choice([0.0, -0.0, 0.5, -1.0, 2.0, -3.0], rows))
+    kappa = draw(st.floats(1e-3, 3.0))
+    return SpectralTriple("odd", dirac), OperatorElement(x, n, rows, False), kappa, s
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_diagonal_input())
+def test_an_odd_localizer_with_a_diagonal_dirac_is_solved_by_x_components_to_the_bit(case):
+    # the split route gathers each component of x +- s*I straight from x and D0:
+    # its eigenvalue bytes, tau and inertia are those of the assembled halves,
+    # and of R alone for the reduced signature; the dense L(kappa, s) agrees within tau
+    triple, x, kappa, s = case
+    assert triple.D0.dtype == np.float64
+    pairs = (
+        (_localizer_spectrum(triple, x, kappa, s), hermitian_spectrum(*localizer_halves(triple, x, kappa, s))),
+        (_localizer_spectrum(triple, x, kappa, None), hermitian_spectrum(build_reduced(triple, x, kappa))),
+    )
+    for split, dense in pairs:
+        assert split.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
+        assert (split.tau, split.inertia) == (dense.tau, dense.inertia)
+    split = pairs[0][0]
+    oracle = np.linalg.eigvalsh(build_generalized(triple, x, kappa, s))
+    assert np.max(np.abs(split.eigenvalues - oracle)) <= split.tau
 
 
 @st.composite
