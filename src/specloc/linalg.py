@@ -9,9 +9,9 @@ through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
   carries the eigenvalues, the inertia and the signature: the merged spectrum
   of size N of one matrix or a direct sum of blocks, ``|lambda| <= f * N * eps
   * max|lambda|``; ``index``, ``winding_demo``, CLI ``localizer``.  Each
-  block is solved by the connected components of its nonzero pattern, an
-  exact permutation similarity whose merged solves are backward stable for
-  the whole, so the rule still reads the merged spectrum at the full N.
+  block is solved whole by one dense ``eigvalsh``: the oracle that the odd
+  localizer's split by x's components (``localizer._odd_half_eigenvalues``)
+  answers to, within tau and with the same inertia.
 * Doubled zero test, :func:`doubled_spectrum`: ``spec [[0, x], [x*, 0]] =
   +-sigma_i(x)`` from the n singular values of x, ``sigma <= f * 2n * eps *
   sigma_max`` read from all 2n; gap certificates and ``contract_invertible``
@@ -25,9 +25,7 @@ through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
   whole.  The exact zeros that rectangular and empty components imply make
   up the count, so the zero rule reads all 2n values at the full size.  An
   even element splits into x_+ and x_-, and its grading-odd [D, x] into the
-  two blocks off the grading's diagonal.  The Hermitian split above labels
-  its pattern with the same routine, :func:`_component_labels`, with the
-  diagonal set.
+  two blocks off the grading's diagonal.
 
 One decomposition ladder, :func:`_components`, finds the bipartite
 components for ``_singular_values`` and for the localizer's odd halves with
@@ -245,11 +243,10 @@ def hermitian_spectrum(*blocks, policy: TolerancePolicy = DEFAULT_POLICY) -> Spe
     """Spectrum of the direct sum of (numerically) self-adjoint ``blocks``, with its inertia.
 
     One matrix is the one-block case.  Each distinct block (by identity)
-    is scanned and solved once, as it is when ``B == B*`` exactly and
-    symmetrized otherwise, by the connected components of its nonzero
-    pattern (:func:`_component_eigvalsh`; a connected block reaches
-    ``eigvalsh`` whole), and the eigenvalues are merged in ascending order.
-    The zero test reads the merged spectrum of size N:
+    is scanned and solved once, whole, by one dense ``eigvalsh``: as it is
+    when ``B == B*`` exactly, symmetrized otherwise.  The eigenvalues are
+    merged in ascending order, and the zero test reads the merged spectrum
+    of size N:
     ``|lambda| <= tau = f * N * eps * max|lambda|``.  Only then is each
     inexact block's asymmetry tested, on the whole block, against that tau:
     up to it, the asymmetry is symmetrized away silently; beyond it,
@@ -265,7 +262,7 @@ def hermitian_spectrum(*blocks, policy: TolerancePolicy = DEFAULT_POLICY) -> Spe
     # every localizer block is exactly Hermitian; (B + B*) / 2 would equal it bit for bit
     inexact = {key: m for key, m in distinct.items() if not np.array_equal(m, _adjoint(m))}
     solved = {
-        key: _component_eigvalsh(as_matrix((m + _adjoint(m)) / 2.0) if key in inexact else m)
+        key: np.linalg.eigvalsh(as_matrix((m + _adjoint(m)) / 2.0) if key in inexact else m)
         for key, m in distinct.items()
     }
     parts = [solved[id(b)] for b in blocks]
@@ -273,31 +270,6 @@ def hermitian_spectrum(*blocks, policy: TolerancePolicy = DEFAULT_POLICY) -> Spe
     spectrum = _read_spectrum(eigs, policy)
     _require_adjoint(inexact.values(), spectrum.tau)
     return spectrum
-
-
-def _reaches_every_row(h: np.ndarray) -> bool:
-    """Whether every row of the Hermitian h is reached from row 0 within log2(n) steps.
-
-    The pattern is i ~ j iff h_ij != 0.  Each step adds the rows of the
-    vertices reached last, so a dense h is decided by its first row.  False
-    means that row 0's component is closed short of n rows, or that the
-    steps ran out: a pattern of longer diameter goes to
-    :func:`_component_labels`, whose pointer jumping takes about
-    log2(diameter) rounds where the probe takes one step per unit of distance.
-    """
-    reached = np.zeros(h.shape[0], dtype=bool)
-    reached[0] = True
-    frontier = [0]
-    for _ in range(h.shape[0].bit_length()):
-        new = (h[frontier] != 0).any(axis=0)
-        new &= ~reached
-        if not new.any():
-            return False
-        reached |= new
-        if reached.all():
-            return True
-        frontier = new.nonzero()[0]
-    return False
 
 
 def _first_row_spans(pattern: np.ndarray) -> bool:
@@ -326,8 +298,7 @@ def _component_labels(pattern: np.ndarray) -> np.ndarray:
     pointer jumping: each round gives every column the smallest label among
     itself and its rows, then every row the smallest among itself and its
     columns, then each vertex the label of its label; the rounds stop when
-    nothing changes.  A Hermitian pattern with its diagonal set gives row i
-    and column i one label, that of row i's component in the graph i ~ j.
+    nothing changes.
     """
     r, c = pattern.shape
     labels = np.arange(r + c)
@@ -366,30 +337,6 @@ def _components_by_shape(labels: np.ndarray, r: int):
         ra, cb = divmod(int(code), n + 1)
         yield rows[i : i + k * ra].reshape(k, ra), cols[j : j + k * cb].reshape(k, cb)
         i, j = i + k * ra, j + k * cb
-
-
-def _component_eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the exactly Hermitian h, solved by the components of its pattern.
-
-    Permuting h into the direct sum of its connected components is an
-    exact similarity.  The components of each size are gathered by one
-    fancy index and solved by one stacked ``eigvalsh``; each solve is
-    backward stable, so the merged eigenvalues are exact for h + E with
-    ``||E|| = max_c ||E_c||``.  A connected h is one component and reaches
-    ``eigvalsh`` whole.  The pattern is labelled with its diagonal set, so
-    that row i and column i share a component.
-    """
-    n = h.shape[0]
-    if n <= 1 or _reaches_every_row(h):
-        return np.linalg.eigvalsh(h)
-    pattern = h != 0
-    np.fill_diagonal(pattern, True)
-    labels = _component_labels(pattern)
-    if not labels.any():  # connected, beyond the probe's reach
-        return np.linalg.eigvalsh(h)
-    parts = [np.linalg.eigvalsh(h[rows[:, :, None], cols[:, None, :]]).ravel()
-             for rows, cols in _components_by_shape(labels, n)]
-    return np.sort(np.concatenate(parts))
 
 
 def _monomial(pattern: np.ndarray):

@@ -44,15 +44,15 @@ J; ``linalg._components``), of [[kappa*D_I, y_IJ], [y_IJ*, -kappa*D_J]],
 plus kappa*d_i for each empty row i and -kappa*d_j for each empty column j.
 An x_ii +- s that cancels to an exact 0 is no edge.  Each block is written
 from x and D0 with the operations ``_half`` uses (kappa*d, 0 - kappa*d,
-conj, x_ii + s), its lines ascending, so it equals, bit for bit, the block
-that ``hermitian_spectrum`` would gather from the assembled half; stacked
+conj, x_ii + s), so it holds the assembled half's entries; stacked
 ``eigvalsh`` solves each block on its own, a 1 x 1 block's eigenvalue is its
-entry, and the parts are merged in ``hermitian_spectrum``'s order, so the
-spectrum, tau and inertia are the same bytes.  The half is exactly
-Hermitian by construction, so its NaN/Inf and symmetry scans move to the
-inputs: kappa*D0 is checked for overflow with the point, x_ii +- s where it
-is formed.  The circle flagship at s = 0 solves one stacked ``eigvalsh`` of
-2 x 2 blocks.  An even localizer, or an odd one with any other D0, is
+entry, and one sort merges the parts.  The spectrum lies within tau of the
+dense solve of the assembled half, ``hermitian_spectrum``, with the same
+inertia.  The half is exactly Hermitian by construction, so its NaN/Inf and
+symmetry scans move to the inputs, checked with the point for every route:
+kappa*D0 for overflow, and x_ii +- s, whose overflow is that of
+|Re x_ii| + s.  The circle flagship at s = 0 solves one stacked ``eigvalsh``
+of 2 x 2 blocks.  An even localizer, or an odd one with any other D0, is
 assembled and solved by ``hermitian_spectrum``.
 
 Default-region ``index`` solves the centre (kappa*, s*) and certifies each
@@ -203,6 +203,14 @@ def _check_point(T: SpectralTriple, kappa: float, s: float) -> None:
         raise ValueError(f"kappa * D0 overflows at kappa={kappa}")
 
 
+def _check_shift(blocks: tuple, s: float) -> None:
+    """Raise ``NonFiniteError`` when some x_ii +- s overflows: the larger |Re x_ii +- s| is |Re x_ii| + s."""
+    if s:
+        largest = max(float(np.abs(b.diagonal().real).max(initial=0.0)) for b in blocks)
+        if math.isinf(largest + s):
+            raise NonFiniteError("matrix contains NaN or Inf entries")
+
+
 def _half(T: SpectralTriple, blocks: tuple, kappa: float, s: float) -> np.ndarray:
     """L_reduced(kappa) + s*W, s of either sign, in one fresh array.
 
@@ -237,11 +245,9 @@ def _half(T: SpectralTriple, blocks: tuple, kappa: float, s: float) -> np.ndarra
 
 
 def _halves(T: SpectralTriple, blocks: tuple, kappa: float, s: float) -> tuple:
-    """L_reduced +- s*W from x's ``blocks``, one array twice at s = 0.
-
-    Every dense route assembles here, so the point is checked here.
-    """
+    """L_reduced +- s*W from x's ``blocks``, one array twice at s = 0, once the point is checked."""
     _check_point(T, kappa, s)
+    _check_shift(blocks, s)
     plus = _half(T, blocks, kappa, s)
     return (plus, plus) if s == 0 else (plus, _half(T, blocks, kappa, -s))
 
@@ -257,26 +263,19 @@ def _odd_half_eigenvalues(T: SpectralTriple, x: np.ndarray, kappa: float, s: flo
     each empty row i or column j the 1 x 1 block kappa*d_i or 0 - kappa*d_j,
     whose eigenvalue is that entry.  Each block is written from x and D0
     with the operations of :func:`_half` (kappa*d, 0 - kappa*d, conj(x_ij),
-    conj(x_ii) + s), its rows and columns ascending, so it is the block that
-    ``hermitian_spectrum`` gathers from the assembled half, bit for bit.  Only
-    the lower triangle is written: ``eigvalsh`` reads no other.  The parts
-    are merged in ``hermitian_spectrum``'s order (by size, then smallest
-    row or column), so the sort gives its bits, signed zeros included.
+    conj(x_ii) + s), so it holds the assembled half's entries.  Only the
+    lower triangle is written: ``eigvalsh`` reads no other.  The merged
+    eigenvalues lie within tau of the dense solve of the assembled half,
+    with the same inertia.  The caller has checked that no x_ii + s overflows.
     """
     r = x.shape[0]
-    diagonal = None
-    if s:
-        with np.errstate(over="ignore"):
-            diagonal = x.diagonal() + s
-        if not np.isfinite(diagonal).all():
-            raise NonFiniteError("matrix contains NaN or Inf entries")
-    parts = _components(x, diagonal)
+    parts = _components(x, x.diagonal() + s if s else None)
     if parts is None:
         return np.linalg.eigvalsh(_half(T, (x,), kappa, s))
     kd = np.tile(np.multiply(T.D0.diagonal(), kappa), r // T.D0.shape[0])
     dirac = np.concatenate([kd, 0.0 - kd])  # of row i at i, of column j at r + j
     alone = np.ones(2 * r, dtype=bool)
-    by_size = {}
+    eigs = []
     for rows, cols in parts:
         (k, a), b = rows.shape, cols.shape[1]
         if not k:
@@ -289,14 +288,9 @@ def _odd_half_eigenvalues(T: SpectralTriple, x: np.ndarray, kappa: float, s: flo
         if s:
             at, j, i = np.nonzero(cols[:, :, None] == rows[:, None, :])
             lower[at, j, i] += s
-        by_size.setdefault(a + b, []).append((rows[:, 0], np.linalg.eigvalsh(block, UPLO="L")))
-    single = np.flatnonzero(alone)
-    by_size[1] = [(single, dirac[single, None])]
-    merged = []
-    for size in sorted(by_size):
-        labels, eigs = (np.concatenate(p) for p in zip(*by_size[size]))
-        merged.append(eigs[np.argsort(labels)].ravel())
-    return np.sort(np.concatenate(merged))
+        eigs.append(np.linalg.eigvalsh(block, UPLO="L").ravel())
+    eigs.append(dirac[alone])
+    return np.sort(np.concatenate(eigs))
 
 
 def _real_diagonal(T: SpectralTriple) -> bool:
@@ -308,17 +302,20 @@ def _real_diagonal(T: SpectralTriple) -> bool:
 def _spectrum(T: SpectralTriple, blocks: tuple, kappa: float, s: float | None, policy: TolerancePolicy):
     """The merged spectrum of L(kappa, s)'s halves, or of L_reduced alone when s is None.
 
-    The caller has checked the point.  An odd localizer with a real
-    diagonal D0 is solved half by half by x's components
-    (:func:`_odd_half_eigenvalues`), with no dense half unless the pattern
-    is connected.  Any other is assembled (:func:`_halves`) and solved by
+    The caller has checked the point and the shift (:func:`_check_shift`).
+    An odd localizer with a real diagonal D0 is solved half by half by x's
+    components (:func:`_odd_half_eigenvalues`), with no dense half unless
+    the pattern is connected, within tau of the dense solve and with the
+    same inertia.  Any other is assembled (:func:`_half`) and solved by
     ``hermitian_spectrum``.  At s = 0 the one half counts twice, as
     ``hermitian_spectrum(R, R)`` counts it.
     """
     point = 0.0 if s is None else s
     if T.parity == "even" or not _real_diagonal(T):
-        halves = _halves(T, blocks, kappa, point)
-        return hermitian_spectrum(*(halves[:1] if s is None else halves), policy=policy)
+        plus = _half(T, blocks, kappa, point)
+        if s is None:
+            return hermitian_spectrum(plus, policy=policy)
+        return hermitian_spectrum(plus, plus if s == 0 else _half(T, blocks, kappa, -s), policy=policy)
     plus = _odd_half_eigenvalues(T, blocks[0], kappa, point)
     if s is None:
         return _read_spectrum(plus, policy)
@@ -335,10 +332,13 @@ def _localizer_spectrum(
 ):
     """``hermitian_spectrum(*localizer_halves(...))``, or of ``build_reduced(...)`` when s is None.
 
-    The same numbers and errors, solved as :func:`_spectrum` solves them.
+    The same errors, and eigenvalues within tau with the same inertia,
+    solved as :func:`_spectrum` solves them.
     """
     blocks = _element_blocks(T, x, policy)
-    _check_point(T, kappa, 0.0 if s is None else s)
+    point = 0.0 if s is None else s
+    _check_point(T, kappa, point)
+    _check_shift(blocks, point)
     return _spectrum(T, blocks, kappa, s, policy)
 
 
@@ -535,6 +535,7 @@ def index(
     for s_i, kappa_i in points:
         _check_point(T, kappa_i, s_i)
     blocks = _element_blocks(T, x, policy)
+    _check_shift(blocks, max(s_i for s_i, _ in points))
 
     def solve(s_i, kappa_i):
         spectrum = _spectrum(T, blocks, kappa_i, s_i, policy)

@@ -377,34 +377,21 @@ def test_a_float64_block_reaches_lapack_without_a_copy(solve_inputs):
 
 
 def test_a_connected_block_reaches_eigvalsh_once_whole(solve_inputs):
-    # the probe from row 0 decides a dense block by its first row; a path of
-    # 40 rows, visited in scrambled order, outlasts its log2(40) steps and is
-    # found connected by the labelling
+    # any pattern reaches eigvalsh once, whole, as the same object: nothing is
+    # probed or split, neither a dense block, a path of 40 rows visited in
+    # scrambled order, nor a permuted chain cut into two components of 3 rows
+    # beside an isolated zero row
     rng = np.random.default_rng(13)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     chain = np.diag(rng.standard_normal(40)) + np.diag(np.ones(39), 1) + np.diag(np.ones(39), -1)
     perm = rng.permutation(40)
-    for h in (a + a.conj().T, chain[np.ix_(perm, perm)]):
+    cut = np.diag(rng.standard_normal(6)) + np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1)
+    cut[2, 3] = cut[3, 2] = 0.0
+    split = direct_sum(cut, np.zeros((1, 1)))[np.ix_(*[rng.permutation(7)] * 2)]
+    for h in (a + a.conj().T, chain[np.ix_(perm, perm)], split):
         solve_inputs.clear()
         hermitian_spectrum(h)
         assert len(solve_inputs) == 1 and solve_inputs[0][1] is h
-
-
-def test_a_disconnected_block_is_solved_by_its_components(solve_inputs):
-    # cutting the path's middle coupling leaves two components of 3 rows:
-    # one stacked solve of both, and an isolated zero row a solve of its own
-    rng = np.random.default_rng(13)
-    chain = np.diag(rng.standard_normal(6)) + np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1)
-    chain[2, 3] = chain[3, 2] = 0.0
-    h = direct_sum(chain, np.zeros((1, 1)))
-    perm = rng.permutation(7)
-    spectrum = hermitian_spectrum(h[np.ix_(perm, perm)])
-    assert [a.shape for _, a in solve_inputs] == [(1, 1, 1), (2, 3, 3)]
-    expected = np.sort(np.concatenate([np.linalg.eigvalsh(chain[:3, :3]),
-                                       np.linalg.eigvalsh(chain[3:, 3:]), [0.0]]))
-    # each component is gathered in the permuted order of its rows
-    np.testing.assert_allclose(spectrum.eigenvalues, expected, rtol=0.0, atol=spectrum.tau)
-    assert spectrum.inertia.n_zero == 1
 
 
 def test_a_block_passed_twice_is_scanned_once(monkeypatch):

@@ -22,7 +22,7 @@ from specloc import (
     valid_region,
     winding_demo,
 )
-from specloc import linalg, localizer
+from specloc import localizer
 from specloc.errors import (
     DimensionMismatchError,
     InconsistentSignatureError,
@@ -142,15 +142,29 @@ def test_a_kappa_whose_product_with_D0_overflows_is_refused_before_any_product()
 
 
 def test_a_shift_that_overflows_the_diagonal_is_non_finite_without_a_warning():
-    # x_ii + s overflows: the split route checks x's diagonal before any half is
-    # formed, whether the pattern splits (diagonal x) or is connected (dense x)
-    triple = odd_triple(np.diag([1.0, -1.0]))
-    for matrix in (np.diag([1e308, 1.0]), np.array([[1e308, 1.0], [1.0, 1.0]])):
+    # x_ii + s overflows: every route checks x's diagonal with the point, before
+    # any half is formed: the odd split, whether the pattern splits (diagonal x)
+    # or is connected (dense x), the dense odd route of a non-diagonal D0, and
+    # the even route
+    diagonal = odd_triple(np.diag([1.0, -1.0]))
+    swap = odd_triple(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    cases = (
+        (diagonal, np.diag([1e308, 1.0])),
+        (diagonal, np.array([[1e308, 1.0], [1.0, 1.0]])),
+        (swap, np.diag([1e308, 1.0])),
+        (even_triple(np.ones((1, 1))), np.diag([1.5e308, -1.5e308])),
+    )
+    for triple, matrix in cases:
         x = operator_element(matrix)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteError):
-                index(triple, x, 0.5, kappa=0.1, s=1e308)
+            for route in (
+                lambda: index(triple, x, 0.5, kappa=0.1, s=1e308),
+                lambda: localizer._localizer_spectrum(triple, x, 0.1, 1e308),
+                lambda: localizer_halves(triple, x, 0.1, 1e308),
+            ):
+                with pytest.raises(NonFiniteError):
+                    route()
 
 
 def test_the_circle_localizer_is_solved_by_its_2x2_components_with_no_dense_half(
@@ -171,8 +185,7 @@ def test_the_circle_localizer_is_solved_by_its_2x2_components_with_no_dense_half
 def test_a_connected_odd_half_is_assembled_once_and_solved_whole(monkeypatch, solve_inputs):
     # a dense x (decided by its first row and column) and the banded circle at
     # s > 0 (decided by labelling x's pattern) are connected: each half is
-    # assembled once and reaches eigvalsh whole, its pattern never probed or
-    # labelled again as a 2r-row matrix
+    # assembled once and reaches eigvalsh whole, as the dense route solves it
     rng = np.random.default_rng(3)
     dense = (odd_triple(np.diag(rng.uniform(-2.0, 2.0, 4))), random_gapped(4, 1, 0.5, seed=6))
     banded = (circle_dirac(25), circle_unitary_truncation(1, 25))
@@ -181,7 +194,6 @@ def test_a_connected_odd_half_is_assembled_once_and_solved_whole(monkeypatch, so
     assembled = []
     half = localizer._half
     monkeypatch.setattr(localizer, "_half", lambda *args: assembled.append(half(*args)) or assembled[-1])
-    monkeypatch.setattr(linalg, "_reaches_every_row", lambda h: pytest.fail("probed"))
     for ((triple, x), s, halves), dense_route in zip(cases, expected):
         assembled.clear()
         solve_inputs.clear()

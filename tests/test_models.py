@@ -169,10 +169,13 @@ def test_winding_demo_at_positive_s(solve_inputs):
 
 
 def test_winding_demo_does_not_import_numpy_ma():
-    # np.unique imports numpy.ma on first use, about 1 MB of resident memory;
-    # the component split groups by np.bincount and np.argsort instead
+    # np.unique asked for no indices and no counts imports numpy.ma, about
+    # 1 MB of resident memory, whatever the dtype (numpy 2.4 tests
+    # np.ma.is_masked before its hash path).  winding_demo(2, 25) reads its
+    # monomial pattern by index; x + s*I at (2, 5, s=0.2) is labelled, and
+    # _components_by_shape asks np.unique for counts
     probe = ("import sys; from specloc import winding_demo; winding_demo(2, 25); "
-             "print('numpy.ma' in sys.modules)")
+             "winding_demo(2, 5, kappa=0.1, s=0.2); print('numpy.ma' in sys.modules)")
     src = os.path.dirname(os.path.dirname(specloc.__file__))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})

@@ -17,15 +17,15 @@ half-size blocks, one at s = 0) is checked against the dense
 gap certificate (one SVD of x) against the dense spectrum of
 ``bordered(x, 0)``.  ``is_singular`` is checked against the delta = 0
 certificate, and ``residual_ok`` against its rule written out by hand.
-``hermitian_spectrum``'s split of a block into the connected components of
-its nonzero pattern is checked against the dense solve of drawn permuted
-direct sums, and the singular values' split into the bipartite components
-of a pattern against the dense SVD of drawn permuted sums of rectangular
-blocks with empty rows and columns.  An odd localizer with a real diagonal
-Dirac block, solved by the components of x +- s*I without assembling its
-halves, is checked bit for bit against the assembled halves and within tau
-of ``build_generalized``, on drawn sparse, banded and dense x with
-diagonal entries that cancel s exactly.
+``hermitian_spectrum``, which solves each block whole, is checked against
+the complex solve of drawn permuted direct sums, and the singular values'
+split into the bipartite components of a pattern against the dense SVD of
+drawn permuted sums of rectangular blocks with empty rows and columns.  An
+odd localizer with a real diagonal Dirac block, solved by the components
+of x +- s*I without assembling its halves, is checked within tau of the
+dense solve of the assembled halves, with the same inertia, and within tau
+of ``build_generalized``, on drawn sparse, banded and dense x with diagonal
+entries that cancel s exactly.
 The path certificate's per-segment step guard is checked against dense
 sampling of ``bordered(y, delta/2)`` along drawn segments, and its step
 report against the SVD norm of each step.  Default-region ``index``'s spoke
@@ -224,8 +224,9 @@ def permuted_direct_sum(draw):
 @SETTINGS
 @given(permuted_direct_sum())
 def test_the_component_split_matches_the_dense_solve(m):
-    # the split is an exact permutation similarity and each component's solve
-    # is backward stable: the dense solve of the symmetrized whole is the oracle
+    # a permuted direct sum, the input a component split would take, is solved
+    # whole in the field as_matrix decides: the complex solve of the
+    # symmetrized whole is the oracle
     dense = np.linalg.eigvalsh(((m + m.conj().T) / 2.0).astype(np.complex128))
     assert_within_tau_of_complex_solve(hermitian_spectrum(m), dense)
 
@@ -571,10 +572,11 @@ def odd_diagonal_input(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(odd_diagonal_input())
-def test_an_odd_localizer_with_a_diagonal_dirac_is_solved_by_x_components_to_the_bit(case):
+def test_an_odd_localizer_with_a_diagonal_dirac_is_solved_by_x_components(case):
     # the split route gathers each component of x +- s*I straight from x and D0:
-    # its eigenvalue bytes, tau and inertia are those of the assembled halves,
-    # and of R alone for the reduced signature; the dense L(kappa, s) agrees within tau
+    # its eigenvalues lie within tau of the dense solve of the assembled halves,
+    # and of R alone for the reduced signature, with the same inertia; the
+    # dense L(kappa, s) agrees within tau
     triple, x, kappa, s = case
     assert triple.D0.dtype == np.float64
     pairs = (
@@ -582,8 +584,8 @@ def test_an_odd_localizer_with_a_diagonal_dirac_is_solved_by_x_components_to_the
         (_localizer_spectrum(triple, x, kappa, None), hermitian_spectrum(build_reduced(triple, x, kappa))),
     )
     for split, dense in pairs:
-        assert split.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
-        assert (split.tau, split.inertia) == (dense.tau, dense.inertia)
+        assert np.max(np.abs(split.eigenvalues - dense.eigenvalues)) <= dense.tau
+        _assert_inertia_away_from_tau(split, dense)
     split = pairs[0][0]
     oracle = np.linalg.eigvalsh(build_generalized(triple, x, kappa, s))
     assert np.max(np.abs(split.eigenvalues - oracle)) <= split.tau
