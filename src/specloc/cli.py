@@ -13,8 +13,8 @@ Exit codes: 0 success, 2 verdict-false or singular localizer, 1 errors,
 
 ``main`` may be called any number of times in one process; the parser is
 built on the first call and reused.  What may change between calls is read
-per call: ``SPECLOC_TOL_FACTOR`` in ``_policy``, the help width when help is
-formatted, and every argument into a fresh namespace.
+per call: the help width when help is formatted, and every argument into a
+fresh namespace.
 """
 
 import argparse
@@ -71,10 +71,7 @@ def _int_at_least(low: int):
 
 
 def _policy(args) -> TolerancePolicy:
-    factor = args.tol_factor
-    if factor is None:
-        factor = os.environ.get("SPECLOC_TOL_FACTOR")
-    return TolerancePolicy() if factor is None else TolerancePolicy(float(factor))
+    return TolerancePolicy() if args.tol_factor is None else TolerancePolicy(args.tol_factor)
 
 
 def _emit_plot(plot_path: str, eigenvalues, signature: int, title: str):
@@ -192,7 +189,7 @@ def _add_shared(sub, plot=False):
     sub.set_defaults(parser=sub)
     sub.add_argument(
         "--tol-factor", type=float, default=None,
-        help="zero-threshold factor (default: SPECLOC_TOL_FACTOR or the policy default)",
+        help="zero-threshold factor (default: the policy default, 16)",
     )
     sub.add_argument("--out", default=None, help="write the JSON report here")
     if plot:

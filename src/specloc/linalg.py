@@ -29,8 +29,9 @@ through their difference R, ``||R||_2 <= f * dim(R) * eps * max(scale, 1)``
 
 One decomposition ladder, :func:`_components`, finds the bipartite
 components for ``_singular_values`` and for the localizer's odd halves with
-a real diagonal Dirac block (the components of x +- s*I, an x_ii +- s that
-cancels to 0 being no edge).  Cheapest first: no zero in the first row and
+a real diagonal Dirac block (the components of y = x +- s*I, which the
+localizer forms first, so that an x_ii +- s that cancels is an exact zero
+of y).  Cheapest first: no zero in the first row and
 column decides "connected" in O(n), before the pattern is formed, and such
 a matrix is solved whole, bit for bit; a pattern with at most one entry per
 row and column (the circle truncation, a partial isometry) is its entries,
@@ -352,13 +353,10 @@ def _monomial(pattern: np.ndarray):
     return None
 
 
-def _components(m: np.ndarray, diagonal: np.ndarray | None = None):
+def _components(m: np.ndarray):
     """The bipartite components of m's nonzero pattern by shape, or None when it is connected.
 
-    ``diagonal``, when given, stands in for the diagonal of the square m:
-    the pattern is that of m with those values on its diagonal (x + s*I,
-    whose x_ii + s may cancel to an exact 0), and m is never copied with
-    it.  The components are ``(rows, cols)`` index arrays as
+    The components are ``(rows, cols)`` index arrays as
     :func:`_components_by_shape` yields them, each line of a component
     ascending; lines without an entry belong to none.  The ladder, cheapest
     first:
@@ -370,12 +368,9 @@ def _components(m: np.ndarray, diagonal: np.ndarray | None = None):
     3. :func:`_first_row_spans`: connected;
     4. :func:`_component_labels`, grouped by :func:`_components_by_shape`.
     """
-    first = m[0, 0] if diagonal is None else diagonal[0]
-    if first != 0 and m[0, 1:].all() and m[1:, 0].all():
+    if m[0].all() and m[1:, 0].all():
         return None
     pattern = m != 0
-    if diagonal is not None:
-        np.fill_diagonal(pattern, diagonal != 0)
     entries = _monomial(pattern)
     if entries is not None:
         rows, cols = entries

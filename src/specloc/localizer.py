@@ -11,12 +11,19 @@ and the generalized (shifted) localizer used for delta-gapped elements is
 
 with W the swap [[0,I],[I,0]] in the odd case and the grading
 diag(I,-I) in the even case, a signed permutation either way.
-Write L_reduced = C + kappa*K, C holding x and K holding D0.  ``_half``
-writes each half C + kappa*K +- s*W straight into one fresh array, in the
-field ``np.result_type(x, D0)``: x's blocks, kappa*D0's, and +-s at W's
-+-1 entries alone.  The off-block entries of C and K are exact zeros, so
-each entry is the one fl(C + kappa*K +- s*W) holds; neither C, K, their
-sum nor W is formed.  This assembly satisfies, exactly:
+The Hadamard H = [[1, 1], [1, -1]] / sqrt(2) in the outer slot turns
+sigma_x into sigma_z, so for either parity
+
+    (H (x) I) L(kappa, s) (H (x) I) = (L_reduced + s*W) (+) (L_reduced - s*W),
+
+and each half is the reduced localizer of a shifted element (Loring and
+Schulz-Baldes, NYJM 2017), L_reduced(x) +- s*W = L_reduced(x +- s*e).
+``_shifted`` forms x +- s*e's blocks (x's own at s = 0).  Write L_reduced
+= C + kappa*K, C holding the element's blocks and K holding D0.  ``_half``
+writes C + kappa*K straight into one fresh array, in the field
+``np.result_type(x, D0)``; its off-block entries are exact zeros, so each
+entry is the one fl(C + kappa*K) holds, and neither C, K nor their sum is
+formed.  This assembly satisfies, exactly:
 
   * L(kappa, 0) = L_reduced (+) L_reduced;
   * for x = e the eigenvalues are +-sqrt((1 +-' s)^2 + kappa^2 lambda^2)
@@ -29,46 +36,41 @@ sum nor W is formed.  This assembly satisfies, exactly:
     for delta-gapped elements, giving the sufficient constancy region
     0 < kappa < min{s, delta-s}^2 / ||[D, x]||.
 
-The Hadamard H = [[1, 1], [1, -1]] / sqrt(2) in the outer slot turns
-sigma_x into sigma_z, so for either parity
-
-    (H (x) I) L(kappa, s) (H (x) I) = (L_reduced + s*W) (+) (L_reduced - s*W).
-
 ``index`` and the CLI read the spectrum of L(kappa, s) from the two
 half-size blocks (:func:`localizer_halves`), and at s = 0 from one solve of
 L_reduced; only the test oracle (``tests/oracles.py``) assembles L whole.
-With a real diagonal D0 an odd half is never assembled unless it is
-connected.  Write y = x +- s*I.  Up to a permutation the half is the direct
+With a real diagonal D0 an odd half L_reduced(y), y = x +- s*I, is never
+assembled unless it is connected.  Up to a permutation it is the direct
 sum, over the bipartite components of y's nonzero pattern (rows I, columns
 J; ``linalg._components``), of [[kappa*D_I, y_IJ], [y_IJ*, -kappa*D_J]],
-plus kappa*d_i for each empty row i and -kappa*d_j for each empty column j.
-An x_ii +- s that cancels to an exact 0 is no edge.  Each block is written
-from x and D0 with the operations ``_half`` uses (kappa*d, 0 - kappa*d,
-conj, x_ii + s), so it holds the assembled half's entries; stacked
-``eigvalsh`` solves each block on its own, a 1 x 1 block's eigenvalue is its
-entry, and one sort merges the parts.  The spectrum lies within tau of the
-dense solve of the assembled half, ``hermitian_spectrum``, with the same
-inertia.  The half is exactly Hermitian by construction, so its NaN/Inf and
-symmetry scans move to the inputs, checked with the point for every route:
-kappa*D0 for overflow, and x_ii +- s, whose overflow is that of
-|Re x_ii| + s.  The circle flagship at s = 0 solves one stacked ``eigvalsh``
-of 2 x 2 blocks.  An even localizer, or an odd one with any other D0, is
-assembled and solved by ``hermitian_spectrum``.
+plus kappa*d_i for each empty row i and -kappa*d_j for each empty column j;
+an x_ii +- s that cancels is an exact zero of y.  Each block is written
+with ``_half``'s operations, so it holds the assembled half's entries;
+stacked ``eigvalsh`` solves each block on its own, a 1 x 1 block's
+eigenvalue is its entry, and one sort merges the parts, within tau of the
+dense solve of the assembled half and with the same inertia.  The half is
+exactly Hermitian by construction, so its NaN/Inf and symmetry scans move
+to the inputs, checked once per call in one order (:func:`_checked_blocks`):
+each point with kappa*D0's overflow, then x, then x_ii +- s, whose overflow
+is that of |Re x_ii| + s.  The circle flagship at s = 0 solves one stacked
+``eigvalsh`` of 2 x 2 blocks.  An even localizer, or an odd one with any
+other D0, is assembled and solved by ``hermitian_spectrum``.
 
 Default-region ``index`` solves the centre (kappa*, s*) and certifies each
 corner q of its sub-rectangle from that spectrum by Weyl's inequality, the
 one-ended form of ``verify_path``'s guard.  Along the straight spoke to q
-each half C + kappa*K +- s*W moves by at most
+each half L_reduced(x +- s*e) moves by at most
 
-    h = ||K|| |kappa_q - kappa*| + ||W|| |s_q - s*|,   ||W|| = 1, ||K|| = ||D0||.
+    h = ||K|| |kappa_q - kappa*| + |s_q - s*|,   ||K|| = ||D0||,
 
-When h < g* - tau* (the centre's smallest |eigenvalue| less the zero
-threshold of its merged spectrum), no eigenvalue reaches 0 on the spoke,
-and L(q) has the centre's signature.  ||D0|| enters through its Hoelder
-bound (no SVD), and the guard pays for the rounding of the assembled halves
-at both ends (:func:`_spoke_guard`).  It certifies only when C and K are
-exactly Hermitian, which it reads from x and D0; any other corner is solved
-and compared.  A certified corner is proved on the whole spoke.
+since s scales a signed permutation.  When h < g* - tau* (the centre's
+smallest |eigenvalue| less the zero threshold of its merged spectrum), no
+eigenvalue reaches 0 on the spoke, and L(q) has the centre's signature.
+||D0|| enters through its Hoelder bound (no SVD), and the guard pays for
+the rounding of the assembled halves at both ends (:func:`_spoke_guard`).
+It certifies only when C and K are exactly Hermitian, which it reads from x
+and D0; any other corner is solved and compared.  A certified corner is
+proved on the whole spoke.
 
 For a fixed finite truncation the region-certified signature is the
 small-coupling limit (zero for winding classes); integer indices of
@@ -203,75 +205,79 @@ def _check_point(T: SpectralTriple, kappa: float, s: float) -> None:
         raise ValueError(f"kappa * D0 overflows at kappa={kappa}")
 
 
-def _check_shift(blocks: tuple, s: float) -> None:
-    """Raise ``NonFiniteError`` when some x_ii +- s overflows: the larger |Re x_ii +- s| is |Re x_ii| + s."""
-    if s:
-        largest = max(float(np.abs(b.diagonal().real).max(initial=0.0)) for b in blocks)
-        if math.isinf(largest + s):
-            raise NonFiniteError("matrix contains NaN or Inf entries")
+def _checked_blocks(T: SpectralTriple, x: OperatorElement, points, policy: TolerancePolicy) -> tuple:
+    """x's blocks (:func:`_element_blocks`), once every ``(s, kappa)`` point and the shifts pass.
+
+    One order for every route: each point, then x's checks, then the shift.
+    Some x_ii +- s overflows exactly when |Re x_ii| + s does at the largest
+    s, and raises ``NonFiniteError`` before any shifted block is formed.
+    """
+    for s, kappa in points:
+        _check_point(T, kappa, s)
+    blocks = _element_blocks(T, x, policy)
+    s = max(s for s, _ in points)
+    if s and math.isinf(s + max(float(np.abs(b.diagonal().real).max(initial=0.0)) for b in blocks)):
+        raise NonFiniteError("matrix contains NaN or Inf entries")
+    return blocks
 
 
-def _half(T: SpectralTriple, blocks: tuple, kappa: float, s: float) -> np.ndarray:
-    """L_reduced(kappa) + s*W, s of either sign, in one fresh array.
+def _shifted(blocks: tuple, s: float) -> tuple:
+    """The blocks of x + s*e, s of either sign: copies of x's with s on the diagonal, x's own at s = 0."""
+    if not s:
+        return blocks
+    shifted = tuple(b.copy() for b in blocks)
+    for y in shifted:
+        np.fill_diagonal(y, y.diagonal() + s)
+    return shifted
 
-    x and x* (odd) or x_+ and -x_- (even), kappa*D0 in the Dirac blocks, and
-    +-s at W's +-1 entries.  A negated block is written as 0 - v, so that its
-    zeros are +0 as in fl(C + kappa*K) (for inputs free of -0).
+
+def _half(T: SpectralTriple, blocks: tuple, kappa: float) -> np.ndarray:
+    """L_reduced(kappa) of ``blocks``, x's or x +- s*e's, in one fresh array.
+
+    x and x* (odd) or x_+ and -x_- (even), and kappa*D0 in the Dirac blocks.
+    A negated block is written as 0 - v, so that its zeros are +0 as in
+    fl(C + kappa*K) (for inputs free of -0).
     """
     h, r = T.D0.shape[0], blocks[0].shape[0]
     out = np.zeros((2 * r, 2 * r), dtype=np.result_type(*blocks, T.D0))
-    i = np.arange(r)
-    if T.parity == "odd":  # [[kappa*D, x], [x*, -kappa*D]], W = [[0, I], [I, 0]]
+    if T.parity == "odd":  # [[kappa*D, x], [x*, -kappa*D]]
         out[:r, r:] = blocks[0]
         np.conjugate(blocks[0].T, out=out[r:, :r])
         kd = np.multiply(T.D0, kappa, out=out[:h, :h])
         for a in range(0, r, h):  # the Dirac blocks of I_n (x) D0
             out[a : a + h, a : a + h] = kd
             np.subtract(0.0, kd, out=out[r + a : r + a + h, r + a : r + a + h])
-        if s:
-            out[i, i + r] += s
-            out[i + r, i] += s
-    else:  # [[x_+, kappa*D], [kappa*D*, -x_-]], W = diag(I, -I)
+    else:  # [[x_+, kappa*D], [kappa*D*, -x_-]]
         out[:r, :r] = blocks[0]
         np.subtract(0.0, blocks[1], out=out[r:, r:])
         kd = np.multiply(T.D0, kappa, out=out[:h, r : r + h])
         for a in range(0, r, h):
             out[a : a + h, r + a : r + a + h] = kd
             np.conjugate(kd.T, out=out[r + a : r + a + h, a : a + h])
-        if s:
-            out[i, i] += s
-            out[i + r, i + r] -= s
     return out
 
 
 def _halves(T: SpectralTriple, blocks: tuple, kappa: float, s: float) -> tuple:
-    """L_reduced +- s*W from x's ``blocks``, one array twice at s = 0, once the point is checked."""
-    _check_point(T, kappa, s)
-    _check_shift(blocks, s)
-    plus = _half(T, blocks, kappa, s)
-    return (plus, plus) if s == 0 else (plus, _half(T, blocks, kappa, -s))
+    """L_reduced(x + s*e) and L_reduced(x - s*e) from x's checked ``blocks``, one array twice at s = 0."""
+    plus = _half(T, _shifted(blocks, s), kappa)
+    return (plus, plus) if s == 0 else (plus, _half(T, _shifted(blocks, -s), kappa))
 
 
-def _odd_half_eigenvalues(T: SpectralTriple, x: np.ndarray, kappa: float, s: float) -> np.ndarray:
-    """Ascending eigenvalues of the odd half L_reduced + s*W, s of either sign, D0 a real diagonal.
+def _odd_half_eigenvalues(T: SpectralTriple, y: np.ndarray, kappa: float) -> np.ndarray:
+    """Ascending eigenvalues of the odd half L_reduced(y), y = x +- s*I, D0 a real diagonal.
 
-    With y = x + s*I the half is [[kappa*D, y], [y*, -kappa*D]], and D is
-    diagonal, so its pattern is the bipartite graph of y's
-    (:func:`linalg._components`).  A connected y is assembled by
-    :func:`_half` and solved whole.  Otherwise each component, rows I and
-    columns J, is the block [[kappa*D_I, y_IJ], [y_IJ*, -kappa*D_J]], and
-    each empty row i or column j the 1 x 1 block kappa*d_i or 0 - kappa*d_j,
-    whose eigenvalue is that entry.  Each block is written from x and D0
-    with the operations of :func:`_half` (kappa*d, 0 - kappa*d, conj(x_ij),
-    conj(x_ii) + s), so it holds the assembled half's entries.  Only the
-    lower triangle is written: ``eigvalsh`` reads no other.  The merged
-    eigenvalues lie within tau of the dense solve of the assembled half,
-    with the same inertia.  The caller has checked that no x_ii + s overflows.
+    The half's pattern is the bipartite graph of y's, as the module
+    docstring sets out (:func:`linalg._components`).  A connected y is
+    assembled by :func:`_half` and solved whole.  Otherwise each component's
+    block [[kappa*D_I, y_IJ], [y_IJ*, -kappa*D_J]] is written with the
+    operations of :func:`_half`, lower triangle only (``eigvalsh`` reads no
+    other), and each empty row or column is the 1 x 1 block kappa*d_i or
+    0 - kappa*d_j, whose eigenvalue is that entry.
     """
-    r = x.shape[0]
-    parts = _components(x, x.diagonal() + s if s else None)
+    r = y.shape[0]
+    parts = _components(y)
     if parts is None:
-        return np.linalg.eigvalsh(_half(T, (x,), kappa, s))
+        return np.linalg.eigvalsh(_half(T, (y,), kappa))
     kd = np.tile(np.multiply(T.D0.diagonal(), kappa), r // T.D0.shape[0])
     dirac = np.concatenate([kd, 0.0 - kd])  # of row i at i, of column j at r + j
     alone = np.ones(2 * r, dtype=bool)
@@ -281,13 +287,9 @@ def _odd_half_eigenvalues(T: SpectralTriple, x: np.ndarray, kappa: float, s: flo
         if not k:
             continue
         alone[rows], alone[r + cols] = False, False
-        block = np.zeros((k, a + b, a + b), dtype=x.dtype)
+        block = np.zeros((k, a + b, a + b), dtype=y.dtype)
         block[:, range(a + b), range(a + b)] = dirac[np.concatenate([rows, r + cols], axis=1)]
-        lower = block[:, a:, :a]  # y_IJ*
-        np.conjugate(x[rows[:, None, :], cols[:, :, None]], out=lower)
-        if s:
-            at, j, i = np.nonzero(cols[:, :, None] == rows[:, None, :])
-            lower[at, j, i] += s
+        np.conjugate(y[rows[:, None, :], cols[:, :, None]], out=block[:, a:, :a])  # y_IJ*
         eigs.append(np.linalg.eigvalsh(block, UPLO="L").ravel())
     eigs.append(dirac[alone])
     return np.sort(np.concatenate(eigs))
@@ -302,24 +304,22 @@ def _real_diagonal(T: SpectralTriple) -> bool:
 def _spectrum(T: SpectralTriple, blocks: tuple, kappa: float, s: float | None, policy: TolerancePolicy):
     """The merged spectrum of L(kappa, s)'s halves, or of L_reduced alone when s is None.
 
-    The caller has checked the point and the shift (:func:`_check_shift`).
-    An odd localizer with a real diagonal D0 is solved half by half by x's
-    components (:func:`_odd_half_eigenvalues`), with no dense half unless
-    the pattern is connected, within tau of the dense solve and with the
-    same inertia.  Any other is assembled (:func:`_half`) and solved by
-    ``hermitian_spectrum``.  At s = 0 the one half counts twice, as
-    ``hermitian_spectrum(R, R)`` counts it.
+    ``blocks`` are x's, checked with the point (:func:`_checked_blocks`).
+    An odd localizer with a real diagonal D0 is solved half by half, each
+    by the components of x +- s*I (:func:`_odd_half_eigenvalues`), with no
+    dense half unless the pattern is connected, within tau of the dense
+    solve and with the same inertia.  Any other is assembled
+    (:func:`_halves`) and solved by ``hermitian_spectrum``.  At s = 0 the
+    one half counts twice, as ``hermitian_spectrum(R, R)`` counts it.
     """
-    point = 0.0 if s is None else s
     if T.parity == "even" or not _real_diagonal(T):
-        plus = _half(T, blocks, kappa, point)
         if s is None:
-            return hermitian_spectrum(plus, policy=policy)
-        return hermitian_spectrum(plus, plus if s == 0 else _half(T, blocks, kappa, -s), policy=policy)
-    plus = _odd_half_eigenvalues(T, blocks[0], kappa, point)
+            return hermitian_spectrum(_half(T, blocks, kappa), policy=policy)
+        return hermitian_spectrum(*_halves(T, blocks, kappa, s), policy=policy)
+    plus = _odd_half_eigenvalues(T, _shifted(blocks, s or 0.0)[0], kappa)
     if s is None:
         return _read_spectrum(plus, policy)
-    minus = plus if s == 0 else _odd_half_eigenvalues(T, blocks[0], kappa, -s)
+    minus = plus if s == 0 else _odd_half_eigenvalues(T, _shifted(blocks, -s)[0], kappa)
     return _read_spectrum(np.sort(np.concatenate([plus, minus])), policy)
 
 
@@ -335,10 +335,7 @@ def _localizer_spectrum(
     The same errors, and eigenvalues within tau with the same inertia,
     solved as :func:`_spectrum` solves them.
     """
-    blocks = _element_blocks(T, x, policy)
-    point = 0.0 if s is None else s
-    _check_point(T, kappa, point)
-    _check_shift(blocks, point)
+    blocks = _checked_blocks(T, x, [(0.0 if s is None else s, kappa)], policy)
     return _spectrum(T, blocks, kappa, s, policy)
 
 
@@ -349,7 +346,7 @@ def build_reduced(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """The odd or even spectral localizer (half the generalized one at s=0)."""
-    return _halves(T, _element_blocks(T, x, policy), kappa, 0.0)[0]
+    return _half(T, _checked_blocks(T, x, [(0.0, kappa)], policy), kappa)
 
 
 def localizer_halves(
@@ -361,10 +358,11 @@ def localizer_halves(
 ) -> tuple:
     """Blocks of the direct sum unitarily equivalent to L(kappa, s).
 
-    ``(L_reduced + s*W, L_reduced - s*W)``, and ``(L_reduced, L_reduced)``
-    (one array twice, solved once by ``hermitian_spectrum``) at s = 0.
+    ``(L_reduced(x + s*e), L_reduced(x - s*e))``, and ``(L_reduced,
+    L_reduced)`` (one array twice, solved once by ``hermitian_spectrum``)
+    at s = 0.
     """
-    return _halves(T, _element_blocks(T, x, policy), kappa, s)
+    return _halves(T, _checked_blocks(T, x, [(s, kappa)], policy), kappa, s)
 
 
 def _gap_certificate(x: OperatorElement, delta: float, policy: TolerancePolicy):
@@ -427,7 +425,7 @@ def _spoke_guard(T: SpectralTriple, x: OperatorElement, blocks: tuple, centre: t
     ``spectrum`` is the merged spectrum of the halves assembled at
     ``centre``, an ``(s, kappa)`` point, from x's ``blocks``
     (:func:`_element_blocks`).  A True answer proves that the exact halves
-    C + kappa*K +- s*W, and the assembled ones a solve would read, are
+    L_reduced(x +- s*e), and the assembled ones a solve would read, are
     invertible at every point of the segment from ``centre`` to the corner
     (ends included), with the centre's inertia.  With C and K not exactly
     Hermitian every answer is False.
@@ -448,9 +446,9 @@ def _spoke_guard(T: SpectralTriple, x: OperatorElement, blocks: tuple, centre: t
     norm_k = operator_norm_bound(T.D0, math.inf)
 
     def assembly(s, kappa):
-        # the assembled half, fl(C + kappa*K +- s*W) entry for entry, is within
-        # gamma_3 (|C| + kappa|K| + s|W|) of the exact one (a product and two sums;
-        # +-s only where W is +-1), so in norm within 4 eps (||C|| + kappa||K|| + s)
+        # the assembled half, fl(x_ii +- s) and fl(kappa*d) entry for entry, is within
+        # gamma_3 (|C| + kappa|K| + s|P|) of the exact one, P the signed permutation
+        # that s*e is in the half, so in norm within 4 eps (||C|| + kappa||K|| + s)
         return 4 * _EPS * (norm_c + kappa * norm_k + s)
 
     s0, kappa0 = centre
@@ -532,10 +530,7 @@ def index(
             (s_hi, kappa_hi),
         ]
 
-    for s_i, kappa_i in points:
-        _check_point(T, kappa_i, s_i)
-    blocks = _element_blocks(T, x, policy)
-    _check_shift(blocks, max(s_i for s_i, _ in points))
+    blocks = _checked_blocks(T, x, points, policy)
 
     def solve(s_i, kappa_i):
         spectrum = _spectrum(T, blocks, kappa_i, s_i, policy)

@@ -20,15 +20,14 @@ from .localizer import (
     SpectralTriple,
     _localizer_spectrum,
     index,
-    odd_triple,
 )
 
 
 def circle_dirac(N: int) -> SpectralTriple:
-    """Truncation of -i d/dt to the Fourier modes -N..N."""
+    """Truncation of -i d/dt to the Fourier modes -N..N, a real diagonal: exactly self-adjoint."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    return odd_triple(np.diag(np.arange(-N, N + 1)))
+    return SpectralTriple("odd", np.diag(np.arange(-N, N + 1, dtype=np.float64)))
 
 
 def circle_unitary_truncation(m: int, N: int) -> OperatorElement:

@@ -20,7 +20,6 @@ from specloc import (
     operator_element,
 )
 from specloc.cli import build_parser, main
-from specloc.linalg import TolerancePolicy
 from specloc.serialize import (
     dumps,
     load_matrix,
@@ -83,7 +82,9 @@ def test_csv_matrix_file(capsys, shift_file, tmp_path):
     assert reports[0] == reports[1] and reports[0][0] == 0
 
 
-def test_gap_check_verdict_true(capsys, shift_file):
+def test_gap_check_verdict_true(capsys, shift_file, monkeypatch):
+    # the factor has one route, --tol-factor: no environment variable sets it
+    monkeypatch.setenv("SPECLOC_TOL_FACTOR", "32")
     code, report = run(capsys, ["gap-check", "--matrix", shift_file, "--delta", "0.5"])
     assert code == 0
     assert report["report"]["verdict"] is True
@@ -535,35 +536,9 @@ def test_every_subcommand_takes_the_shared_flags_and_three_take_plot():
         assert ("--plot" in options) == (name in ("localizer", "index", "circle")), name
 
 
-def test_tol_factor_env(capsys, shift_file, monkeypatch):
-    monkeypatch.setenv("SPECLOC_TOL_FACTOR", "32")
-    code, report = run(capsys, ["gap-check", "--matrix", shift_file, "--delta", "0.5"])
-    assert code == 0
-    assert report["tolerance_factor"] == 32.0
-    # the parser outlives a call; the variable is read again by the next one
-    monkeypatch.setenv("SPECLOC_TOL_FACTOR", "8")
-    code, report = run(capsys, ["gap-check", "--matrix", shift_file, "--delta", "0.5"])
-    assert report["tolerance_factor"] == 8.0
-    code, report = run(
-        capsys,
-        ["gap-check", "--matrix", shift_file, "--delta", "0.5", "--tol-factor", "4"],
-    )
-    assert report["tolerance_factor"] == 4.0
-    # unset, the policy's own default applies; set but empty, it is a parse error
-    monkeypatch.delenv("SPECLOC_TOL_FACTOR")
-    code, report = run(capsys, ["gap-check", "--matrix", shift_file, "--delta", "0.5"])
-    assert report["tolerance_factor"] == TolerancePolicy().zero_threshold_factor
-    monkeypatch.setenv("SPECLOC_TOL_FACTOR", "")
-    code, report = run(capsys, ["gap-check", "--matrix", shift_file, "--delta", "0.5"])
-    assert (code, report["error"]) == (1, "parse_error")
-
-
 @pytest.mark.parametrize("factor", ["inf", "nan", "-1"])
-def test_tol_factor_must_be_finite_and_positive(capsys, shift_file, monkeypatch, factor):
-    argv = ["gap-check", "--matrix", shift_file, "--delta", "0.5"]
-    code, report = run(capsys, argv + ["--tol-factor", factor])
-    assert (code, report["error"]) == (1, "parse_error")
-    monkeypatch.setenv("SPECLOC_TOL_FACTOR", factor)
+def test_tol_factor_must_be_finite_and_positive(capsys, shift_file, factor):
+    argv = ["gap-check", "--matrix", shift_file, "--delta", "0.5", "--tol-factor", factor]
     code, report = run(capsys, argv)
     assert (code, report["error"]) == (1, "parse_error")
 

@@ -113,6 +113,25 @@ def test_localizer_point_needs_positive_kappa_and_finite_nonnegative_s():
                 route()
 
 
+def test_every_route_checks_the_point_before_the_element():
+    # one order on every route: the points, then x, then the shift; an even
+    # triple with an element not flagged self-adjoint at kappa = -1 is a bad point
+    triple = even_triple(np.ones((1, 1)))
+    x = operator_element(np.diag([0.5, -0.5]), self_adjoint=False)
+    routes = (
+        lambda: build_reduced(triple, x, -1.0),
+        lambda: localizer_halves(triple, x, -1.0, 0.3),
+        lambda: localizer._localizer_spectrum(triple, x, -1.0, 0.3),
+        lambda: localizer._localizer_spectrum(triple, x, -1.0, None),
+        lambda: index(triple, x, 0.5, kappa=-1.0, s=0.3),
+    )
+    for route in routes:
+        with pytest.raises(ValueError, match="kappa must be finite and positive"):
+            route()
+    with pytest.raises(ModeMismatchError):
+        localizer_halves(triple, x, 1.0, 0.3)
+
+
 def test_a_kappa_whose_product_with_D0_overflows_is_refused_before_any_product():
     # 1e308 is finite, but 1e308 * 3 is not: every route refuses the point
     # before kappa*D0 is formed, so nothing warns on the way, on the split
