@@ -15,10 +15,12 @@ from specloc import (
     circle_dirac,
     circle_unitary_truncation,
     hermitian_spectrum,
+    index,
     max_delta,
     valid_region,
     winding_demo,
 )
+from specloc.errors import NotGappedError
 from specloc.svgplot import eigenvalue_scatter
 
 # --- the m = 1, N = 3 example -------------------------------------------
@@ -55,10 +57,14 @@ region = valid_region(triple, x, delta=1.0)
 print("\nthe analytic constancy cap for m=1, N=3 (delta = 1):")
 print(f"  ||[D, x]|| = {region.commutator_norm}")
 print(f"  kappa_max(s = 0.5) = {region.kappa_max(0.5)}")
-print("  the cap min{s, delta-s}^2 / ||[D, x]|| assumes a normal x; this")
-print("  truncation is not normal, and the cap does not hold for it:")
-print("  default-region index finds signatures 0 and 4 below it.  The index")
-print("  above is read at an explicit point (kappa, s = 0), where")
+print("  the cap min{s, delta-s}^2 / ||[D, x]|| assumes an invertible or")
+print("  normal x; this truncation is singular and not normal, so the cap")
+print("  does not hold for it, and default-region index refuses it:")
+try:
+    index(triple, x, delta=1.0)
+except NotGappedError as exc:
+    print(f"  NotGappedError: {exc}")
+print("  The index above is read at an explicit point (kappa, s = 0), where")
 print("  invertibility is checked directly.")
 
 print("\nreduced localizer spectrum:", np.round(spectrum.eigenvalues, 3))

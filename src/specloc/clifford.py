@@ -216,7 +216,8 @@ def reduce_periodic(
     For even p the odd part is {diag(x, -x)} and x is returned as a
     self-adjoint element; for odd p it is the corner-block form
     [[0, x], [x*, 0]] and the (generally non-self-adjoint) corner is
-    returned.  Gap data is preserved: max_delta(y) = max_delta(result).
+    returned.  Gap data is preserved: max_delta(y) = max_delta(result), up
+    to rounding, as x's blocks in y are solved apart.
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
@@ -228,13 +229,16 @@ def reduce_periodic(
     if not is_self_adjoint(m, policy):
         raise NotSelfAdjointError("reduction input is not self-adjoint within tau")
 
-    rep = clifford_rep(p + 1)
-    if dim % rep.rep_dim:
+    # CCl_{p+1} acts on 2^(p//2 + 1) rows; its grading, amplified to full size, is
+    # the swap (odd algebra, even p) or diag(I, -I) (even algebra, odd p)
+    rep_dim = 2 ** (p // 2 + 1)
+    if dim % rep_dim:
         raise DimensionMismatchError(
             f"size {dim} incompatible with the CCl_{p + 1} representation "
-            f"dimension {rep.rep_dim}"
+            f"dimension {rep_dim}"
         )
-    grading = np.kron(rep.grading, np.eye(dim // rep.rep_dim))
+    eye = np.eye(half)
+    grading = doubled_matrix(eye) if p % 2 == 0 else direct_sum(eye, -eye)
     if not residual_ok(grading @ m + m @ grading, m, policy=policy):
         raise NotOddError("element does not anticommute with the grading")
 

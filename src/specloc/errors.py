@@ -65,10 +65,6 @@ class SingularLocalizerError(SpeclocError):
     code = "singular_localizer"
 
 
-class InconsistentSignatureError(SpeclocError):
-    code = "inconsistent_signature"
-
-
 class NotDivisibleBy4Error(SpeclocError):
     code = "not_divisible_by_4"
 

@@ -49,8 +49,8 @@ the first row, :func:`_first_row_spans`; then the labelling.
   matrix, with ``residual_tol``.
 * Step bounds, :func:`operator_norm_bound`: an upper bound of ``||M||_2``
   checked against a limit, ``sqrt(||M||_1 ||M||_inf)`` before any SVD;
-  ``verify_path``'s per-segment guard, ``||D0||`` in ``valid_region`` and
-  default-region ``index``'s spoke guard.
+  ``verify_path``'s per-segment guard, and ``||D0||`` in ``valid_region``
+  and in default-region ``index``'s square-bound margin.
 
 A matrix's field is decided once, where it enters, by :func:`as_matrix`:
 float64 when its dtype is real or its imaginary part is exactly zero,

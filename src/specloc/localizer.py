@@ -30,11 +30,10 @@ formed.  This assembly satisfies, exactly:
     over the Dirac spectrum;
   * the square bound L(kappa, s)^2 >= g_loc^2 - kappa*||[D, x]||, where
     g_loc = min over +- of the smallest singular value of x -+ s*e is
-    the localizer gap; ``tests/oracles.py`` checks it, no verdict reads
-    it.  For self-adjoint (more generally normal) x the localizer gap
-    equals the bordered s-gap, which in turn dominates min{s, delta-s}
-    for delta-gapped elements, giving the sufficient constancy region
-    0 < kappa < min{s, delta-s}^2 / ||[D, x]||.
+    the localizer gap; default-region ``index`` rests on it (below), and
+    ``tests/oracles.py`` checks it.  For an invertible or a normal
+    delta-gapped x, g_loc(s) >= min{s, delta-s}, giving the sufficient
+    constancy region 0 < kappa < min{s, delta-s}^2 / ||[D, x]||.
 
 ``index`` and the CLI read the spectrum of L(kappa, s) from the two
 half-size blocks (:func:`localizer_halves`), and at s = 0 from one solve of
@@ -56,21 +55,31 @@ is that of |Re x_ii| + s.  The circle flagship at s = 0 solves one stacked
 ``eigvalsh`` of 2 x 2 blocks.  An even localizer, or an odd one with any
 other D0, is assembled and solved by ``hermitian_spectrum``.
 
-Default-region ``index`` solves the centre (kappa*, s*) and certifies each
-corner q of its sub-rectangle from that spectrum by Weyl's inequality, the
-one-ended form of ``verify_path``'s guard.  Along the straight spoke to q
-each half L_reduced(x +- s*e) moves by at most
+Default-region ``index`` solves only the centre (kappa*, s*) of its five
+points; the square bound proves the rest (:func:`_check_premise`, before
+the solve), as L(kappa', s) is invertible for 0 < kappa' <= kappa once
+kappa*||[D, x]|| < g_loc(s)^2.  x's certificate bounds g_loc, its computed
+singular values being within its zero threshold tau of x's: if x is
+invertible at tau, sigma_min(x) >= delta - 2*tau, and Weyl's inequality
+gives g_loc(s) >= delta - s - 2*tau; if x == x*, g_loc(s) = min over its
+eigenvalues of ||lambda_i| - s| >= min{s, delta-s} - 2*tau; if x is flagged
+self-adjoint, its Hermitian part is within tau/2 of x, which costs tau more
+(tau/2 in |lambda_i|, tau/2 from x to it).  Any other x is refused
+(``NotGappedError``): a singular x has g_loc(s) <= s (-s is an eigenvalue
+of x - s*e), and a non-normal one can have far less (the circle truncation
+m = 1, N = 3: 5.7e-5 at s = 1/4, delta = 1); its route is an explicit
+(kappa, s).  The computed ||[D, x]|| is within r = ``residual_tol(dim,
+||D0|| ||x||)`` of the exact one, the rule by which ``valid_region`` calls
+it negligible, so each point must meet
 
-    h = ||K|| |kappa_q - kappa*| + |s_q - s*|,   ||K|| = ||D0||,
+    min{s, delta-s} > (3*tau + sqrt(kappa * (||[D, x]|| + r))) * (1 + 4 eps),
 
-since s scales a signed permutation.  When h < g* - tau* (the centre's
-smallest |eigenvalue| less the zero threshold of its merged spectrum), no
-eigenvalue reaches 0 on the spoke, and L(q) has the centre's signature.
-||D0|| enters through its Hoelder bound (no SVD), and the guard pays for
-the rounding of the assembled halves at both ends (:func:`_spoke_guard`).
-It certifies only when C and K are exactly Hermitian, which it reads from x
-and D0; any other corner is solved and compared.  A certified corner is
-proved on the whole spoke.
+i.e. kappa*||[D, x]|| < (min{s, delta-s} - 3*tau)^2: the left side is exact
+at the five points, and the factor covers the rounding of the right.  At
+kappa = 0, L(0, s) is invertible for s in [delta/4, 3*delta/4], with a
+signature that does not depend on s (0 odd, 2(sig x_+ - sig x_-) even), so
+each point joins the centre through invertible localizers: all five
+samples carry the centre's solved signature.
 
 For a fixed finite truncation the region-certified signature is the
 small-coupling limit (zero for winding classes); integer indices of
@@ -85,7 +94,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    InconsistentSignatureError,
     ModeMismatchError,
     NonFiniteError,
     NotDivisibleBy4Error,
@@ -134,6 +142,8 @@ class SpectralTriple(_ArrayValue):
             raise ValueError("parity must be 'odd' or 'even'")
         if d0.shape[0] != d0.shape[1]:
             raise DimensionMismatchError("Dirac block must be square")
+        if not d0.size:
+            raise DimensionMismatchError("Dirac block must not be empty")
 
     @property
     def ambient_dim(self) -> int:
@@ -377,7 +387,7 @@ def _gap_certificate(x: OperatorElement, delta: float, policy: TolerancePolicy):
 
 @dataclass(frozen=True)
 class RegionDescription:
-    """The (kappa, s) region where the localizer signature is certifiably constant."""
+    """The (kappa, s) region of constant localizer signature, for an invertible or normal x."""
 
     delta: float
     commutator_norm: float
@@ -399,10 +409,11 @@ def valid_region(
 ) -> RegionDescription:
     """Sufficient constancy region 0 < kappa < min{s, delta-s}^2 / ||[D,x]||.
 
-    The region is ``unbounded`` when ||[D, x]|| is within ``residual_tol`` at
-    the scale ||D0|| ||x||.  ||D0|| enters first through its Hoelder bound
-    (``operator_norm_bound``, no SVD); the SVD of D0 runs only when the
-    bound finds ||[D, x]|| negligible.
+    It holds for an invertible or normal x, and ``index`` refuses any other
+    (module docstring).  The region is ``unbounded`` when ||[D, x]|| is
+    within ``residual_tol`` at the scale ||D0|| ||x||.  ||D0|| enters first
+    through its Hoelder bound (``operator_norm_bound``, no SVD); the SVD of
+    D0 runs only when the bound finds ||[D, x]|| negligible.
     """
     cert = _gap_certificate(x, delta, policy)
     norm = commutator_norm(T, x)
@@ -419,53 +430,22 @@ def valid_region(
     return RegionDescription(float(delta), norm, unbounded)
 
 
-def _spoke_guard(T: SpectralTriple, x: OperatorElement, blocks: tuple, centre: tuple, spectrum):
-    """``corner -> bool``: True when Weyl's inequality carries ``spectrum`` to ``corner``.
+def _check_premise(T: SpectralTriple, x: OperatorElement, region: RegionDescription, points, policy):
+    """Raise ``NotGappedError`` unless the square bound proves every ``(s, kappa)`` point.
 
-    ``spectrum`` is the merged spectrum of the halves assembled at
-    ``centre``, an ``(s, kappa)`` point, from x's ``blocks``
-    (:func:`_element_blocks`).  A True answer proves that the exact halves
-    L_reduced(x +- s*e), and the assembled ones a solve would read, are
-    invertible at every point of the segment from ``centre`` to the corner
-    (ends included), with the centre's inertia.  With C and K not exactly
-    Hermitian every answer is False.
-
-    C and K are read from x and D0, never formed.  K is exactly Hermitian
-    iff D0 is (odd), and always (even); C always (odd), and iff x_+ and x_-
-    are (even).  Up to a permutation, |C| is entrywise at most |x| (odd
-    [[0, |x|], [|x|^T, 0]], even the blocks |x_+| (+) |x_-| of |x|), and the
-    2-norm of nonnegative matrices is monotone, so || |C| ||_2 is bounded
-    by ``operator_norm_bound(x.matrix, inf)``.
+    The module docstring's premise and margin, read from x's memoized
+    certificate, its flag and ``region``, with no solve.
     """
-    hermitian = (T.D0,) if T.parity == "odd" else blocks
-    if not all(np.array_equal(m, _adjoint(m)) for m in hermitian):
-        return lambda corner: False
-    # Hoelder bounds, never an SVD (limit inf): ||K||_2 = ||D0||_2 and
-    # || |K| ||_2 = || |D0| ||_2 for both parities
-    norm_c = operator_norm_bound(x.matrix, math.inf)
-    norm_k = operator_norm_bound(T.D0, math.inf)
-
-    def assembly(s, kappa):
-        # the assembled half, fl(x_ii +- s) and fl(kappa*d) entry for entry, is within
-        # gamma_3 (|C| + kappa|K| + s|P|) of the exact one, P the signed permutation
-        # that s*e is in the half, so in norm within 4 eps (||C|| + kappa||K|| + s)
-        return 4 * _EPS * (norm_c + kappa * norm_k + s)
-
-    s0, kappa0 = centre
-    # g* - tau* > 0 since the centre has no zero eigenvalue
-    radius = float(np.min(np.abs(spectrum.eigenvalues))) - spectrum.tau
-
-    def reaches(corner):
-        s1, kappa1 = corner
-        # Weyl: an exact half on the spoke is within h of the exact centre,
-        # which is within assembly(centre) of the solved one, whose eigenvalues
-        # are within tau* of the computed ones; the assembled corner is within
-        # assembly(corner) more.  The factor covers the roundings of the
-        # differences, products and sums on both sides of the comparison.
-        h = norm_k * abs(kappa1 - kappa0) + abs(s1 - s0)
-        return (h + assembly(s0, kappa0) + assembly(s1, kappa1)) * (1 + 16 * _EPS) < radius
-
-    return reaches
+    doubled, m = x.doubled(policy), x.matrix
+    if not (doubled.inertia.n_zero == 0 or x.self_adjoint or np.array_equal(m, _adjoint(m))):
+        raise NotGappedError("the default region is proved only for an invertible or self-adjoint "
+                             "element; give kappa and s")
+    # ||[D, x]|| up to the rounding of its computed value; ||x|| = max Sigma_x
+    scale = operator_norm_bound(T.D0, math.inf) * float(doubled.eigenvalues[-1])
+    norm = region.commutator_norm + policy.residual_tol(x.dim, scale)
+    for s, kappa in points:
+        if not min(s, region.delta - s) > (3 * doubled.tau + math.sqrt(kappa * norm)) * (1 + 4 * _EPS):
+            raise NotGappedError(f"the square bound does not prove (kappa={kappa}, s={s})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,7 +459,7 @@ class LocalizerReport(_ArrayValue):
     signature: int
     index: int
     min_abs_eig: float
-    samples: tuple  # (s, kappa, signature): certified, by a solve or from the centre's spectrum
+    samples: tuple  # (s, kappa, signature): solved, or proved to share the centre's
     reduced_signature: int | None = None
 
 
@@ -497,13 +477,13 @@ def index(
     circle demo, the localizer is evaluated there (s defaults to 0, kappa
     to kappa*), with invertibility checked directly.  Otherwise the
     signature is read at the default interior point of the constancy
-    region, solved, and at the four corners of a shrunken sub-rectangle;
-    all five values must agree.  A corner within Weyl's reach of the
-    centre (:func:`_spoke_guard`) takes the centre's signature without a
-    solve; any other corner is solved.  ``samples`` lists all five points
-    either way.  x is checked once per call, and each solved point is
-    solved from x's blocks (:func:`_spectrum`): by x's components with an
-    odd, real diagonal D0, else from its halves, each written into one array.
+    region, solved, and at the four corners of a shrunken sub-rectangle,
+    which the square bound proves to share its signature
+    (:func:`_check_premise`, before the solve); ``samples`` lists all five.
+    An x neither invertible nor self-adjoint is refused (``NotGappedError``).
+    x is checked once per call, and the point is solved from x's blocks
+    (:func:`_spectrum`): by x's components with an odd, real diagonal D0,
+    else from its halves, each written into one array.
     """
     if kappa is None:
         region = valid_region(T, x, delta, policy)
@@ -531,31 +511,16 @@ def index(
         ]
 
     blocks = _checked_blocks(T, x, points, policy)
-
-    def solve(s_i, kappa_i):
-        spectrum = _spectrum(T, blocks, kappa_i, s_i, policy)
-        if spectrum.inertia.n_zero > 0:
-            raise SingularLocalizerError(
-                f"localizer singular at (kappa={kappa_i}, s={s_i}): |eig| down to "
-                f"{np.min(np.abs(spectrum.eigenvalues)):.3e}"
-            )
-        return spectrum
-
-    (s0, kappa0), corners = points[0], points[1:]
-    spectrum = solve(s0, kappa0)
-    sample_signatures = [spectrum.signature]
-    if corners:
-        reaches = _spoke_guard(T, x, blocks, points[0], spectrum)
-        sample_signatures += [
-            spectrum.signature if reaches(corner) else solve(*corner).signature
-            for corner in corners
-        ]
-    signatures = set(sample_signatures)
-    if len(signatures) != 1:
-        raise InconsistentSignatureError(
-            f"signature varies over the sampled region: {sorted(signatures)}"
+    if len(points) > 1:
+        _check_premise(T, x, region, points, policy)
+    s0, kappa0 = points[0]
+    spectrum = _spectrum(T, blocks, kappa0, s0, policy)
+    if spectrum.inertia.n_zero > 0:
+        raise SingularLocalizerError(
+            f"localizer singular at (kappa={kappa0}, s={s0}): |eig| down to "
+            f"{np.min(np.abs(spectrum.eigenvalues)):.3e}"
         )
-    sig = signatures.pop()
+    sig = spectrum.signature
     if sig % 4:
         raise NotDivisibleBy4Error(f"signature {sig} is not divisible by 4")
 
@@ -569,6 +534,6 @@ def index(
         signature=sig,
         index=sig // 4,
         min_abs_eig=float(np.min(np.abs(spectrum.eigenvalues))),
-        samples=tuple((s_i, k_i, sig_i) for (s_i, k_i), sig_i in zip(points, sample_signatures)),
+        samples=tuple((s_i, k_i, sig) for s_i, k_i in points),
     )
     return sig // 4, report

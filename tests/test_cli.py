@@ -460,6 +460,30 @@ def test_a_kappa_whose_product_with_the_dirac_block_overflows_is_a_parse_error(c
             assert "kappa * D0 overflows" in report["detail"]
 
 
+def test_an_empty_dirac_block_is_a_dimension_mismatch_on_both_routes(capsys, tmp_path):
+    one, empty = tmp_path / "one.json", tmp_path / "empty.json"
+    one.write_text(dumps(matrix_to_json(np.eye(1))))
+    empty.write_text(json.dumps({"rows": 0, "cols": 0, "data": []}))
+    files = ["--matrix", str(one), "--dirac", str(empty)]
+    for parity in ("odd", "even"):
+        for argv in (["index", *files, "--delta", "0.5"], ["localizer", *files, "--kappa", "1"]):
+            code, report = run(capsys, [*argv, "--parity", parity])
+            assert (code, report["error"]) == (1, "dimension_mismatch"), argv
+            assert "empty" in report["detail"]
+
+
+def test_default_region_index_refuses_a_singular_non_normal_element(capsys, tmp_path):
+    # the circle truncation m = 1, N = 3: its route is an explicit (kappa, s)
+    dirac, matrix = tmp_path / "dirac.json", tmp_path / "x.json"
+    dirac.write_text(dumps(matrix_to_json(circle_dirac(3).D0)))
+    matrix.write_text(dumps(matrix_to_json(circle_unitary_truncation(1, 3).matrix)))
+    files = ["--matrix", str(matrix), "--dirac", str(dirac), "--delta", "1"]
+    code, report = run(capsys, ["index", *files])
+    assert (code, report["error"]) == (1, "not_gapped")
+    code, report = run(capsys, ["index", *files, "--kappa", "1", "--s", "0"])
+    assert (code, report["report"]["index"]) == (0, 1)
+
+
 def test_module_error_code(capsys, tmp_path):
     matrix = tmp_path / "x.json"
     matrix.write_text(dumps(matrix_to_json(bilateral_shift_truncation(3).matrix)))

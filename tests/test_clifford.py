@@ -9,6 +9,8 @@ from specloc import (
     bilateral_shift_truncation,
     circle_dirac,
     clifford_rep,
+    direct_sum,
+    doubled_matrix,
     even_triple,
     embed_low,
     graded_part,
@@ -174,6 +176,24 @@ def test_reduce_p2_preserves_sigma():
     reduced = reduce_periodic(y, 2)
     np.testing.assert_allclose(reduced.matrix, a)
     assert max_delta(reduced) == pytest.approx(max_delta(y))
+
+
+def test_reduce_periodic_reads_the_grading_without_building_the_representation(monkeypatch):
+    # G (x) I at full size is the swap (even p) or diag(I, -I) (odd p), and
+    # CCl_{p+1}'s dimension is 2^(p//2 + 1): no model of CCl_{p+1} is built
+    def refuse(p):
+        raise AssertionError(f"clifford_rep({p}) called")
+
+    monkeypatch.setattr(clifford_module, "clifford_rep", refuse)
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((8, 8))
+    h = a + a.T
+    for p in (4, 5, 6, 7):
+        y = direct_sum(h, -h) if p % 2 == 0 else doubled_matrix(a)
+        reduced = reduce_periodic(operator_element(y, self_adjoint=True), p)
+        assert np.array_equal(reduced.matrix, h if p % 2 == 0 else a)
+    with pytest.raises(DimensionMismatchError, match="dimension 32"):
+        reduce_periodic(operator_element(doubled_matrix(a), self_adjoint=True), 9)
 
 
 def test_reduce_rejects_non_odd():

@@ -25,7 +25,6 @@ from specloc import (
 from specloc import localizer
 from specloc.errors import (
     DimensionMismatchError,
-    InconsistentSignatureError,
     ModeMismatchError,
     NonFiniteError,
     NotGappedError,
@@ -72,6 +71,11 @@ def test_triple_needs_a_parity_and_a_square_dirac_block():
         SpectralTriple("graded", np.eye(2))
     with pytest.raises(DimensionMismatchError):
         SpectralTriple("even", np.zeros((2, 3)))
+    # an empty block has no level for any element: refused where it enters
+    for triple in (lambda d: SpectralTriple("odd", d), lambda d: SpectralTriple("even", d),
+                   odd_triple, even_triple):
+        with pytest.raises(DimensionMismatchError, match="empty"):
+            triple(np.zeros((0, 0)))
 
 
 def test_commutator_norm_unit_and_circle():
@@ -480,8 +484,8 @@ def _even_gapped(rows, seed):
 
 
 def test_index_region_mode_random(solve_counts):
-    # every corner is within Weyl's reach of the centre: one point, two halves;
-    # each sample's signature is that of the dense localizer at its point
+    # the square bound proves every corner: one point, two halves; each
+    # sample's signature is that of the dense localizer at its point
     rng = np.random.default_rng(5)
     odd = (odd_triple(np.diag(rng.uniform(-2, 2, 4))), random_gapped(4, 1, 0.5, seed=6))
     indices = []
@@ -496,27 +500,39 @@ def test_index_region_mode_random(solve_counts):
     assert indices[0] == 0  # the small-coupling limit of an invertible odd element
 
 
-def test_index_solves_corners_out_of_reach_and_reports_their_disagreement(solve_counts):
-    # the centre's smallest |eigenvalue| (0.31) is shorter than every spoke
-    # (h >= ||D0|| |kappa_q - kappa*| + |s_q - s*| = 3 * 0.075 + 0.25): the
-    # corners are solved, and some of their signatures differ from the centre's
-    with pytest.raises(InconsistentSignatureError):
+def test_index_refuses_a_singular_non_normal_element_before_any_solve(solve_counts):
+    # the circle truncation is singular and not normal: g_loc(delta/4) = 5.7e-5,
+    # far below the min{s, delta-s} that the region's cap assumes
+    with pytest.raises(NotGappedError, match="invertible or self-adjoint"):
         index(circle_dirac(3), circle_unitary_truncation(1, 3), 1.0)
-    assert solve_counts["eigvalsh"] > 2
+    assert solve_counts["eigvalsh"] == 0
 
 
-def test_index_solves_every_corner_when_the_localizer_is_not_exactly_hermitian(solve_counts):
-    # Weyl's inequality is about Hermitian matrices: a Dirac block Hermitian only
-    # within tau makes every half inexact, so no corner is certified
+def test_index_solves_only_the_centre_when_the_localizer_is_not_exactly_hermitian(solve_counts):
+    # a Dirac block Hermitian only within tau: the square bound still proves
+    # the corners, and the samples are those of the exact triple
     rng = np.random.default_rng(5)
     dirac = np.diag(rng.uniform(-2, 2, 4)).astype(complex)
     dirac[0, 1] = 1e-16
     x = random_gapped(4, 1, 0.5, seed=6)
     solve_counts.clear()
     _, report = index(odd_triple(dirac), x, 0.5)
-    assert solve_counts["eigvalsh"] == 10
+    assert solve_counts["eigvalsh"] == 2
     _, exact = index(odd_triple(np.diag(np.diag(dirac))), x, 0.5)
     assert [sig for *_, sig in report.samples] == [sig for *_, sig in exact.samples]
+
+
+def test_default_region_index_of_every_small_circle_pair_is_zero_or_refused():
+    # N = 2..7, m = -3..3: m = 0 is the identity, invertible, with index 0;
+    # every other truncation is singular and not normal, and is refused
+    for N in range(2, 8):
+        for m in range(-3, 4):
+            x = circle_unitary_truncation(m, N)
+            if m == 0:
+                assert index(circle_dirac(N), x, 1.0)[0] == 0
+            else:
+                with pytest.raises(NotGappedError):
+                    index(circle_dirac(N), x, 1.0)
 
 
 def test_index_rejects_singular_localizer():

@@ -28,9 +28,12 @@ of ``build_generalized``, on drawn sparse, banded and dense x with diagonal
 entries that cancel s exactly.
 The path certificate's per-segment step guard is checked against dense
 sampling of ``bordered(y, delta/2)`` along drawn segments, and its step
-report against the SVD norm of each step.  Default-region ``index``'s spoke
-guard is checked the same way, against dense sampling of the assembled
-localizer along drawn spokes, and its samples against a solve of each point.
+report against the SVD norm of each step.  Default-region ``index``'s
+samples are checked against a solve of each point, and its premise on four
+drawn kinds of input: every accepted point satisfies the square bound of the
+localizer gap (``localizer_gap``) and has the dense signature, and only the
+singular non-normal kind is refused.  ``reduce_periodic`` keeps
+``max_delta`` on drawn odd self-adjoint elements.
 The Clifford relation residuals, decided exact first on phase
 permutations, are checked entry for entry against the dense products and
 norms of ``tests/oracles.py``, on the models, rotated models and models
@@ -51,12 +54,17 @@ from specloc import (
     HomotopyPath,
     OperatorElement,
     SpectralTriple,
+    bilateral_shift_truncation,
     bordered,
     build_reduced,
+    circle_dirac,
+    circle_unitary_truncation,
     clifford_rep,
+    commutator_norm,
     contract_invertible,
     delta_singular_check,
     direct_sum,
+    doubled_matrix,
     even_triple,
     hermitian_spectrum,
     identity_element,
@@ -69,26 +77,29 @@ from specloc import (
     operator_element,
     operator_norm,
     random_gapped,
+    reduce_periodic,
     relation_residuals,
     residual_ok,
     sigma_spectrum,
+    valid_region,
     verify_path,
 )
 from specloc.errors import (
-    InconsistentSignatureError,
     ModeMismatchError,
     NoGapFoundError,
     NotDivisibleBy4Error,
+    NotGappedError,
     NotInvertibleError,
     NotSelfAdjointError,
     SpeclocError,
 )
-from specloc.linalg import as_matrix, doubled_spectrum, operator_norm_bound
-from specloc.localizer import _element_blocks, _localizer_spectrum, _spoke_guard
+from specloc.linalg import as_matrix, doubled_spectrum
+from specloc.localizer import _element_blocks, _localizer_spectrum
 
 from oracles import (
     build_generalized,
     gap_bound_check,
+    localizer_gap,
     localizer_parts,
     relation_residual,
     s_gap,
@@ -720,25 +731,17 @@ def assembly_input(draw):
 @SETTINGS
 @given(assembly_input())
 def test_localizer_parts_are_the_definitions_in_the_input_field(case):
-    # x's blocks are the oracle's, in x's field, and they carry what the spoke
-    # guard reads of C and K without forming them: whether both are exactly
-    # Hermitian, from x's blocks and D0, and || |C| ||_2 <= the Hoelder bound of x
+    # x's blocks are the oracle's, in x's field
     triple, x, fields, _, _ = case
     assert (x.matrix.dtype, triple.D0.dtype) == fields
     blocks = _element_blocks(triple, x, DEFAULT_POLICY)
-    c, k, _ = localizer_parts(triple, x)
+    c, _, _ = localizer_parts(triple, x)
     r = blocks[0].shape[0]
     if triple.parity == "odd":
         assert len(blocks) == 1 and np.array_equal(blocks[0], c[:r, r:])
-        hermitian = (triple.D0,)
     else:
         assert np.array_equal(blocks[0], c[:r, :r]) and np.array_equal(-blocks[1], c[r:, r:])
-        hermitian = blocks
     assert {b.dtype for b in blocks} == {fields[0]}
-    exact = all(np.array_equal(m, m.conj().T) for m in hermitian)
-    assert exact == all(np.array_equal(m, m.conj().T) for m in (c, k))
-    bound = operator_norm_bound(x.matrix, np.inf)
-    assert operator_norm(np.abs(c)) <= bound * (1 + 1e-12)
 
 
 @SETTINGS
@@ -815,63 +818,6 @@ def _gapped_input(draw, rng, delta):
 
 
 @st.composite
-def spoke(draw):
-    """(triple, x, centre, corner): an element and a segment of the (s, kappa) plane.
-
-    "random": a gapped odd or even element, with both ends drawn in a box that
-    covers the constancy region and reaches past it.  "tight": the unit
-    element over a Dirac block with a zero eigenvalue (odd) or a zero
-    singular value (even), so one eigenvalue pair of the minus half is
-    +-(1 - s), and a spoke in s alone moves it at the rate Weyl allows.  The
-    corner stops a drawn multiple of the centre's tau* short of s = 1, or it
-    passes s = 1 at a point of the sampling grid, before twice the centre's
-    smallest |eigenvalue| 1 - s*.
-    """
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.sampled_from(["random", "tight"])) == "random":
-        triple, x = _gapped_input(draw, rng, draw(st.sampled_from([0.2, 0.5])))
-        centre, corner = (
-            (draw(st.floats(0.0, 1.0)), draw(st.floats(1e-3, 2.0))) for _ in range(2)
-        )
-        return triple, x, centre, corner
-    rows = draw(st.integers(1, 3))
-    lam = np.concatenate([[0.0], rng.integers(-2, 3, rows - 1)])
-    if draw(st.sampled_from(["odd", "even"])) == "odd":
-        triple = SpectralTriple("odd", np.diag(lam).astype(np.complex128))
-    else:
-        q, _ = np.linalg.qr(rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows)))
-        triple = even_triple(q @ np.diag(lam))
-    x = identity_element(triple.ambient_dim, draw(st.integers(1, 2)))
-    s0, kappa = draw(st.sampled_from([0.25, 0.5, 0.75])), draw(st.floats(1e-2, 2.0))
-    if draw(st.booleans()):
-        tau = hermitian_spectrum(*localizer_halves(triple, x, kappa, s0)).tau
-        s1 = 1.0 - draw(st.sampled_from([0.5, 1.5, 3.0])) * tau
-    else:
-        s1 = s0 + GRID / draw(st.integers(GRID // 2 + 1, GRID - 1)) * (1.0 - s0)
-    return triple, x, (s0, kappa), (s1, kappa)
-
-
-@SETTINGS
-@given(spoke())
-def test_a_certified_spoke_keeps_the_centre_signature_at_every_point(case):
-    # Weyl: the guard leaves every point of the spoke, corner included, with
-    # the centre's signature and no eigenvalue within the centre's tau* of 0
-    triple, x, centre, corner = case
-    blocks = _element_blocks(triple, x, DEFAULT_POLICY)
-    spectrum = hermitian_spectrum(*localizer_halves(triple, x, centre[1], centre[0]))
-    if spectrum.inertia.n_zero > 0:
-        return  # a singular centre is refused before any corner
-    if not _spoke_guard(triple, x, blocks, centre, spectrum)(corner):
-        return  # out of reach: the corner is solved
-    for j in range(1, GRID + 1):
-        t = j / GRID
-        s, kappa = ((1.0 - t) * a + t * b for a, b in zip(centre, corner))
-        dense = hermitian_spectrum(build_generalized(triple, x, kappa, s))
-        assert dense.signature == spectrum.signature
-        assert np.min(np.abs(dense.eigenvalues)) > spectrum.tau
-
-
-@st.composite
 def index_input(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     delta = draw(st.sampled_from([0.2, 0.5]))
@@ -882,18 +828,119 @@ def index_input(draw):
 @SETTINGS
 @given(index_input())
 def test_default_region_samples_are_the_signatures_of_a_solve(case):
-    # each of the five samples, certified from the centre or solved, is what a
-    # solve of the split localizer at its point reads, and the dense oracle too
+    # each of the five samples, the centre's solved signature, is what a solve
+    # of the split localizer at its point reads, and the dense oracle too
     triple, x, delta = case
     try:
         _, report = index(triple, x, delta)
-    except (InconsistentSignatureError, NotDivisibleBy4Error):
-        return  # the solved corners disagree: no sample is reported
+    except NotDivisibleBy4Error:
+        return  # an even pairing of signature 2 mod 4: no sample is reported
     assert len(report.samples) == 5
     for s, kappa, sig in report.samples:
         split = hermitian_spectrum(*localizer_halves(triple, x, kappa, s))
         assert split.inertia.n_zero == 0 and split.signature == sig
         assert hermitian_spectrum(build_generalized(triple, x, kappa, s)).signature == sig
+
+
+@st.composite
+def premise_input(draw):
+    """(triple, x, delta, kind): a delta-gapped input of one of four kinds.
+
+    "invertible": an unflagged odd element from ``random_gapped``.  "even":
+    a flagged even element whose halves, U diag(lambda) U* with a kernel,
+    are Hermitian within tau only.  "hermitian": an unflagged odd element
+    with a kernel, exactly Hermitian.  "non-normal": a singular, non-normal
+    odd element: a circle truncation, ``bilateral_shift_truncation``, or a
+    nilpotent weighted shift conjugated by a drawn unitary.  Drawn nonzero
+    eigenvalues and weights lie in [1.1 delta, 1 + delta], so each input
+    passes its gap certificate, and no draw is discarded.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    delta = draw(st.sampled_from([0.2, 0.5]))
+    kind = draw(st.sampled_from(["invertible", "even", "hermitian", "non-normal"]))
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+
+    def odd_dirac(size):
+        a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        return SpectralTriple("odd", (a + a.conj().T) / 2.0)
+
+    def unitary(size):
+        q, _ = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+        return q
+
+    def with_kernel(size):
+        lam = rng.choice([-1.0, 1.0], size) * rng.uniform(1.1 * delta, 1.0 + delta, size)
+        lam[rng.random(size) < 0.3] = 0.0
+        lam[0] = 0.0
+        q = unitary(size)
+        return (q * lam) @ q.conj().T
+
+    if kind == "invertible":
+        x = random_gapped(rows, n, delta, seed=int(rng.integers(2**31)))
+        return odd_dirac(rows), x, delta, kind
+    if kind == "hermitian":
+        h = with_kernel(rows * n)
+        return odd_dirac(rows), OperatorElement((h + h.conj().T) / 2.0, n, rows, False), delta, kind
+    if kind == "even":
+        d = 2 * rows
+        blocks = np.zeros((n, d, n, d), dtype=np.complex128)
+        for sl in (slice(0, rows), slice(rows, d)):
+            blocks[:, sl, :, sl] = with_kernel(rows * n).reshape(n, rows, n, rows)
+        d0 = rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows))
+        return even_triple(d0), OperatorElement(blocks.reshape(n * d, n * d), n, d, True), delta, kind
+    model = draw(st.sampled_from(["circle", "shift", "nilpotent"]))
+    if model == "circle":
+        N = draw(st.integers(1, 4))
+        return circle_dirac(N), circle_unitary_truncation(draw(st.sampled_from([-2, -1, 1, 2])), N), delta, kind
+    size = rows + 1
+    if model == "shift":
+        return odd_dirac(size), bilateral_shift_truncation(size), delta, kind
+    weights = rng.uniform(1.1 * delta, 1.0 + delta, size - 1) * np.exp(2j * np.pi * rng.random(size - 1))
+    q = unitary(size)
+    return odd_dirac(size), OperatorElement(q @ np.diag(weights, k=1) @ q.conj().T, 1, size, False), delta, kind
+
+
+@SETTINGS
+@given(premise_input())
+def test_default_region_index_is_proved_by_the_square_bound_or_refused(case):
+    # an accepted input's five points satisfy g_loc(s)^2 - kappa*||[D, x]|| > 0
+    # and carry the dense signature; only the singular non-normal kind is
+    # refused, by the premise and before any solve
+    triple, x, delta, kind = case
+    try:
+        _, report = index(triple, x, delta)
+    except NotGappedError as exc:
+        assert kind == "non-normal" and "invertible or self-adjoint" in str(exc)
+        return
+    except NotDivisibleBy4Error:
+        # an even pairing 2(sig x_+ - sig x_-) of 2 mod 4, as the dense centre reads it
+        region = valid_region(triple, x, delta)
+        kappa = 1.0 if region.unbounded else 0.5 * region.kappa_max(delta / 2.0)
+        assert kind == "even"
+        assert hermitian_spectrum(build_generalized(triple, x, kappa, delta / 2.0)).signature % 4 == 2
+        return
+    norm = commutator_norm(triple, x)
+    for s, kappa, sig in report.samples:
+        assert localizer_gap(x, s) ** 2 - kappa * norm > 0
+        assert hermitian_spectrum(build_generalized(triple, x, kappa, s)).signature == sig
+    assert kind != "non-normal"
+
+
+@SETTINGS
+@given(st.integers(0, 3), st.integers(1, 3), st.integers(0, 2**31 - 1), st.booleans())
+def test_reduce_periodic_keeps_max_delta(p, d, seed, singular):
+    # y = diag(x, -x) for even p (x self-adjoint) or [[0, x], [x*, 0]] for odd
+    # p, an odd self-adjoint element of E (x) CCl_{p+1}; x may have a kernel.
+    # Sigma_y is Sigma_x twice, solved from y's blocks x and -x, or x and x*,
+    # whose SVDs may differ in the last bit: equal within y's tau
+    half = d * 2 ** (p // 2)
+    x = np.array(random_gapped(half, 1, 0.3, self_adjoint=p % 2 == 0, seed=seed).matrix)
+    if singular:
+        x[-1, :], x[:, -1] = 0.0, 0.0
+    y = OperatorElement(direct_sum(x, -x) if p % 2 == 0 else doubled_matrix(x), 1, 2 * half, True)
+    reduced = reduce_periodic(y, p)
+    assert np.array_equal(reduced.matrix, x)
+    assert max_delta(reduced) == pytest.approx(max_delta(y), rel=0.0, abs=y.doubled().tau)
 
 
 @SETTINGS
