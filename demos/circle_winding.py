@@ -14,6 +14,7 @@ from specloc import (
     build_reduced,
     circle_dirac,
     circle_unitary_truncation,
+    commutator_norm,
     hermitian_spectrum,
     index,
     max_delta,
@@ -53,17 +54,17 @@ for m in (-3, -2, -1, 1, 2, 3):
 
 # --- the analytic constancy cap, and why it does not apply here ----------
 
-region = valid_region(triple, x, delta=1.0)
 print("\nthe analytic constancy cap for m=1, N=3 (delta = 1):")
-print(f"  ||[D, x]|| = {region.commutator_norm}")
-print(f"  kappa_max(s = 0.5) = {region.kappa_max(0.5)}")
+print(f"  ||[D, x]|| = {commutator_norm(triple, x)}")
 print("  the cap min{s, delta-s}^2 / ||[D, x]|| assumes an invertible or")
-print("  normal x; this truncation is singular and not normal, so the cap")
-print("  does not hold for it, and default-region index refuses it:")
-try:
-    index(triple, x, delta=1.0)
-except NotGappedError as exc:
-    print(f"  NotGappedError: {exc}")
+print("  self-adjoint x; this truncation is singular and not normal, so the cap")
+print("  does not hold for it: valid_region places no region for it, and")
+print("  default-region index refuses it:")
+for name, call in (("valid_region", valid_region), ("index", index)):
+    try:
+        call(triple, x, delta=1.0)
+    except NotGappedError as exc:
+        print(f"  {name}: NotGappedError: {exc}")
 print("  The index above is read at an explicit point (kappa, s = 0), where")
 print("  invertibility is checked directly.")
 

@@ -49,10 +49,6 @@ class NotInvertibleError(SpeclocError):
     code = "not_invertible"
 
 
-class NoGapFoundError(SpeclocError):
-    code = "no_gap_found"
-
-
 class WindingTooLargeError(SpeclocError):
     code = "winding_too_large"
 

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     LevelTooSmallError,
-    NoGapFoundError,
     NotGappedError,
     NotInvertibleError,
     ShapeMismatchError,
@@ -182,11 +181,9 @@ def contract_invertible(
     args = np.angle(eigs)
     points = np.sort(np.mod(np.concatenate([args, args + np.pi]), 2 * np.pi))
     gaps = np.diff(np.concatenate([points, [points[0] + 2 * np.pi]]))
+    # the 2n points split the circle into gaps of which the widest is at least
+    # pi / n; a NaN eigenvalue makes z NaN, and sample 0 is refused as non-finite
     widest = int(np.argmax(gaps))
-    # angles, not matrices: the widest of these 2n gaps is at least pi / n, so
-    # 1e-9 rad only guards degenerate input; each sample is certified below
-    if gaps[widest] <= 1e-9:
-        raise NoGapFoundError("no eigenvalue-free direction at angular tolerance")
     z = np.exp(1j * (points[widest] + gaps[widest] / 2.0))
     # the gap recurs around -z; turn there when every eigenvalue faces -z
     # (Re(lambda conj(z)) < 0), for then no segment lambda -> -z bends towards 0

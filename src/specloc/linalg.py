@@ -39,7 +39,8 @@ row and column (the circle truncation, a partial isometry) is its entries,
 that the Clifford relations' phase permutations share; then the check from
 the first row, :func:`_first_row_spans`; then the labelling.
 * Adjointness, ``M == M*`` else ``||M - M*||_2 <= tau``: inside the two
-  spectra above, against the tau of the spectrum just solved; in
+  spectra above, and in ``valid_region``'s premise on an unflagged singular
+  x, against the tau of the spectrum just solved (x's certificate); in
   :func:`is_self_adjoint`, against ``policy.tau(M) = f * dim * eps * ||M||_2``,
   which takes up to two norms, ``||M - M*||_2`` and ``||M||_2`` (element and
   triple constructors, ``reduce_periodic``).
@@ -49,8 +50,8 @@ the first row, :func:`_first_row_spans`; then the labelling.
   matrix, with ``residual_tol``.
 * Step bounds, :func:`operator_norm_bound`: an upper bound of ``||M||_2``
   checked against a limit, ``sqrt(||M||_1 ||M||_inf)`` before any SVD;
-  ``verify_path``'s per-segment guard, and ``||D0||`` in ``valid_region``
-  and in default-region ``index``'s square-bound margin.
+  ``verify_path``'s per-segment guard, and ``||D0||`` in the rounding bound
+  shared by ``valid_region``'s ``unbounded`` and ``index``'s margin.
 
 A matrix's field is decided once, where it enters, by :func:`as_matrix`:
 float64 when its dtype is real or its imaginary part is exactly zero,

@@ -56,21 +56,22 @@ is that of |Re x_ii| + s.  The circle flagship at s = 0 solves one stacked
 other D0, is assembled and solved by ``hermitian_spectrum``.
 
 Default-region ``index`` solves only the centre (kappa*, s*) of its five
-points; the square bound proves the rest (:func:`_check_premise`, before
-the solve), as L(kappa', s) is invertible for 0 < kappa' <= kappa once
-kappa*||[D, x]|| < g_loc(s)^2.  x's certificate bounds g_loc, its computed
-singular values being within its zero threshold tau of x's: if x is
+points; the square bound proves the rest, as L(kappa', s) is invertible for
+0 < kappa' <= kappa once kappa*||[D, x]|| < g_loc(s)^2.  ``valid_region``
+holds the premise on x, bounding g_loc by x's certificate, whose computed
+singular values are within its zero threshold tau of x's: if x is
 invertible at tau, sigma_min(x) >= delta - 2*tau, and Weyl's inequality
 gives g_loc(s) >= delta - s - 2*tau; if x == x*, g_loc(s) = min over its
-eigenvalues of ||lambda_i| - s| >= min{s, delta-s} - 2*tau; if x is flagged
-self-adjoint, its Hermitian part is within tau/2 of x, which costs tau more
-(tau/2 in |lambda_i|, tau/2 from x to it).  Any other x is refused
-(``NotGappedError``): a singular x has g_loc(s) <= s (-s is an eigenvalue
-of x - s*e), and a non-normal one can have far less (the circle truncation
-m = 1, N = 3: 5.7e-5 at s = 1/4, delta = 1); its route is an explicit
-(kappa, s).  The computed ||[D, x]|| is within r = ``residual_tol(dim,
-||D0|| ||x||)`` of the exact one, the rule by which ``valid_region`` calls
-it negligible, so each point must meet
+eigenvalues of ||lambda_i| - s| >= min{s, delta-s} - 2*tau; if x is
+Hermitian within tau (flagged self-adjoint, which its certificate checks,
+or ||x - x*|| <= tau), its Hermitian part is within tau/2 of x, which costs
+tau more (tau/2 in |lambda_i|, tau/2 from x to it).  Any other x gets no
+region (``NotGappedError``): a singular x has g_loc(s) <= s (-s is an
+eigenvalue of x - s*e), and a non-normal one can have far less (the circle
+truncation m = 1, N = 3: 5.7e-5 at s = 1/4, delta = 1); its route is an
+explicit (kappa, s).  The computed ||[D, x]|| is within r = ``residual_tol(
+dim, ||D0||' ||x||)`` of the exact one, with ||D0||' D0's Hoelder bound; the
+region is ``unbounded`` when ||[D, x]|| <= r, and each point must meet
 
     min{s, delta-s} > (3*tau + sqrt(kappa * (||[D, x]|| + r))) * (1 + 4 eps),
 
@@ -375,19 +376,17 @@ def localizer_halves(
     return _halves(T, _checked_blocks(T, x, [(s, kappa)], policy), kappa, s)
 
 
-def _gap_certificate(x: OperatorElement, delta: float, policy: TolerancePolicy):
-    """x's certificate at delta; raises unless delta > 0 and x is delta-singular."""
+def _check_gapped(x: OperatorElement, delta: float, policy: TolerancePolicy) -> None:
+    """Raise unless delta > 0 and x's certificate finds it delta-singular."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    cert = delta_singular_check(x, delta, policy=policy)
-    if not cert.verdict:
+    if not delta_singular_check(x, delta, policy=policy).verdict:
         raise NotGappedError(f"element is not {delta}-singular")
-    return cert
 
 
 @dataclass(frozen=True)
 class RegionDescription:
-    """The (kappa, s) region of constant localizer signature, for an invertible or normal x."""
+    """The (kappa, s) region of constant localizer signature of an x ``valid_region`` accepts."""
 
     delta: float
     commutator_norm: float
@@ -401,6 +400,13 @@ class RegionDescription:
         return min(s, self.delta - s) ** 2 / self.commutator_norm
 
 
+def _rounding(T: SpectralTriple, x: OperatorElement, policy: TolerancePolicy) -> float:
+    """r: how far the computed ||[D, x]|| may be from the exact one, at ||D0||' ||x|| (no SVD)."""
+    # ||D_n|| = ||D0|| for both parities, under its Hoelder bound; ||x|| = max Sigma_x
+    scale = operator_norm_bound(T.D0, math.inf) * float(x.doubled(policy).eigenvalues[-1])
+    return policy.residual_tol(x.dim, scale)
+
+
 def valid_region(
     T: SpectralTriple,
     x: OperatorElement,
@@ -409,43 +415,22 @@ def valid_region(
 ) -> RegionDescription:
     """Sufficient constancy region 0 < kappa < min{s, delta-s}^2 / ||[D,x]||.
 
-    It holds for an invertible or normal x, and ``index`` refuses any other
-    (module docstring).  The region is ``unbounded`` when ||[D, x]|| is
-    within ``residual_tol`` at the scale ||D0|| ||x||.  ||D0|| enters first
-    through its Hoelder bound (``operator_norm_bound``, no SVD); the SVD of
-    D0 runs only when the bound finds ||[D, x]|| negligible.
+    Placed only for an x it holds for, up to the 3*tau margin that ``index``
+    checks (module docstring): invertible at its certificate's tau, or
+    Hermitian within that tau (flagged, x == x*, or ||x - x*|| <= tau).  Any
+    other x is refused (``NotGappedError``) before ||[D, x]|| is formed; the
+    test is exact first, so only a singular, unflagged, inexact x takes the
+    SVD of x - x*.  The region is ``unbounded`` when ||[D, x]|| is at most
+    its rounding bound r (:func:`_rounding`); no SVD of D0 is taken.
     """
-    cert = _gap_certificate(x, delta, policy)
-    norm = commutator_norm(T, x)
-    x_norm = float(np.abs(cert.sigma_x).max())
-
-    def negligible(d0_norm):
-        # ||D_n|| = ||D0|| for both parities; ||x|| = max|Sigma_x|
-        return norm <= policy.residual_tol(x.dim, d0_norm * x_norm)
-
-    # residual_tol is monotone in its scale and the Hoelder bound is at least
-    # ||D0||, so "not negligible" at the bound is the verdict; only the other
-    # answer needs the SVD of D0
-    unbounded = negligible(operator_norm_bound(T.D0, math.inf)) and negligible(operator_norm(T.D0))
-    return RegionDescription(float(delta), norm, unbounded)
-
-
-def _check_premise(T: SpectralTriple, x: OperatorElement, region: RegionDescription, points, policy):
-    """Raise ``NotGappedError`` unless the square bound proves every ``(s, kappa)`` point.
-
-    The module docstring's premise and margin, read from x's memoized
-    certificate, its flag and ``region``, with no solve.
-    """
+    _check_gapped(x, delta, policy)
     doubled, m = x.doubled(policy), x.matrix
-    if not (doubled.inertia.n_zero == 0 or x.self_adjoint or np.array_equal(m, _adjoint(m))):
-        raise NotGappedError("the default region is proved only for an invertible or self-adjoint "
-                             "element; give kappa and s")
-    # ||[D, x]|| up to the rounding of its computed value; ||x|| = max Sigma_x
-    scale = operator_norm_bound(T.D0, math.inf) * float(doubled.eigenvalues[-1])
-    norm = region.commutator_norm + policy.residual_tol(x.dim, scale)
-    for s, kappa in points:
-        if not min(s, region.delta - s) > (3 * doubled.tau + math.sqrt(kappa * norm)) * (1 + 4 * _EPS):
-            raise NotGappedError(f"the square bound does not prove (kappa={kappa}, s={s})")
+    if not (doubled.inertia.n_zero == 0 or x.self_adjoint or np.array_equal(m, _adjoint(m))
+            or operator_norm(m - _adjoint(m)) <= doubled.tau):
+        raise NotGappedError("the constancy region is proved only for an invertible or "
+                             "self-adjoint element; give kappa and s")
+    norm = commutator_norm(T, x)
+    return RegionDescription(float(delta), norm, norm <= _rounding(T, x, policy))
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,48 +456,43 @@ def index(
     s: float | None = None,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> tuple[int, LocalizerReport]:
-    """Quarter-signature index of a delta-gapped element.
+    """Quarter-signature index of a delta-gapped element, by one of two routes.
 
-    With explicit (kappa, s), e.g. the kappa = 1, s = 0 regime of the
-    circle demo, the localizer is evaluated there (s defaults to 0, kappa
-    to kappa*), with invertibility checked directly.  Otherwise the
-    signature is read at the default interior point of the constancy
-    region, solved, and at the four corners of a shrunken sub-rectangle,
-    which the square bound proves to share its signature
-    (:func:`_check_premise`, before the solve); ``samples`` lists all five.
-    An x neither invertible nor self-adjoint is refused (``NotGappedError``).
-    x is checked once per call, and the point is solved from x's blocks
-    (:func:`_spectrum`): by x's components with an odd, real diagonal D0,
-    else from its halves, each written into one array.
+    With an explicit kappa (s defaults to 0), e.g. the kappa = 1, s = 0
+    regime of the circle demo, the localizer is solved at that one point,
+    with invertibility checked directly.  Without one, the signature is
+    solved at the centre of ``valid_region``, which refuses any x its cap
+    does not hold for, and the square bound proves it at the four corners
+    of a shrunken sub-rectangle (the module docstring's margin, checked
+    before the solve); ``samples`` lists all five.  An s without kappa is
+    refused (``ValueError``) before any solve: nothing proves a point off
+    the centre at kappa*.  x is checked once per call, and the point is
+    solved from x's blocks (:func:`_spectrum`).
     """
     if kappa is None:
+        if s is not None:
+            raise ValueError("s needs an explicit kappa: the default region places both")
         region = valid_region(T, x, delta, policy)
-        # the default point: the middle of the region, at half its largest kappa
-        s_star = delta / 2.0
-        kappa_star = 1.0 if region.unbounded else 0.5 * region.kappa_max(s_star)
-    else:  # no region is read, so ||[D, x]|| is not computed
-        _gap_certificate(x, delta, policy)
-
-    if kappa is not None or s is not None:
-        points = [(s if s is not None else 0.0, kappa if kappa is not None else kappa_star)]
-    else:
-        s_lo, s_hi = delta / 4.0, 3.0 * delta / 4.0
+        s_lo, s_star, s_hi = delta / 4.0, delta / 2.0, 3.0 * delta / 4.0
         if region.unbounded:
-            kappa_lo, kappa_hi = 0.5, 2.0
+            kappa_lo, kappa_star, kappa_hi = 0.5, 1.0, 2.0
         else:
+            # the centre at half the region's largest kappa, the corners inside the cap at s_lo
+            kappa_star = 0.5 * region.kappa_max(s_star)
             cap = region.kappa_max(s_lo)
             kappa_lo, kappa_hi = 0.2 * cap, 0.8 * cap
-        points = [
-            (s_star, kappa_star),
-            (s_lo, kappa_lo),
-            (s_lo, kappa_hi),
-            (s_hi, kappa_lo),
-            (s_hi, kappa_hi),
-        ]
+        corners = [(s_i, k) for s_i in (s_lo, s_hi) for k in (kappa_lo, kappa_hi)]
+        points = [(s_star, kappa_star), *corners]
+    else:  # no region is read, so ||[D, x]|| is not computed
+        _check_gapped(x, delta, policy)
+        points = [(0.0 if s is None else s, kappa)]
 
     blocks = _checked_blocks(T, x, points, policy)
-    if len(points) > 1:
-        _check_premise(T, x, region, points, policy)
+    if kappa is None:  # the module docstring's margin, from x's memoized certificate: no solve
+        tau, norm = x.doubled(policy).tau, region.commutator_norm + _rounding(T, x, policy)
+        for s_i, k in points:
+            if not min(s_i, region.delta - s_i) > (3 * tau + math.sqrt(k * norm)) * (1 + 4 * _EPS):
+                raise NotGappedError(f"the square bound does not prove (kappa={k}, s={s_i})")
     s0, kappa0 = points[0]
     spectrum = _spectrum(T, blocks, kappa0, s0, policy)
     if spectrum.inertia.n_zero > 0:

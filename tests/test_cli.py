@@ -484,6 +484,24 @@ def test_default_region_index_refuses_a_singular_non_normal_element(capsys, tmp_
     assert (code, report["report"]["index"]) == (0, 1)
 
 
+def test_default_region_index_accepts_an_odd_element_hermitian_within_tau(capsys, tmp_path):
+    # U diag(0, 0.6, -0.7, 0.9) U* over diag(1, -1, 0.5, 2): singular and not
+    # exactly Hermitian; the odd route infers no flag, and the region holds on
+    # ||x - x*|| <= tau as in the library
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    m = (q * [0.0, 0.6, -0.7, 0.9]) @ q.conj().T
+    assert not np.array_equal(m, m.conj().T)
+    dirac, matrix = tmp_path / "dirac.json", tmp_path / "x.json"
+    dirac.write_text(dumps(matrix_to_json(np.diag([1.0, -1.0, 0.5, 2.0]))))
+    matrix.write_text(dumps(matrix_to_json(m)))
+    code, report = run(capsys, ["index", "--matrix", str(matrix), "--dirac", str(dirac),
+                                "--delta", "0.5"])
+    r = report["report"]
+    assert (code, r["index"], len(r["samples"])) == (0, 0, 5)
+    assert {sig for _, _, sig in r["samples"]} == {r["signature"]}
+
+
 def test_module_error_code(capsys, tmp_path):
     matrix = tmp_path / "x.json"
     matrix.write_text(dumps(matrix_to_json(bilateral_shift_truncation(3).matrix)))

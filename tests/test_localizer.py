@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 import warnings
 
@@ -23,6 +24,7 @@ from specloc import (
     winding_demo,
 )
 from specloc import localizer
+from specloc.cli import main
 from specloc.errors import (
     DimensionMismatchError,
     ModeMismatchError,
@@ -32,6 +34,7 @@ from specloc.errors import (
     SingularLocalizerError,
 )
 from specloc.linalg import DEFAULT_POLICY, min_singular_value
+from specloc.serialize import dumps, matrix_to_json
 
 from oracles import build_generalized, gap_bound_check, localizer_gap, s_gap
 
@@ -279,9 +282,12 @@ def test_signature_additivity():
     assert sig_both == sig1 + sig2 == 12
 
 
-def test_valid_region_circle():
+def test_valid_region_circle(monkeypatch):
+    # 2 + S for the truncated shift S of m = 1, N = 3: invertible (sigma_min >=
+    # 2 - ||S|| = 1), and [D, 2 + S] = [D, S] has norm 1
     triple = circle_dirac(3)
-    x = circle_unitary_truncation(1, 3)
+    shift = circle_unitary_truncation(1, 3)
+    x = operator_element(2.0 * np.eye(7) + shift.matrix, self_adjoint=False)
     region = valid_region(triple, x, 1.0)
     assert region.kappa_max(0.5) == pytest.approx(0.25)
     assert region.kappa_max(0.05) < region.kappa_max(0.5)
@@ -289,6 +295,11 @@ def test_valid_region_circle():
     assert not region.unbounded
     # outside 0 < s < delta there is no certified kappa
     assert region.kappa_max(0.0) == region.kappa_max(1.0) == region.kappa_max(-0.1) == 0.0
+    # S itself is singular and not normal: the cap does not hold for it, and
+    # it is refused before [D, S] is formed
+    monkeypatch.setattr(localizer, "commutator_norm", lambda *args: pytest.fail("[D, x] formed"))
+    with pytest.raises(NotGappedError, match="invertible or self-adjoint"):
+        valid_region(triple, shift, 1.0)
 
 
 def test_valid_region_unit_unbounded():
@@ -382,21 +393,20 @@ def test_index_assembles_each_half_once_in_one_array():
         assert peak < limit * half, (s, peak / half)
 
 
-def test_valid_region_takes_the_svd_of_D0_only_when_its_bound_cannot_decide(solve_inputs):
-    # [D, x] = 0 exactly for x = e: the Hoelder bound of ||D0|| finds it
-    # negligible, and the verdict "unbounded" is confirmed by the SVD of D0.
-    # D0 is dense, so that the SVD of its norm is D0 itself; a diagonal D0
-    # would be solved entry by entry
+def test_valid_region_never_takes_the_svd_of_D0(solve_inputs):
+    # [D, x] = 0 exactly for x = e, at most the rounding bound r read at D0's
+    # Hoelder bound: unbounded, and the only SVD is the certificate of e.
+    # D0 is dense, so that an SVD of its norm would be D0 itself
     g = np.random.default_rng(3).standard_normal((7, 7))
     triple = odd_triple(g + g.T)
     d0 = triple.D0
     assert valid_region(triple, identity_element(7), 1.0).unbounded
     svd_inputs = [a for name, a in solve_inputs if name == "svd"]
-    assert len(svd_inputs) == 2  # the certificate of e, then D0
-    np.testing.assert_array_equal(svd_inputs[1], d0)
-    # the winding truncation's [D, x] is not negligible at the bound: no SVD of D0
+    assert len(svd_inputs) == 1 and svd_inputs[0].shape != d0.shape
+    # an invertible x with [D, x] far above r: bounded, and no SVD of D0 either
     solve_inputs.clear()
-    assert not valid_region(triple, circle_unitary_truncation(1, 3), 1.0).unbounded
+    x = operator_element(2.0 * np.eye(7) + circle_unitary_truncation(1, 3).matrix, self_adjoint=False)
+    assert not valid_region(triple, x, 1.0).unbounded
     assert not any(a.shape == d0.shape and np.array_equal(a, d0) for _, a in solve_inputs)
 
 
@@ -434,15 +444,39 @@ def test_default_region_index_takes_two_svds_for_a_non_self_adjoint_element(solv
         np.testing.assert_allclose(svd_inputs[1], d @ x.matrix - x.matrix @ d, atol=1e-14)
 
 
-def test_index_at_an_explicit_s_reads_kappa_star_from_the_region():
-    # s alone: one sample at (s, kappa*), kappa* = kappa_max(delta/2) / 2
-    rng = np.random.default_rng(12)
-    triple = odd_triple(np.diag(rng.uniform(-2, 2, 4)))
-    x = random_gapped(4, 1, 0.4, seed=1)
-    _, report = index(triple, x, 0.4, s=0.3)
-    kappa_star = 0.5 * valid_region(triple, x, 0.4).kappa_max(0.2)
-    assert (report.s, report.kappa) == (0.3, kappa_star)
-    assert report.samples == ((0.3, kappa_star, report.signature),)
+def test_index_refuses_s_without_kappa_before_any_solve(solve_counts, capsys, tmp_path):
+    # nothing proves a point at the region's kappa* off its centre s* = delta/2.
+    # With delta = 1 that route answered these circle truncations (N, m, s):
+    # (3, 2, 0.5) gave 1, neither the winding number 2 nor the region's limit
+    # 0; (3, +-1, 0.25) gave +-1 and (4, 2, 0.9) gave 0
+    for N, m, s in [(3, 2, 0.5), (3, 1, 0.25), (3, -1, 0.25), (4, 2, 0.9)]:
+        triple, x = circle_dirac(N), circle_unitary_truncation(m, N)
+        solve_counts.clear()
+        with pytest.raises(ValueError, match="kappa"):
+            index(triple, x, 1.0, s=s)
+        assert solve_counts["svd"] == solve_counts["eigvalsh"] == 0
+        dirac, matrix = tmp_path / "dirac.json", tmp_path / "x.json"
+        dirac.write_text(dumps(matrix_to_json(triple.D0)))
+        matrix.write_text(dumps(matrix_to_json(x.matrix)))
+        code = main(["index", "--matrix", str(matrix), "--dirac", str(dirac), "--delta", "1",
+                     "--s", str(s)])
+        out = capsys.readouterr()
+        assert (code, json.loads(out.out)["error"], out.err) == (1, "parse_error", "")
+        assert solve_counts["svd"] == solve_counts["eigvalsh"] == 0
+
+
+def test_default_region_index_accepts_an_unflagged_element_hermitian_within_tau():
+    # U diag(0, 0.6, -0.7, 0.9) U* over diag(1, -1, 0.5, 2): singular at its
+    # certificate's tau and x != x*, but ||x - x*|| <= tau, so its Hermitian
+    # part bounds g_loc, as for a flagged element
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    m = (q * [0.0, 0.6, -0.7, 0.9]) @ q.conj().T
+    triple, x = odd_triple(np.diag([1.0, -1.0, 0.5, 2.0])), operator_element(m, self_adjoint=False)
+    assert not np.array_equal(m, m.conj().T) and x.doubled().inertia.n_zero > 0
+    idx, report = index(triple, x, 0.5)
+    assert idx == 0 and len(report.samples) == 5
+    assert index(triple, operator_element(m), 0.5) == (idx, report)  # the flag inferred
 
 
 def test_localizer_reports_compare_and_hash_by_value():

@@ -86,7 +86,6 @@ from specloc import (
 )
 from specloc.errors import (
     ModeMismatchError,
-    NoGapFoundError,
     NotDivisibleBy4Error,
     NotGappedError,
     NotInvertibleError,
@@ -844,12 +843,15 @@ def test_default_region_samples_are_the_signatures_of_a_solve(case):
 
 @st.composite
 def premise_input(draw):
-    """(triple, x, delta, kind): a delta-gapped input of one of four kinds.
+    """(triple, x, delta, kind): a delta-gapped input of one of five kinds.
 
     "invertible": an unflagged odd element from ``random_gapped``.  "even":
     a flagged even element whose halves, U diag(lambda) U* with a kernel,
     are Hermitian within tau only.  "hermitian": an unflagged odd element
-    with a kernel, exactly Hermitian.  "non-normal": a singular, non-normal
+    with a kernel, exactly Hermitian.  "within-tau": an unflagged odd
+    element U diag(0, lambda_1, ...) U*, singular and Hermitian within tau
+    only: its real diagonal takes an imaginary eps*delta, so x - x* is
+    2i eps delta at one entry.  "non-normal": a singular, non-normal
     odd element: a circle truncation, ``bilateral_shift_truncation``, or a
     nilpotent weighted shift conjugated by a drawn unitary.  Drawn nonzero
     eigenvalues and weights lie in [1.1 delta, 1 + delta], so each input
@@ -857,7 +859,7 @@ def premise_input(draw):
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     delta = draw(st.sampled_from([0.2, 0.5]))
-    kind = draw(st.sampled_from(["invertible", "even", "hermitian", "non-normal"]))
+    kind = draw(st.sampled_from(["invertible", "even", "hermitian", "within-tau", "non-normal"]))
     rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 2))
 
     def odd_dirac(size):
@@ -881,6 +883,15 @@ def premise_input(draw):
     if kind == "hermitian":
         h = with_kernel(rows * n)
         return odd_dirac(rows), OperatorElement((h + h.conj().T) / 2.0, n, rows, False), delta, kind
+    if kind == "within-tau":
+        size = (rows + 1) * n  # at least 2, so that x has a nonzero eigenvalue
+        lam = rng.choice([-1.0, 1.0], size) * rng.uniform(1.1 * delta, 1.0 + delta, size)
+        lam[0] = 0.0
+        q = unitary(size)
+        h = (q * lam) @ q.conj().T
+        h = (h + h.conj().T) / 2.0
+        h[0, 0] += 1j * EPS * delta
+        return odd_dirac(rows + 1), OperatorElement(h, n, rows + 1, False), delta, kind
     if kind == "even":
         d = 2 * rows
         blocks = np.zeros((n, d, n, d), dtype=np.complex128)
@@ -905,7 +916,8 @@ def premise_input(draw):
 def test_default_region_index_is_proved_by_the_square_bound_or_refused(case):
     # an accepted input's five points satisfy g_loc(s)^2 - kappa*||[D, x]|| > 0
     # and carry the dense signature; only the singular non-normal kind is
-    # refused, by the premise and before any solve
+    # refused, by valid_region's premise and before any solve.  A "within-tau"
+    # draw is accepted on ||x - x*|| <= tau alone: singular and x != x*
     triple, x, delta, kind = case
     try:
         _, report = index(triple, x, delta)
@@ -919,6 +931,8 @@ def test_default_region_index_is_proved_by_the_square_bound_or_refused(case):
         assert kind == "even"
         assert hermitian_spectrum(build_generalized(triple, x, kappa, delta / 2.0)).signature % 4 == 2
         return
+    if kind == "within-tau":
+        assert x.doubled().inertia.n_zero > 0 and not np.array_equal(x.matrix, x.matrix.conj().T)
     norm = commutator_norm(triple, x)
     for s, kappa, sig in report.samples:
         assert localizer_gap(x, s) ** 2 - kappa * norm > 0
@@ -1130,7 +1144,7 @@ def test_is_singular_is_min_singular_value_against_tau(m):
 def test_a_contraction_path_passes_its_delta_zero_certificate(m):
     try:
         path = contract_invertible(operator_element(m, self_adjoint=False))
-    except (NotInvertibleError, NoGapFoundError):
+    except NotInvertibleError:
         return
     assert not [v for v in verify_path(path, 0.0).violations if v[0] == "gap"]
 
